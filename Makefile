@@ -5,7 +5,7 @@ export PYTHONPATH := src
 SMOKE_CACHE := .smoke-cache
 SMOKE_ARGS  := experiment table2 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
 
-.PHONY: test lint faults smoke bench bench-simcore bench-service \
+.PHONY: test lint faults smoke bench bench-all bench-simcore bench-service \
 	bench-shards bench-supervisor clean
 
 test:
@@ -47,6 +47,11 @@ smoke:
 
 bench:
 	$(PY) -m pytest benchmarks -q
+
+## The repo benchmark (BENCHMARK.json): every perfbench workload, 25 s
+## each, end-to-end metrics plus the per-layer breakdown.
+bench-all:
+	python3 perfbench/run.py --workload all --seconds 25
 
 ## Simulation-core throughput: superblock backend vs interpreter,
 ## byte-identity asserted; writes BENCH_simcore.json at the repo root.

@@ -7,7 +7,7 @@ sentence: alignment reduces the conventional table's conflicts, and true
 allocation still does better.
 """
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.ablations import (
     format_alignment_ablation,
     run_alignment_ablation,
@@ -16,11 +16,11 @@ from repro.eval.ablations import (
 BENCHMARKS = ("gcc", "tex", "m88ksim")
 
 
-def test_ablation_alignment(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_alignment(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
         lambda: run_alignment_ablation(
-            runner, BENCHMARKS, threshold=THRESHOLD
+            engine, BENCHMARKS, threshold=THRESHOLD
         ),
         rounds=1,
         iterations=1,

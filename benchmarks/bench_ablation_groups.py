@@ -5,7 +5,7 @@ groupings at a 128-entry BHT: good groupings shrink the colouring problem
 while keeping prediction accuracy close to per-branch allocation.
 """
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.group_allocation import (
     format_group_ablation,
     run_group_ablation,
@@ -14,11 +14,11 @@ from repro.eval.group_allocation import (
 BENCHMARKS = ("compress", "gcc", "tex", "perl_a")
 
 
-def test_ablation_groups(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_groups(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
         lambda: run_group_ablation(
-            runner, BENCHMARKS, bht_size=128, threshold=THRESHOLD
+            engine, BENCHMARKS, bht_size=128, threshold=THRESHOLD
         ),
         rounds=1,
         iterations=1,
@@ -26,7 +26,7 @@ def test_ablation_groups(benchmark, runner):
     save_result("ablation_groups", format_group_ablation(rows))
 
     for row in rows:
-        profile = runner.profile(row.benchmark)
+        profile = engine.profile(row.benchmark)
         statics = profile.static_branch_count
         # grouping genuinely shrinks the allocation problem
         assert row.bias_groups <= statics

@@ -5,16 +5,16 @@ and understanding execution characteristics"; this bench quantifies the
 gap between a blind xor-fold hash and the profile-guided mapping.
 """
 
-from conftest import prewarm, save_result
+from conftest import save_result
 from repro.eval.ablations import format_hash_baseline, run_hash_baseline
 
 BENCHMARKS = ("gcc", "python", "chess", "gs", "tex")
 
 
-def test_ablation_hash(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_hash(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
-        lambda: run_hash_baseline(runner, BENCHMARKS, bht_size=1024),
+        lambda: run_hash_baseline(engine, BENCHMARKS, bht_size=1024),
         rounds=1,
         iterations=1,
     )

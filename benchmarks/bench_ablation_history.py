@@ -5,18 +5,18 @@ checks that allocation's advantage over conventional indexing is not an
 artifact of that geometry.
 """
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.ablations import format_history_sweep, run_history_sweep
 
 BENCHMARKS = ("gcc", "tex")
 BITS = (4, 6, 8, 10, 12)
 
 
-def test_ablation_history(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_history(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
         lambda: run_history_sweep(
-            runner, BENCHMARKS, history_bits=BITS, threshold=THRESHOLD
+            engine, BENCHMARKS, history_bits=BITS, threshold=THRESHOLD
         ),
         rounds=1,
         iterations=1,

@@ -1,16 +1,16 @@
 """Ablation — profile input sensitivity + cumulative profiles (§5.2)."""
 
-from conftest import prewarm, save_result
+from conftest import save_result
 from repro.eval.ablations import (
     format_input_sensitivity,
     run_input_sensitivity,
 )
 
 
-def test_ablation_inputs(benchmark, runner):
-    prewarm(runner, ["perl_a", "perl_b", "ss_a", "ss_b"])
+def test_ablation_inputs(benchmark, engine):
+    engine.prefetch(["perl_a", "perl_b", "ss_a", "ss_b"])
     rows = benchmark.pedantic(
-        lambda: run_input_sensitivity(runner, pairs=("perl", "ss")),
+        lambda: run_input_sensitivity(engine, pairs=("perl", "ss")),
         rounds=1,
         iterations=1,
     )

@@ -1,6 +1,6 @@
 """Ablation — the 2-level predictor family on the same traces."""
 
-from conftest import prewarm, save_result
+from conftest import save_result
 from repro.eval.ablations import (
     format_predictor_family,
     run_predictor_family,
@@ -9,10 +9,10 @@ from repro.eval.ablations import (
 BENCHMARKS = ("compress", "gcc", "li", "chess")
 
 
-def test_ablation_predictors(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_predictors(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     results = benchmark.pedantic(
-        lambda: run_predictor_family(runner, BENCHMARKS),
+        lambda: run_predictor_family(engine, BENCHMARKS),
         rounds=1,
         iterations=1,
     )

@@ -5,7 +5,7 @@ difference on the results."  At full scale we sweep 50/100/500/1000 over
 three representative benchmarks.
 """
 
-from conftest import SCALE, prewarm, save_result
+from conftest import SCALE, save_result
 from repro.eval.ablations import (
     format_threshold_ablation,
     run_threshold_ablation,
@@ -20,12 +20,12 @@ def _thresholds():
     return (5, 10, 25, 50)
 
 
-def test_ablation_threshold(benchmark, runner):
-    prewarm(runner, BENCHMARKS)
+def test_ablation_threshold(benchmark, engine):
+    engine.prefetch(BENCHMARKS)
     thresholds = _thresholds()
     rows = benchmark.pedantic(
         lambda: run_threshold_ablation(
-            runner, BENCHMARKS, thresholds=thresholds
+            engine, BENCHMARKS, thresholds=thresholds
         ),
         rounds=1,
         iterations=1,

@@ -4,19 +4,19 @@ Bars per benchmark: allocated BHT at 16/128/1024 entries vs the
 conventional 1024-entry PAg and the interference-free configuration.
 """
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.figures import (
     average_improvement,
     format_figure,
     run_figure3,
 )
-from repro.workloads.suite import FIGURE_BENCHMARKS
+from repro.workloads.registry import members
 
 
-def test_figure3(benchmark, runner):
-    prewarm(runner, FIGURE_BENCHMARKS)
+def test_figure3(benchmark, engine):
+    engine.prefetch(members("figures"))
     rows = benchmark.pedantic(
-        lambda: run_figure3(runner, threshold=THRESHOLD),
+        lambda: run_figure3(engine, threshold=THRESHOLD),
         rounds=1,
         iterations=1,
     )
@@ -27,7 +27,7 @@ def test_figure3(benchmark, runner):
         f"{average_improvement(rows):+.1%} (paper: ~16%)",
     )
 
-    assert len(rows) == len(FIGURE_BENCHMARKS)
+    assert len(rows) == len(members("figures"))
     for row in rows:
         # allocated 1024-entry tracks the interference-free bound ...
         assert row.allocated[1024] <= row.interference_free + 0.005, row

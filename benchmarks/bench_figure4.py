@@ -1,19 +1,19 @@
 """Figure 4 — PAg misprediction with allocation + branch classification."""
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.figures import (
     average_improvement,
     format_figure,
     run_figure3,
     run_figure4,
 )
-from repro.workloads.suite import FIGURE_BENCHMARKS
+from repro.workloads.registry import members
 
 
-def test_figure4(benchmark, runner):
-    prewarm(runner, FIGURE_BENCHMARKS)
+def test_figure4(benchmark, engine):
+    engine.prefetch(members("figures"))
     rows = benchmark.pedantic(
-        lambda: run_figure4(runner, threshold=THRESHOLD),
+        lambda: run_figure4(engine, threshold=THRESHOLD),
         rounds=1,
         iterations=1,
     )
@@ -24,7 +24,7 @@ def test_figure4(benchmark, runner):
         f"{average_improvement(rows):+.1%}",
     )
 
-    assert len(rows) == len(FIGURE_BENCHMARKS)
+    assert len(rows) == len(members("figures"))
     wins_at_128 = 0
     for row in rows:
         assert row.allocated[1024] <= row.conventional + 0.002, row

@@ -26,7 +26,11 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline.bus import BranchEventBus
-from repro.pipeline.consumers import InterleaveConsumer, PredictorConsumer
+from repro.pipeline.consumers import (
+    InterleaveConsumer,
+    PredictorConsumer,
+    TraceBuilder,
+)
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.simulator import simulate_predictor
 from repro.predictors.twolevel import (
@@ -36,7 +40,6 @@ from repro.predictors.twolevel import (
     PAgPredictor,
 )
 from repro.profiling.interleave import InterleaveAnalyzer
-from repro.trace.capture import TraceCapture
 from repro.trace.io import load_trace, save_trace
 from repro.workloads.build import build_workload, run_workload
 from repro.workloads.suite import get_benchmark
@@ -94,9 +97,11 @@ def traces():
     out = {}
     for name in KERNELS:
         built = build_workload(get_benchmark(name, scale=SCALE))
-        capture = TraceCapture()
-        run_workload(built, branch_hook=capture)
-        out[name] = capture.finish(name)
+        builder = TraceBuilder(name)
+        bus = BranchEventBus([builder])
+        run_workload(built, branch_hook=bus)
+        bus.finish()
+        out[name] = builder.result
     return out
 
 

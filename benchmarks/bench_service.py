@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.service.loadgen import LoadgenConfig, run_loadgen
-from repro.workloads import TABLE2_BENCHMARKS
+from repro.workloads.registry import members
 
 REPO = Path(__file__).parent.parent
 SCALE = float(os.environ.get("REPRO_BENCH_SERVICE_SCALE", "0.05"))
@@ -156,7 +156,7 @@ def test_service_throughput():
         saturation = run_loadgen(
             LoadgenConfig(
                 socket_path=sat_sock, rate=400.0, jobs=JOBS,
-                benchmarks=TABLE2_BENCHMARKS, scale=SCALE,
+                benchmarks=members("table2"), scale=SCALE,
             )
         )
     finally:

@@ -1,20 +1,20 @@
 """Table 2 — the sizes of branch working sets."""
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.tables import format_table2, run_table2
-from repro.workloads.suite import TABLE2_BENCHMARKS
+from repro.workloads.registry import members
 
 
-def test_table2(benchmark, runner):
-    prewarm(runner, TABLE2_BENCHMARKS)
+def test_table2(benchmark, engine):
+    engine.prefetch(members("table2"))
     rows = benchmark.pedantic(
-        lambda: run_table2(runner, threshold=THRESHOLD),
+        lambda: run_table2(engine, threshold=THRESHOLD),
         rounds=1,
         iterations=1,
     )
     save_result("table2", format_table2(rows))
 
-    assert len(rows) == len(TABLE2_BENCHMARKS)
+    assert len(rows) == len(members("table2"))
     by_name = {r.benchmark: r for r in rows}
     for row in rows:
         assert row.total_sets >= 1

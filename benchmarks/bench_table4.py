@@ -1,19 +1,19 @@
 """Table 4 — BHT size required with branch classification."""
 
-from conftest import THRESHOLD, prewarm, save_result
+from conftest import THRESHOLD, save_result
 from repro.eval.tables import (
     format_sizing_table,
     reduction_summary,
     run_table3,
     run_table4,
 )
-from repro.workloads.suite import TABLE34_BENCHMARKS
+from repro.workloads.registry import members
 
 
-def test_table4(benchmark, runner):
-    prewarm(runner, TABLE34_BENCHMARKS)
+def test_table4(benchmark, engine):
+    engine.prefetch(members("table34"))
     rows = benchmark.pedantic(
-        lambda: run_table4(runner, threshold=THRESHOLD),
+        lambda: run_table4(engine, threshold=THRESHOLD),
         rounds=1,
         iterations=1,
     )
@@ -22,7 +22,7 @@ def test_table4(benchmark, runner):
         format_sizing_table(rows, "Table 4", "with branch classification"),
     )
 
-    table3 = run_table3(runner, threshold=THRESHOLD)
+    table3 = run_table3(engine, threshold=THRESHOLD)
     by_name3 = {r.benchmark: r for r in table3}
     smaller = 0
     for row in rows:

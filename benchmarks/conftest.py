@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.runner import BenchmarkRunner
+from repro.eval.engine import ExecutionEngine
 
 BENCH_DIR = Path(__file__).parent
 CACHE_DIR = BENCH_DIR / ".cache"
@@ -31,17 +31,12 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 @pytest.fixture(scope="session")
-def runner() -> BenchmarkRunner:
-    """Session-wide runner with a persistent trace/profile cache."""
-    return BenchmarkRunner(scale=SCALE, cache_dir=CACHE_DIR, jobs=JOBS)
+def engine() -> ExecutionEngine:
+    """Session-wide engine with a persistent trace/profile cache."""
+    return ExecutionEngine(scale=SCALE, cache_dir=CACHE_DIR, jobs=JOBS)
 
 
 def save_result(name: str, text: str) -> None:
     """Persist a rendered experiment table for EXPERIMENTS.md."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def prewarm(runner: BenchmarkRunner, names) -> None:
-    """Simulate + profile outside the timed region (fans out when JOBS>1)."""
-    runner.prefetch(names)

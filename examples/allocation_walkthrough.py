@@ -19,16 +19,16 @@ from repro.allocation import (
     required_bht_size,
 )
 from repro.analysis import BiasClass, classify_profile
-from repro.eval import BenchmarkRunner
+from repro.eval import ExecutionEngine
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
     threshold = 100 if scale >= 0.9 else 10
-    runner = BenchmarkRunner(scale=scale)
+    engine = ExecutionEngine(scale=scale)
 
     print("profiling the gcc analog ...")
-    profile = runner.profile("gcc")
+    profile = engine.profile("gcc")
     print(f"  {profile.static_branch_count} static branches, "
           f"{profile.dynamic_branch_count} dynamic, "
           f"{len(profile.pairs)} interleaving pairs\n")

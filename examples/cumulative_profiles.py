@@ -22,17 +22,17 @@ from repro.allocation import (
     conventional_cost,
     required_bht_size,
 )
-from repro.eval import BenchmarkRunner
+from repro.eval import ExecutionEngine
 from repro.profiling import coverage_against, merge_profiles
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
     threshold = 100 if scale >= 0.9 else 10
-    runner = BenchmarkRunner(scale=scale)
+    engine = ExecutionEngine(scale=scale)
 
-    profile_a = runner.profile("ss_a")
-    profile_b = runner.profile("ss_b")
+    profile_a = engine.profile("ss_a")
+    profile_b = engine.profile("ss_b")
     print(f"ss_a: {profile_a.static_branch_count} statics, "
           f"{profile_a.dynamic_branch_count} dynamic branches")
     print(f"ss_b: {profile_b.static_branch_count} statics, "

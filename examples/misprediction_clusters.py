@@ -20,7 +20,7 @@ from repro.analysis import (
     misprediction_clustering,
     partition_working_sets,
 )
-from repro.eval import BenchmarkRunner
+from repro.eval import ExecutionEngine
 from repro.predictors import PAgPredictor
 from repro.profiling import profile_trace
 from repro.trace import make_phased_workload
@@ -65,8 +65,8 @@ def main() -> None:
     analyse("synthetic phased workload", trace, partition)
 
     # a simulated benchmark analog
-    runner = BenchmarkRunner(scale=scale)
-    artifacts = runner.artifacts("gs")
+    engine = ExecutionEngine(scale=scale)
+    artifacts = engine.artifacts("gs")
     partition = partition_working_sets(
         build_conflict_graph(artifacts.profile, threshold=threshold)
     )

@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from repro.eval import BenchmarkRunner
+from repro.eval import ExecutionEngine
 from repro.eval.experiments import EXPERIMENTS, run_experiment
 
 
@@ -47,7 +47,7 @@ def main() -> None:
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
 
-    runner = BenchmarkRunner(
+    engine = ExecutionEngine(
         scale=args.scale, cache_dir=args.cache or None, jobs=args.jobs
     )
     for experiment_id in wanted:
@@ -58,11 +58,11 @@ def main() -> None:
         print(experiment.description)
         print()
         sys.stdout.flush()
-        print(run_experiment(experiment_id, runner))
+        print(run_experiment(experiment_id, engine))
         print(f"[{experiment_id} took {time.time() - started:.1f}s]")
         sys.stdout.flush()
     print()
-    print(runner.stats.render())
+    print(engine.stats.render())
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Run:  python examples/predictor_zoo.py [scale]
 import sys
 
 from repro.allocation import BranchAllocator
-from repro.eval import BenchmarkRunner
+from repro.eval import ExecutionEngine
 from repro.eval.report import render_table
 from repro.predictors import (
     AgreePredictor,
@@ -54,11 +54,11 @@ def predictor_lineup(profile, allocator):
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
     threshold = 100 if scale >= 0.9 else 10
-    runner = BenchmarkRunner(scale=scale)
+    engine = ExecutionEngine(scale=scale)
 
     results = {}
     for name in BENCHMARKS:
-        artifacts = runner.artifacts(name)
+        artifacts = engine.artifacts(name)
         allocator = BranchAllocator(artifacts.profile, threshold=threshold)
         for label, predictor in predictor_lineup(
             artifacts.profile, allocator

@@ -18,13 +18,13 @@ from repro.allocation import (
     required_bht_size,
 )
 from repro.analysis import working_set_metrics
+from repro.pipeline import BranchEventBus, TraceBuilder
 from repro.predictors import (
     InterferenceFreePAg,
     PAgPredictor,
     simulate_predictor,
 )
 from repro.profiling import profile_trace
-from repro.trace import TraceCapture
 from repro.workloads import build_workload, get_benchmark, run_workload
 
 
@@ -38,9 +38,11 @@ def main() -> None:
     print(f"built {spec.name!r}: {len(built.program)} instructions, "
           f"{built.static_conditional_branches} static conditional branches")
 
-    capture = TraceCapture()
-    result = run_workload(built, branch_hook=capture)
-    trace = capture.finish(spec.name)
+    builder = TraceBuilder(spec.name)
+    bus = BranchEventBus([builder])
+    result = run_workload(built, branch_hook=bus)
+    bus.finish()
+    trace = builder.result
     print(f"simulated {result.instructions} instructions -> "
           f"{len(trace)} dynamic conditional branches "
           f"({result.taken_rate:.0%} taken)")

@@ -21,11 +21,11 @@ The package is organised bottom-up:
 
 Quick start::
 
-    from repro import BenchmarkRunner, run_experiment
+    from repro import ExecutionEngine, run_experiment
 
-    runner = BenchmarkRunner(scale=0.2, cache_dir=".cache", jobs=4)
-    print(run_experiment("table2", runner))
-    print(runner.stats.render())  # per-job timing + cache hit/miss
+    engine = ExecutionEngine(scale=0.2, cache_dir=".cache", jobs=4)
+    print(run_experiment("table2", engine))
+    print(engine.stats.render())  # per-job timing + cache hit/miss
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
@@ -51,7 +51,6 @@ from .analysis import (
 )
 from .eval import (
     ArtifactStore,
-    BenchmarkRunner,
     ExecutionEngine,
     RunArtifacts,
     run_all_experiments,
@@ -85,7 +84,7 @@ from .pipeline import (
     TraceBuilder,
     replay_bank,
 )
-from .trace import BranchTrace, TraceCapture, make_phased_workload
+from .trace import BranchTrace, make_phased_workload
 from .workloads import benchmark_suite, build_workload, run_workload
 
 __version__ = "1.0.0"
@@ -93,7 +92,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AllocationResult",
     "ArtifactStore",
-    "BenchmarkRunner",
     "BiasClass",
     "BranchAllocator",
     "BranchEventBus",
@@ -113,7 +111,6 @@ __all__ = [
     "StaticConflictEstimator",
     "StaticIndexMap",
     "TraceBuilder",
-    "TraceCapture",
     "WorkingSetPartition",
     "__version__",
     "benchmark_suite",

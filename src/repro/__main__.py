@@ -89,8 +89,8 @@ from .allocation import (
 )
 from .analysis import working_set_metrics
 from .errors import SuiteDegraded
-from .eval import BenchmarkRunner
 from .eval import interrupt
+from .eval.engine import ExecutionEngine, shard_subset, surviving_benchmarks
 from .eval.experiments import EXPERIMENTS, run_experiment
 from .eval.shards import ShardSpec
 from .schema import SCHEMA_VERSION, dump, envelope
@@ -235,14 +235,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     resolve_benchmark(args.benchmark)
-    runner = BenchmarkRunner(
+    engine = ExecutionEngine(
         scale=args.scale,
         cache_dir=args.cache or None,
         backend=args.backend,
     )
     threshold = args.threshold or _threshold_for(args.scale)
     metrics = working_set_metrics(
-        runner.profile(args.benchmark), threshold=threshold
+        engine.profile(args.benchmark), threshold=threshold
     )
     if args.json:
         _emit(
@@ -280,8 +280,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     threshold = args.threshold or _threshold_for(args.scale)
     if args.static:
         return _allocate_static(args, threshold)
-    runner = BenchmarkRunner(scale=args.scale, cache_dir=args.cache or None)
-    profile = runner.profile(args.benchmark)
+    engine = ExecutionEngine(scale=args.scale, cache_dir=args.cache or None)
+    profile = engine.profile(args.benchmark)
     plain = BranchAllocator(profile, threshold=threshold)
     baseline = conventional_cost(plain.graph, 1024)
     sizing3 = required_bht_size(plain, baseline)
@@ -472,7 +472,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_static(args: argparse.Namespace) -> int:
-    from .eval.engine import shard_subset
     from .eval.static_compare import (
         format_verify_static,
         run_verify_static,
@@ -480,7 +479,7 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
 
     selection = _selection(args)
     shard = ShardSpec.parse(args.shard) if args.shard else None
-    runner = BenchmarkRunner(
+    engine = ExecutionEngine(
         scale=args.scale,
         cache_dir=args.cache or None,
         jobs=args.jobs,
@@ -490,10 +489,10 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
     # an explicit selection is sharded here; the default (None) path
     # shards inside run_verify_static over the full registry
     benchmarks = (
-        shard_subset(runner, selection.names) if selection else None
+        shard_subset(engine, selection.names) if selection else None
     )
     rows = run_verify_static(
-        runner,
+        engine,
         benchmarks=benchmarks,
         threshold=args.threshold or None,
     )
@@ -521,7 +520,7 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
                         total_hits / total_exec if total_exec else None
                     ),
                 },
-                "failures": _failures_payload(runner),
+                "failures": _failures_payload(engine),
             },
         )
         return 0 if rows else 1
@@ -529,39 +528,33 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
     return 0 if rows else 1
 
 
-def _failures_payload(runner: BenchmarkRunner) -> list:
+def _failures_payload(engine: ExecutionEngine) -> list:
     """The envelope's ``failures`` array: one object per failed benchmark."""
     return [
         {"benchmark": name, **error.to_dict()}
-        for name, error in sorted(runner.failures.items())
+        for name, error in sorted(engine.failures.items())
     ]
 
 
-def _materialise_selection(runner: BenchmarkRunner, selection) -> str:
+def _materialise_selection(engine: ExecutionEngine, selection) -> str:
     """``experiment --set EXPR`` with no id: just produce the artifacts.
 
     The distributed-run workhorse — each host runs the same selector
     with its own ``--shard K/N`` against a private (or shared) store,
     and ``repro merge-shards`` unions the results afterwards.
     """
-    from .eval.engine import (
-        prefetch_artifacts,
-        shard_subset,
-        surviving_benchmarks,
-    )
-
-    local = shard_subset(runner, selection.names)
+    local = shard_subset(engine, selection.names)
     if not local:
         return (
-            f"(shard {runner.shard} owns no benchmarks of "
+            f"(shard {engine.shard} owns no benchmarks of "
             f"{selection.expression!r}; nothing to do on this host)"
         )
-    prefetch_artifacts(runner, local)
-    survivors = surviving_benchmarks(runner, local)
+    engine.prefetch(local)
+    survivors = surviving_benchmarks(engine, local)
     if not survivors:
         raise SuiteDegraded(
             f"every benchmark of selection {selection.expression!r} "
-            f"failed ({', '.join(sorted(runner.failures))})",
+            f"failed ({', '.join(sorted(engine.failures))})",
             selection=selection.expression,
         )
     return (
@@ -648,13 +641,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 benchmarks=list(sup_report.lost),
             )
         # the supervised pass left a warm store + journal; the normal
-        # runner below replays it (journal/store hits) to assemble the
+        # engine below replays it (journal/store hits) to assemble the
         # experiment output without re-simulating anything
         args.resume = True
-    # Constructing the runner validates the run journal when resuming: a
+    # Constructing the engine validates the run journal when resuming: a
     # structurally damaged journal raises JournalInvalid (caught in
     # main(), exit 1) naming the journal path and the offending record.
-    runner = BenchmarkRunner(
+    engine = ExecutionEngine(
         scale=scale,
         cache_dir=args.cache or None,
         jobs=args.jobs,
@@ -666,7 +659,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         shard=shard,
         selection=selection.expression if selection else None,
     )
-    for warning in runner.engine.journal_warnings:
+    for warning in engine.journal_warnings:
         print(f"warning: {warning}", file=sys.stderr)
     experiment = EXPERIMENTS[args.id] if args.id else None
     params = {
@@ -691,13 +684,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             if experiment is not None:
                 output = run_experiment(
                     args.id,
-                    runner,
+                    engine,
                     benchmarks=(
                         list(selection.names) if selection else None
                     ),
                 )
             else:
-                output = _materialise_selection(runner, selection)
+                output = _materialise_selection(engine, selection)
     except SuiteDegraded as exc:
         if args.json:
             _emit(
@@ -707,13 +700,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 {
                     "id": args.id or None,
                     "degraded": exc.to_dict(),
-                    "failures": _failures_payload(runner),
-                    "engine": runner.stats.as_dict(),
+                    "failures": _failures_payload(engine),
+                    "engine": engine.stats.as_dict(),
                 },
             )
         else:
             print(f"error: {exc}", file=sys.stderr)
-            print(runner.stats.render(), file=sys.stderr)
+            print(engine.stats.render(), file=sys.stderr)
         return 1
     if args.json:
         _emit(
@@ -734,8 +727,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     else experiment.benchmarks
                 ),
                 "output": output,
-                "failures": _failures_payload(runner),
-                "engine": runner.stats.as_dict(),
+                "failures": _failures_payload(engine),
+                "engine": engine.stats.as_dict(),
                 "supervisor": (
                     sup_report.as_dict() if sup_report else None
                 ),
@@ -747,7 +740,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if sup_report is not None:
         print(sup_report.render())
         print()
-    print(runner.stats.render())
+    print(engine.stats.render())
     return 0
 
 
@@ -757,7 +750,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from .eval.engine import ExecutionEngine
     from .eval.faults import FaultPlan
 
     selection = _selection(args, default_set="smoke")

@@ -13,12 +13,11 @@ provenance, not a second artifact index: if the recorded artifacts
 turn out to be missing or corrupt, the engine falls back to the normal
 simulate-or-cache path for that benchmark.
 
-Reads are tolerant: a torn trailing line (the driver died mid-append)
-or any unparsable line is skipped, never fatal.  When a resume run needs
-to *trust* the journal, :meth:`RunJournal.validate` distinguishes the
-tolerated damage (a single torn tail — reported as a warning naming the
-line) from structural damage (garbage mid-file, records written by a
-newer format version) and raises a typed
+Every consumer reads through :meth:`RunJournal.read`.  A torn trailing
+line (the driver died mid-append) is always a warning naming the line.
+Structural damage (garbage mid-file, records written by a newer format
+version) is skipped with a warning by a tolerant read; a strict read —
+a resume run that must *trust* the journal — raises a typed
 :class:`~repro.errors.JournalInvalid` that names the journal path, the
 line number and the offending record.
 """
@@ -35,8 +34,9 @@ from ..errors import JournalInvalid
 
 #: Format version stamped (as ``"v"``) into every record this writer
 #: appends.  Records without the field read as version 0 (pre-v7
-#: journals); records from a *newer* writer fail :meth:`validate` so a
-#: downgraded repro never silently misreads them.
+#: journals); records from a *newer* writer are never returned by
+#: :meth:`RunJournal.read`, so a downgraded repro never silently
+#: misreads them.
 JOURNAL_VERSION = 1
 
 #: How many characters of an offending line an error message quotes.
@@ -124,47 +124,44 @@ class RunJournal:
 
     # -- reading -------------------------------------------------------------
 
-    def records(self) -> List[Dict[str, Any]]:
-        """All parseable records, in append order.
+    def read(self, strict: bool) -> Tuple[List[Dict[str, Any]], List[str]]:
+        """``(records, warnings)``: every usable record, in append order.
 
-        Unparsable lines (torn tail from a dying writer, manual edits)
-        are skipped silently — the journal degrades to fewer skips,
-        never to a crash.  :meth:`validate` is the strict counterpart.
-        """
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    out.append(record)
-        return out
+        A single unparsable *final* line is the signature of a writer
+        that died mid-append.  It is always tolerated (the record it was
+        describing is simply not on record) and reported as a warning
+        naming the journal path and line number.  Every other kind of
+        damage depends on *strict*:
 
-    def read_tolerant(self) -> Tuple[List[Dict[str, Any]], List[str]]:
-        """``(records, warnings)`` — every skip named, nothing raised.
+        * an unreadable journal file,
+        * an unparsable or non-object line anywhere *before* the tail
+          (manual edits, interleaved writers without the append lock),
+        * a record stamped with a format version newer than this
+          build's :data:`JOURNAL_VERSION` (written by a newer repro).
 
-        The middle ground between :meth:`records` (silent skips) and
-        :meth:`validate` (raises on structural damage), for consumers
-        that must make progress over a *partial* shard journal — a
-        worker died mid-append, mid-file garbage from an interleaved
-        crash — but must not silently under-count what they dropped.
-        Used by :func:`repro.eval.shards.merge_shards`: incomplete
-        records are skipped with a warning naming the journal path and
-        line (the same torn-tail semantics :meth:`validate` tolerates),
-        and the merge report counts them.
+        Strict reads (a ``--resume`` run staking correctness on the
+        journal) raise.  Tolerant reads (completion lookups, cost
+        models, shard merges, service recovery, supervised workers
+        sharing one journal) skip the damage with a warning naming the
+        path and line, so a consumer can make progress over a partial
+        journal without silently under-counting what it dropped.  A
+        record from a newer writer is never returned either way.
+
+        Raises:
+            JournalInvalid: (strict only) naming ``self.path``, the
+                1-based line number and a snippet of the offending
+                record.
         """
         if not self.path.exists():
             return [], []
         try:
             raw = self.path.read_text(encoding="utf-8")
         except OSError as exc:
+            if strict:
+                raise JournalInvalid(
+                    f"run journal {self.path} is unreadable: {exc}",
+                    path=str(self.path),
+                ) from exc
             return [], [f"{self.path}: unreadable journal skipped: {exc}"]
         records: List[Dict[str, Any]] = []
         warnings: List[str] = []
@@ -186,6 +183,14 @@ class RunJournal:
                         f"{_snippet(line)!r} — the writer died "
                         "mid-append; the record is skipped"
                     )
+                elif strict:
+                    raise self._invalid(
+                        f"run journal {self.path} has an unparsable record "
+                        f"at line {number}: {_snippet(line)!r} — delete the "
+                        "line or rerun without --resume",
+                        number,
+                        line,
+                    )
                 else:
                     warnings.append(
                         f"{self.path}:{number}: unparsable record "
@@ -193,6 +198,13 @@ class RunJournal:
                     )
                 continue
             if not isinstance(record, dict):
+                if strict:
+                    raise self._invalid(
+                        f"run journal {self.path} has a non-object record "
+                        f"at line {number}: {_snippet(line)!r}",
+                        number,
+                        line,
+                    )
                 warnings.append(
                     f"{self.path}:{number}: non-object record "
                     f"{_snippet(line)!r} skipped"
@@ -200,6 +212,17 @@ class RunJournal:
                 continue
             version = record.get("v", 0)
             if not isinstance(version, int) or version > JOURNAL_VERSION:
+                if strict:
+                    raise self._invalid(
+                        f"run journal {self.path} record at line {number} "
+                        f"has format version {version!r}, but this build "
+                        f"supports <= {JOURNAL_VERSION} — it was written by "
+                        "a newer repro; upgrade, or move the journal aside",
+                        number,
+                        line,
+                        version=version,
+                        supported=JOURNAL_VERSION,
+                    )
                 warnings.append(
                     f"{self.path}:{number}: record with format version "
                     f"{version!r} (> supported {JOURNAL_VERSION}) skipped"
@@ -208,83 +231,16 @@ class RunJournal:
             records.append(record)
         return records, warnings
 
-    def validate(self) -> List[str]:
-        """Check the journal structurally; returns tolerated warnings.
-
-        A single unparsable *final* line is the signature of a writer
-        that died mid-append — tolerated (the record it was describing
-        is simply not on record) and reported as a warning naming the
-        journal path and line number.  Everything else raises:
-
-        * an unreadable journal file,
-        * an unparsable or non-object line anywhere *before* the tail
-          (manual edits, interleaved writers without the append lock),
-        * a record stamped with a format version newer than this
-          build's :data:`JOURNAL_VERSION` (written by a newer repro).
-
-        Raises:
-            JournalInvalid: naming ``self.path``, the 1-based line
-                number and a snippet of the offending record.
-        """
-        if not self.path.exists():
-            return []
-        try:
-            raw = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise JournalInvalid(
-                f"run journal {self.path} is unreadable: {exc}",
-                path=str(self.path),
-            ) from exc
-        warnings: List[str] = []
-        lines = raw.split("\n")
-        torn_tail = bool(lines and lines[-1] != "")
-        if lines and lines[-1] == "":
-            lines.pop()
-        last_index = len(lines) - 1
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            number = index + 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if index == last_index and torn_tail:
-                    warnings.append(
-                        f"{self.path}:{number}: torn tail "
-                        f"{_snippet(line)!r} — the writer died "
-                        "mid-append; the record is skipped"
-                    )
-                    continue
-                raise JournalInvalid(
-                    f"run journal {self.path} has an unparsable record "
-                    f"at line {number}: {_snippet(line)!r} — delete the "
-                    "line or rerun without --resume",
-                    path=str(self.path),
-                    line=number,
-                    record=_snippet(line),
-                )
-            if not isinstance(record, dict):
-                raise JournalInvalid(
-                    f"run journal {self.path} has a non-object record "
-                    f"at line {number}: {_snippet(line)!r}",
-                    path=str(self.path),
-                    line=number,
-                    record=_snippet(line),
-                )
-            version = record.get("v", 0)
-            if not isinstance(version, int) or version > JOURNAL_VERSION:
-                raise JournalInvalid(
-                    f"run journal {self.path} record at line {number} "
-                    f"has format version {version!r}, but this build "
-                    f"supports <= {JOURNAL_VERSION} — it was written by "
-                    "a newer repro; upgrade, or move the journal aside",
-                    path=str(self.path),
-                    line=number,
-                    record=_snippet(line),
-                    version=version,
-                    supported=JOURNAL_VERSION,
-                )
-        return warnings
+    def _invalid(
+        self, message: str, number: int, line: str, **extra: Any
+    ) -> JournalInvalid:
+        return JournalInvalid(
+            message,
+            path=str(self.path),
+            line=number,
+            record=_snippet(line),
+            **extra,
+        )
 
     def completed(
         self,
@@ -301,7 +257,8 @@ class RunJournal:
         backend field count as interpreter runs.
         """
         latest: Dict[str, Optional[str]] = {}
-        for record in self.records():
+        records, _ = self.read(strict=False)
+        for record in records:
             benchmark = record.get("benchmark")
             if not isinstance(benchmark, str):
                 continue

@@ -98,7 +98,7 @@ class CheckpointCorrupt(ReproError):
 class JournalInvalid(ReproError):
     """The run journal is structurally damaged beyond the tolerated cases.
 
-    Raised by :meth:`repro.checkpoint.journal.RunJournal.validate` with
+    Raised by a strict :meth:`repro.checkpoint.journal.RunJournal.read` with
     the journal path, the 1-based line number and a snippet of the
     offending record, so a failed ``experiment --resume`` names exactly
     what to inspect (or delete) instead of dying with a bare exception.

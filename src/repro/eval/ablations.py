@@ -29,10 +29,9 @@ from ..predictors.indexing import XorFoldIndex
 from ..predictors.simulator import simulate_predictor
 from ..predictors.twolevel import GAgPredictor, PAgPredictor
 from ..profiling.merge import merge_profiles
-from .engine import prefetch_artifacts
+from .engine import ExecutionEngine
 from .figures import HISTORY_BITS
 from .report import render_table
-from .runner import BenchmarkRunner
 
 DEFAULT_THRESHOLDS = (50, 100, 500, 1000)
 
@@ -52,15 +51,15 @@ class ThresholdRow:
 
 
 def run_threshold_ablation(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> List[ThresholdRow]:
     """Working-set metrics across edge-pruning thresholds."""
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[ThresholdRow] = []
     for name in benchmarks:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         for threshold in thresholds:
             metrics = working_set_metrics(profile, threshold=threshold)
             rows.append(
@@ -107,18 +106,16 @@ class InputSensitivityRow:
 
 
 def run_input_sensitivity(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     pairs: Sequence[str] = ("perl", "ss"),
     baseline_bht: int = 1024,
 ) -> List[InputSensitivityRow]:
     """The §5.2 experiment: per-input required size + cumulative merge."""
-    prefetch_artifacts(
-        runner, [f"{base}_{v}" for base in pairs for v in ("a", "b")]
-    )
+    engine.prefetch([f"{base}_{v}" for base in pairs for v in ("a", "b")])
     rows: List[InputSensitivityRow] = []
     for base in pairs:
-        profile_a = runner.profile(f"{base}_a")
-        profile_b = runner.profile(f"{base}_b")
+        profile_a = engine.profile(f"{base}_a")
+        profile_b = engine.profile(f"{base}_b")
         merged = merge_profiles([profile_a, profile_b], name=f"{base}_merged")
 
         alloc_a = BranchAllocator(profile_a)
@@ -179,7 +176,7 @@ def format_input_sensitivity(rows: Sequence[InputSensitivityRow]) -> str:
 
 
 def run_predictor_family(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     history_bits: int = HISTORY_BITS,
 ) -> Dict[str, Dict[str, float]]:
@@ -194,12 +191,12 @@ def run_predictor_family(
     from ..workloads.build import build_workload
     from ..workloads.suite import get_benchmark
 
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     results: Dict[str, Dict[str, float]] = {}
     for name in benchmarks:
-        trace = runner.trace(name)
-        profile = runner.profile(name)
-        built = build_workload(get_benchmark(name, scale=runner.scale))
+        trace = engine.trace(name)
+        profile = engine.profile(name)
+        built = build_workload(get_benchmark(name, scale=engine.scale))
         predictors = [
             PAgPredictor.conventional(1024, history_bits),
             GAgPredictor(history_bits),
@@ -250,7 +247,7 @@ class HashBaselineRow:
 
 
 def run_hash_baseline(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     bht_size: int = 1024,
 ) -> List[HashBaselineRow]:
@@ -260,10 +257,10 @@ def run_hash_baseline(
     algorithms by analyzing ... branches") needs the profile, or whether a
     better blind hash suffices.
     """
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[HashBaselineRow] = []
     for name in benchmarks:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         allocator = BranchAllocator(profile)
         graph = allocator.graph
         rows.append(
@@ -292,7 +289,7 @@ class HistorySweepRow:
 
 
 def run_history_sweep(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     history_bits: Sequence[int] = (4, 6, 8, 10, 12),
     bht_size: int = 1024,
@@ -308,10 +305,10 @@ def run_history_sweep(
 
     if threshold is None:
         threshold = DEFAULT_THRESHOLD
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[HistorySweepRow] = []
     for name in benchmarks:
-        artifacts = runner.artifacts(name)
+        artifacts = engine.artifacts(name)
         trace = artifacts.trace
         allocator = BranchAllocator(artifacts.profile, threshold=threshold)
         index_map = allocator.allocate(bht_size).index_map()
@@ -369,7 +366,7 @@ class CliqueDefinitionRow:
 
 
 def run_clique_definition_ablation(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     threshold: Optional[int] = None,
     limit: int = 50_000,
@@ -381,10 +378,10 @@ def run_clique_definition_ablation(
 
     if threshold is None:
         threshold = DEFAULT_THRESHOLD
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[CliqueDefinitionRow] = []
     for name in benchmarks:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         graph = BranchAllocator(profile, threshold=threshold).graph
         partition = partition_working_sets(graph)
         try:
@@ -449,7 +446,7 @@ class AlignmentRow:
 
 
 def run_alignment_ablation(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     bht_size: int = 1024,
     history_bits: int = HISTORY_BITS,
@@ -459,7 +456,8 @@ def run_alignment_ablation(
     """Compare code alignment against true allocation (paper §5's 'for any
     ISA without change ... may not be as effective as our scheme')."""
     from ..allocation.alignment import align_workload
-    from ..trace.capture import TraceCapture
+    from ..pipeline.bus import BranchEventBus
+    from ..pipeline.consumers import TraceBuilder
     from ..workloads.build import run_workload
     from ..workloads.suite import get_benchmark
 
@@ -467,12 +465,12 @@ def run_alignment_ablation(
         from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 
         threshold = DEFAULT_THRESHOLD
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[AlignmentRow] = []
     for name in benchmarks:
-        artifacts = runner.artifacts(name)
+        artifacts = engine.artifacts(name)
         profile = artifacts.profile
-        spec = get_benchmark(name, scale=runner.scale)
+        spec = get_benchmark(name, scale=engine.scale)
         result = align_workload(
             spec,
             profile,
@@ -480,9 +478,11 @@ def run_alignment_ablation(
             threshold=threshold,
             residue_stride=residue_stride,
         )
-        capture = TraceCapture(limit=runner.trace_limit)
-        run_workload(result.aligned, branch_hook=capture)
-        aligned_trace = capture.finish(f"{name}-aligned")
+        builder = TraceBuilder(f"{name}-aligned")
+        bus = BranchEventBus([builder], limit=engine.trace_limit)
+        run_workload(result.aligned, branch_hook=bus)
+        bus.finish()
+        aligned_trace = builder.result
 
         def mispredict(trace) -> float:
             predictor = PAgPredictor.conventional(bht_size, history_bits)

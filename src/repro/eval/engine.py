@@ -29,9 +29,8 @@ bad job must not discard hours of completed work, the engine is built to
 * whatever still fails lands in :attr:`ExecutionEngine.failures` so the
   experiment layer can run on the surviving benchmark set.
 
-:class:`~repro.eval.runner.BenchmarkRunner` is a thin facade over this
-module; experiment code that only needs ``artifacts/trace/profile`` can
-accept either interchangeably.
+The CLI, the tables, figures and ablations, and the examples all drive
+the pipeline through one :class:`ExecutionEngine`.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ from ..sim.api import get_backend
 from ..trace.events import BranchTrace
 from ..trace.io import load_trace, read_trace_meta, save_trace
 from ..workloads.build import BuiltWorkload, build_workload, run_workload
+from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
 from . import faults, interrupt
 from .shards import ShardSpec, shard_names
@@ -1124,10 +1124,7 @@ class ExecutionEngine:
         #: the journal path and the offending record.
         self.journal_warnings: List[str] = []
         if self.resume and self.journal is not None:
-            if journal_strict:
-                self.journal_warnings = self.journal.validate()
-            else:
-                _, self.journal_warnings = self.journal.read_tolerant()
+            _, self.journal_warnings = self.journal.read(journal_strict)
 
     # -- job bookkeeping ----------------------------------------------------
 
@@ -1798,45 +1795,51 @@ class ExecutionEngine:
         )
 
 
-def prefetch_artifacts(runner, names: Iterable[str]) -> None:
-    """Warm *runner* for *names* if it supports batched prefetching.
+def experiment_benchmarks(
+    engine: ExecutionEngine,
+    benchmarks: Optional[Sequence[str]],
+    default_set: str,
+) -> List[str]:
+    """The benchmarks a table or figure analyses, already materialised.
 
-    The experiment entry points call this first so that an engine-backed
-    runner materialises every benchmark in one parallel pass; runners
-    without :meth:`prefetch` (e.g. test doubles) fall through to their
-    lazy per-benchmark path.
+    An explicit *benchmarks* list is used as given; otherwise the
+    registry's *default_set*, restricted to the slice a sharded
+    *engine* owns.  Every name is prefetched in one pass and the ones
+    that failed are dropped.
     """
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None:
-        prefetch(list(names))
+    if benchmarks:
+        names = list(benchmarks)
+    else:
+        names = shard_subset(engine, members(default_set))
+    engine.prefetch(names)
+    return surviving_benchmarks(engine, names)
 
 
-def shard_subset(runner, names: Iterable[str]) -> List[str]:
-    """Restrict *names* to the slice *runner*'s shard owns.
+def shard_subset(engine: ExecutionEngine, names: Iterable[str]) -> List[str]:
+    """Restrict *names* to the slice *engine*'s shard owns.
 
-    Unsharded runners (or test doubles without a ``shard`` attribute)
-    keep every name.  Experiment code calls this alongside
-    :func:`surviving_benchmarks` so a sharded host analyses only the
-    benchmarks it actually simulated, instead of lazily materialising
-    its neighbours' slices in-process.
+    Unsharded engines keep every name.  Experiment code calls this
+    alongside :func:`surviving_benchmarks` so a sharded host analyses
+    only the benchmarks it actually simulated, instead of lazily
+    materialising its neighbours' slices in-process.
     """
     wanted = list(dict.fromkeys(names))
-    shard = getattr(runner, "shard", None)
+    shard = engine.shard
     if shard is None or shard.total == 1:
         return wanted
-    return list(shard_names(wanted, shard, getattr(runner, "scale", 1.0)))
+    return list(shard_names(wanted, shard, engine.scale))
 
 
-def surviving_benchmarks(runner, names: Iterable[str]) -> List[str]:
-    """*names* minus the benchmarks the runner has recorded as failed.
+def surviving_benchmarks(
+    engine: ExecutionEngine, names: Iterable[str]
+) -> List[str]:
+    """*names* minus the benchmarks *engine* has recorded as failed.
 
-    Runners without failure tracking (test doubles) survive everything.
-    Experiment code calls this after :func:`prefetch_artifacts` so tables
-    and figures degrade to the benchmarks that produced artifacts instead
-    of crashing on the first failed one.
+    Experiment code calls this after :meth:`ExecutionEngine.prefetch` so
+    tables and figures degrade to the benchmarks that produced artifacts
+    instead of crashing on the first failed one.
     """
-    failures = getattr(runner, "failures", None) or {}
-    return [name for name in names if name not in failures]
+    return [name for name in names if name not in engine.failures]
 
 
 __all__ = [
@@ -1851,7 +1854,7 @@ __all__ = [
     "RunArtifacts",
     "artifact_digest",
     "compute_job_digest",
-    "prefetch_artifacts",
+    "experiment_benchmarks",
     "shard_subset",
     "surviving_benchmarks",
 ]

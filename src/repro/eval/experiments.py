@@ -2,14 +2,11 @@
 
 Gives the examples and the CLI a uniform way to enumerate and run
 everything DESIGN.md's per-experiment index lists.  Every entry declares
-the benchmarks it consumes, so :func:`run_experiment` can warm an
-engine-backed runner with one parallel :meth:`prefetch` pass before the
-(cheap, sequential) analysis code touches individual artifacts.
-
-Entry points accept any artifact source uniformly — a
-:class:`~repro.eval.runner.BenchmarkRunner` facade or a bare
-:class:`~repro.eval.engine.ExecutionEngine`; nothing here constructs
-runners of its own.
+the benchmarks it consumes, so :func:`run_experiment` can warm the
+:class:`~repro.eval.engine.ExecutionEngine` with one parallel
+:meth:`~repro.eval.engine.ExecutionEngine.prefetch` pass before the
+(cheap, sequential) analysis code touches individual artifacts.  Nothing
+here constructs engines of its own: the caller passes one in.
 
 Failure semantics: a benchmark whose job kept failing (see the engine's
 retry/timeout policy) is dropped from the experiment rather than aborting
@@ -28,8 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import ReproError, SuiteDegraded
 from ..workloads.registry import members
 from . import ablations, figures, tables
-from .engine import prefetch_artifacts, shard_subset, surviving_benchmarks
-from .runner import BenchmarkRunner
+from .engine import ExecutionEngine, shard_subset, surviving_benchmarks
 
 #: Curated experiment-specific benchmark lists (not registry sets: each
 #: is a hand-picked subset sized for one ablation's runtime budget).
@@ -44,15 +40,15 @@ _CLIQUE_BENCHMARKS = ("compress", "pgp", "plot", "chess")
 
 @dataclass(frozen=True)
 class Experiment:
-    """A runnable experiment: produces printable text from a runner.
+    """A runnable experiment: produces printable text from an engine.
 
     Attributes:
         id: registry key (the CLI's ``experiment <id>`` argument).
         paper_artifact: which paper table/figure/section this regenerates.
         description: one-line summary.
-        run: the entry point; takes any artifact source (runner or
-            engine) plus the benchmark subset to cover (the surviving
-            set after failures are dropped) and returns rendered text.
+        run: the entry point; takes the engine plus the benchmark
+            subset to cover (the surviving set after failures are
+            dropped) and returns rendered text.
         benchmarks: every benchmark the experiment consumes — prefetched
             in one parallel pass before ``run`` is called.
     """
@@ -60,55 +56,55 @@ class Experiment:
     id: str
     paper_artifact: str
     description: str
-    run: Callable[[BenchmarkRunner, Sequence[str]], str]
+    run: Callable[[ExecutionEngine, Sequence[str]], str]
     benchmarks: Tuple[str, ...] = ()
 
 
-def _table1(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    return tables.format_table1(tables.run_table1(runner, benchmarks))
+def _table1(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    return tables.format_table1(tables.run_table1(engine, benchmarks))
 
 
-def _table2(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    return tables.format_table2(tables.run_table2(runner, benchmarks))
+def _table2(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    return tables.format_table2(tables.run_table2(engine, benchmarks))
 
 
-def _table3(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    rows = tables.run_table3(runner, benchmarks)
+def _table3(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    rows = tables.run_table3(engine, benchmarks)
     return tables.format_sizing_table(
         rows, "Table 3", "(working sets only)"
     )
 
 
-def _table4(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    rows = tables.run_table4(runner, benchmarks)
+def _table4(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    rows = tables.run_table4(engine, benchmarks)
     return tables.format_sizing_table(
         rows, "Table 4", "with branch classification"
     )
 
 
-def _figure3(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    rows = figures.run_figure3(runner, benchmarks)
+def _figure3(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    rows = figures.run_figure3(engine, benchmarks)
     return figures.format_figure(
         rows, "Figure 3", "allocation without classification"
     )
 
 
-def _figure4(runner: BenchmarkRunner, benchmarks: Sequence[str]) -> str:
-    rows = figures.run_figure4(runner, benchmarks)
+def _figure4(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    rows = figures.run_figure4(engine, benchmarks)
     return figures.format_figure(
         rows, "Figure 4", "allocation with classification"
     )
 
 
 def _ablation_threshold(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
-    rows = ablations.run_threshold_ablation(runner, list(benchmarks))
+    rows = ablations.run_threshold_ablation(engine, list(benchmarks))
     return ablations.format_threshold_ablation(rows)
 
 
 def _ablation_inputs(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
     # pairs survive only whole: both the _a and _b variant must have run
     survivors = set(benchmarks)
@@ -124,70 +120,70 @@ def _ablation_inputs(
             "no complete benchmark input pair survived",
             experiment="ablation_inputs",
         )
-    rows = ablations.run_input_sensitivity(runner, pairs=pairs)
+    rows = ablations.run_input_sensitivity(engine, pairs=pairs)
     return ablations.format_input_sensitivity(rows)
 
 
 def _ablation_predictors(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
-    results = ablations.run_predictor_family(runner, list(benchmarks))
+    results = ablations.run_predictor_family(engine, list(benchmarks))
     return ablations.format_predictor_family(results)
 
 
 def _ablation_hash(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
-    rows = ablations.run_hash_baseline(runner, list(benchmarks))
+    rows = ablations.run_hash_baseline(engine, list(benchmarks))
     return ablations.format_hash_baseline(rows)
 
 
 def _ablation_groups(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
     from .group_allocation import format_group_ablation, run_group_ablation
 
-    rows = run_group_ablation(runner, list(benchmarks))
+    rows = run_group_ablation(engine, list(benchmarks))
     return format_group_ablation(rows)
 
 
 def _ablation_alignment(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
-    rows = ablations.run_alignment_ablation(runner, list(benchmarks))
+    rows = ablations.run_alignment_ablation(engine, list(benchmarks))
     return ablations.format_alignment_ablation(rows)
 
 
 def _ablation_history(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
-    rows = ablations.run_history_sweep(runner, list(benchmarks))
+    rows = ablations.run_history_sweep(engine, list(benchmarks))
     return ablations.format_history_sweep(rows)
 
 
 def _static_compare(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
     from .static_compare import format_static_compare, run_static_compare
 
-    return format_static_compare(run_static_compare(runner, benchmarks))
+    return format_static_compare(run_static_compare(engine, benchmarks))
 
 
 def _ablation_cliques(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
     rows = ablations.run_clique_definition_ablation(
-        runner, list(benchmarks)
+        engine, list(benchmarks)
     )
     return ablations.format_clique_definition(rows)
 
 
 def _verify_static(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
     from .static_compare import format_verify_static, run_verify_static
 
-    return format_verify_static(run_verify_static(runner, benchmarks))
+    return format_verify_static(run_verify_static(engine, benchmarks))
 
 
 def _static_compare_benchmarks() -> Tuple[str, ...]:
@@ -262,28 +258,28 @@ def format_failure_report(failures: Mapping[str, ReproError]) -> str:
 
 
 def _relevant_failures(
-    runner: BenchmarkRunner, benchmarks: Sequence[str]
+    engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> Dict[str, ReproError]:
-    failures = getattr(runner, "failures", None) or {}
+    failures = engine.failures
     return {name: failures[name] for name in benchmarks if name in failures}
 
 
 def run_experiment(
     experiment_id: str,
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> str:
     """Run one experiment by id (prefetching its benchmarks in parallel).
 
     Benchmarks whose jobs keep failing are dropped: the experiment runs
     on the surviving set and its output gains a failure report.  A
-    sharded runner covers only its deterministic slice of the
+    sharded engine covers only its deterministic slice of the
     experiment's list; shards that own none of it return a short note
     instead of failing (their neighbours have it covered).
 
     Args:
         experiment_id: registry key (``repro list`` enumerates them).
-        runner: any artifact source (runner facade or bare engine).
+        engine: the engine that materialises the artifacts.
         benchmarks: override the experiment's declared benchmark list
             (the CLI's ``--set`` resolves a selector expression to this).
 
@@ -300,16 +296,15 @@ def run_experiment(
     wanted = list(
         benchmarks if benchmarks is not None else experiment.benchmarks
     )
-    local = shard_subset(runner, wanted)
+    local = shard_subset(engine, wanted)
     if wanted and not local:
-        shard = getattr(runner, "shard", None)
         return (
-            f"(shard {shard} owns no benchmarks of {experiment_id}; "
+            f"(shard {engine.shard} owns no benchmarks of {experiment_id}; "
             "nothing to do on this host)"
         )
-    prefetch_artifacts(runner, local)
-    survivors = surviving_benchmarks(runner, local)
-    failed = _relevant_failures(runner, local)
+    engine.prefetch(local)
+    survivors = surviving_benchmarks(engine, local)
+    failed = _relevant_failures(engine, local)
     if local and not survivors:
         raise SuiteDegraded(
             f"every benchmark of {experiment_id} failed "
@@ -320,17 +315,17 @@ def run_experiment(
                 for name, error in sorted(failed.items())
             ],
         )
-    output = experiment.run(runner, survivors)
+    output = experiment.run(engine, survivors)
     if failed:
         output = f"{output}\n\n{format_failure_report(failed)}"
     return output
 
 
-def run_all_experiments(runner: BenchmarkRunner) -> List[str]:
+def run_all_experiments(engine: ExecutionEngine) -> List[str]:
     """Run every registered experiment, returning rendered blocks.
 
     The union of every experiment's benchmark list is prefetched first,
-    so an engine-backed runner simulates the whole suite in one parallel
+    so the engine simulates the whole suite in one parallel
     pass and each experiment then runs against warm artifacts.  An
     experiment whose entire benchmark set failed renders as a failure
     block; only when *no* benchmark in the union survived does the sweep
@@ -341,26 +336,26 @@ def run_all_experiments(runner: BenchmarkRunner) -> List[str]:
     every = [
         name
         for exp in EXPERIMENTS.values()
-        for name in shard_subset(runner, exp.benchmarks)
+        for name in shard_subset(engine, exp.benchmarks)
     ]
-    prefetch_artifacts(runner, every)
-    if not surviving_benchmarks(runner, every):
+    engine.prefetch(every)
+    if not surviving_benchmarks(engine, every):
         raise SuiteDegraded(
             "every benchmark in the suite failed",
             failures=[
                 {"benchmark": name, **error.to_dict()}
                 for name, error in sorted(
-                    _relevant_failures(runner, every).items()
+                    _relevant_failures(engine, every).items()
                 )
             ],
         )
     blocks = []
     for exp in EXPERIMENTS.values():
         try:
-            body = run_experiment(exp.id, runner)
+            body = run_experiment(exp.id, engine)
         except SuiteDegraded:
             body = format_failure_report(
-                _relevant_failures(runner, exp.benchmarks)
+                _relevant_failures(engine, exp.benchmarks)
             )
         blocks.append(f"== {exp.paper_artifact} ({exp.id}) ==\n{body}")
     return blocks

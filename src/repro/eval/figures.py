@@ -23,10 +23,8 @@ from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
 from ..predictors.twolevel import InterferenceFreePAg, PAgPredictor
-from ..workloads.registry import members
-from .engine import prefetch_artifacts, shard_subset, surviving_benchmarks
+from .engine import ExecutionEngine, experiment_benchmarks
 from .report import render_table
-from .runner import BenchmarkRunner
 
 HISTORY_BITS = 12        # 4096-entry PHT
 ALLOCATED_SIZES = (16, 128, 1024)
@@ -55,17 +53,15 @@ class FigureRow:
 
 
 def _figure_rows(
-    runner: BenchmarkRunner,
-    benchmarks: Sequence[str],
+    engine: ExecutionEngine,
+    benchmarks: Optional[Sequence[str]],
     classified: bool,
     threshold: int,
     sizes: Sequence[int],
 ) -> List[FigureRow]:
-    prefetch_artifacts(runner, benchmarks)
     rows: List[FigureRow] = []
-    engine = getattr(runner, "engine", None)  # test doubles may lack it
-    for name in surviving_benchmarks(runner, benchmarks):
-        artifacts = runner.artifacts(name)
+    for name in experiment_benchmarks(engine, benchmarks, "figures"):
+        artifacts = engine.artifacts(name)
         trace, profile = artifacts.trace, artifacts.profile
         if classified:
             allocator = ClassifiedBranchAllocator(profile, threshold=threshold)
@@ -100,9 +96,8 @@ def _figure_rows(
         stats = BranchEventBus.replay(
             trace, [*bank, conventional, infinite]
         )
-        if engine is not None:
-            engine.stats.replayed_runs += 1
-            engine.stats.pipeline.merge(stats)
+        engine.stats.replayed_runs += 1
+        engine.stats.pipeline.merge(stats)
         rows.append(
             FigureRow(
                 benchmark=name,
@@ -118,36 +113,26 @@ def _figure_rows(
 
 
 def run_figure3(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: int = DEFAULT_THRESHOLD,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:
     """Regenerate Figure 3 (allocation without classification)."""
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("figures"))
     return _figure_rows(
-        runner, names, classified=False, threshold=threshold, sizes=sizes
+        engine, benchmarks, classified=False, threshold=threshold, sizes=sizes
     )
 
 
 def run_figure4(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: int = DEFAULT_THRESHOLD,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:
     """Regenerate Figure 4 (allocation with branch classification)."""
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("figures"))
     return _figure_rows(
-        runner, names, classified=True, threshold=threshold, sizes=sizes
+        engine, benchmarks, classified=True, threshold=threshold, sizes=sizes
     )
 
 

@@ -31,9 +31,8 @@ from ..predictors.simulator import simulate_predictor
 from ..predictors.twolevel import PAgPredictor
 from ..profiling.profile import InterleaveProfile
 from ..trace.events import BranchTrace
-from .engine import prefetch_artifacts
+from .engine import ExecutionEngine
 from .report import render_table
-from .runner import BenchmarkRunner
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,17 @@ class GroupAblationRow:
 
 
 def run_group_ablation(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Sequence[str],
     bht_size: int = 128,
     threshold: int = DEFAULT_THRESHOLD,
     history_bits: int = 12,
 ) -> List[GroupAblationRow]:
     """Compare per-branch vs group-level allocation on prediction accuracy."""
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[GroupAblationRow] = []
     for name in benchmarks:
-        artifacts = runner.artifacts(name)
+        artifacts = engine.artifacts(name)
         trace, profile = artifacts.trace, artifacts.profile
 
         def rate(index_map: Optional[StaticIndexMap]) -> float:

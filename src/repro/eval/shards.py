@@ -135,11 +135,12 @@ def measured_costs(
     wall-clock.  Benchmarks with no usable record are simply absent —
     :func:`partition_selection` falls back to fuel for them.
 
-    *journal* is a :class:`~repro.checkpoint.journal.RunJournal` (any
-    object with a ``records()`` method works).
+    *journal* is a :class:`~repro.checkpoint.journal.RunJournal`, read
+    tolerantly.
     """
     samples: Dict[str, List[float]] = {}
-    for record in journal.records():
+    records, _ = journal.read(strict=False)
+    for record in records:
         if record.get("status") != "completed":
             continue
         if (
@@ -328,7 +329,7 @@ def merge_shards(
     Partial shards merge, they do not abort: a source journal with a
     torn tail (the shard died mid-append) or mid-file garbage has the
     damaged lines skipped with a warning naming ``path:line`` — the
-    same damage classes :meth:`RunJournal.validate` distinguishes —
+    same damage classes a strict :meth:`RunJournal.read` rejects —
     and :attr:`MergeReport.journal_skipped` counts them.  The dead
     shard's *completed* records still merge; only the torn ones are
     lost, and they were never durable to begin with.
@@ -377,7 +378,7 @@ def merge_shards(
                 stage.replace(target)
                 report.artifacts_copied += 1
         shard_journal = RunJournal(source)
-        records, journal_warnings = shard_journal.read_tolerant()
+        records, journal_warnings = shard_journal.read(strict=False)
         report.warnings.extend(journal_warnings)
         report.journal_skipped += len(journal_warnings)
         if not same_store:

@@ -50,9 +50,8 @@ from ..static_analysis.heuristics import predict_branches
 from ..workloads.build import build_workload
 from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
-from .engine import prefetch_artifacts, shard_subset, surviving_benchmarks
+from .engine import ExecutionEngine, shard_subset, surviving_benchmarks
 from .report import render_table
-from .runner import BenchmarkRunner
 
 #: Benchmarks covered by default (the acceptance floor is six).
 DEFAULT_BENCHMARKS = (
@@ -99,7 +98,7 @@ class StaticCompareRow:
 
 
 def run_static_compare(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     bht_size: int = DEFAULT_BHT_SIZE,
     threshold: Optional[int] = None,
@@ -107,9 +106,9 @@ def run_static_compare(
     """Score static vs. profiled allocation on the profiled graph.
 
     Args:
-        runner: benchmark runner (supplies the profiled ground truth).
+        engine: supplies the profiled ground truth.
         benchmarks: analogs to cover (None = DEFAULT_BENCHMARKS,
-            restricted to a sharded runner's slice).
+            restricted to a sharded engine's slice).
         bht_size: BHT entries both allocations must fit into.
         threshold: edge-pruning threshold for both graphs.  Defaults to
             the pipeline's DEFAULT_THRESHOLD at full scale, dropping to
@@ -117,16 +116,16 @@ def run_static_compare(
             the comparison stays meaningful on short traces.
     """
     if benchmarks is None:
-        benchmarks = shard_subset(runner, DEFAULT_BENCHMARKS)
+        benchmarks = shard_subset(engine, DEFAULT_BENCHMARKS)
     if threshold is None:
-        edge_threshold = DEFAULT_THRESHOLD if runner.scale >= 0.9 else 10
+        edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
     else:
         edge_threshold = threshold
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[StaticCompareRow] = []
-    for name in surviving_benchmarks(runner, benchmarks):
+    for name in surviving_benchmarks(engine, benchmarks):
         # the static path: build only, never simulate
-        built = build_workload(get_benchmark(name, scale=runner.scale))
+        built = build_workload(get_benchmark(name, scale=engine.scale))
         static_graph = estimate_conflict_graph(
             built.program, threshold=edge_threshold
         )
@@ -135,7 +134,7 @@ def run_static_compare(
         ).allocate(bht_size)
 
         # the profiled path: the existing pipeline, same threshold
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         profiled_graph = build_conflict_graph(
             profile, threshold=edge_threshold
         )
@@ -331,7 +330,7 @@ def _edge_set(graph: ConflictGraph) -> Set[Tuple[int, int]]:
 
 
 def run_verify_static(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: Optional[int] = None,
 ) -> List[VerifyStaticRow]:
@@ -344,26 +343,26 @@ def run_verify_static(
     estimated graph's working-set structure tracks the measured one.
 
     Args:
-        runner: benchmark runner (supplies the profiled ground truth).
+        engine: supplies the profiled ground truth.
         benchmarks: analogs to cover (None = the registry's ``all`` set).
         threshold: edge threshold for both graphs (None = the
-            static-compare auto rule for the runner's scale).
+            static-compare auto rule for the engine's scale).
     """
     if benchmarks is None:
-        benchmarks = shard_subset(runner, members("all"))
+        benchmarks = shard_subset(engine, members("all"))
     if threshold is None:
-        edge_threshold = DEFAULT_THRESHOLD if runner.scale >= 0.9 else 10
+        edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
     else:
         edge_threshold = threshold
-    prefetch_artifacts(runner, benchmarks)
+    engine.prefetch(benchmarks)
     rows: List[VerifyStaticRow] = []
-    for name in surviving_benchmarks(runner, benchmarks):
-        built = build_workload(get_benchmark(name, scale=runner.scale))
+    for name in surviving_benchmarks(engine, benchmarks):
+        built = build_workload(get_benchmark(name, scale=engine.scale))
         estimate = StaticConflictEstimator(
             threshold=edge_threshold
         ).estimate(built.program)
         predictions = predict_branches(estimate.cfg)
-        profile = runner.profile(name)
+        profile = engine.profile(name)
 
         executions = 0
         hits = 0.0

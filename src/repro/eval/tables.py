@@ -18,11 +18,9 @@ from ..allocation.sizing import required_bht_size
 from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..analysis.metrics import working_set_metrics
 from ..trace.stats import summarize_trace
-from ..workloads.registry import members
 from ..workloads.suite import benchmark_suite
-from .engine import prefetch_artifacts, shard_subset, surviving_benchmarks
+from .engine import ExecutionEngine, experiment_benchmarks
 from .report import render_table
-from .runner import BenchmarkRunner
 
 #: Conventional reference BHT size used throughout §5.
 BASELINE_BHT = 1024
@@ -45,22 +43,16 @@ class Table1Row:
 
 
 def run_table1(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     coverage: float = 0.999,
 ) -> List[Table1Row]:
     """Regenerate Table 1: trace sizes and the frequency-cutoff coverage."""
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("table2"))
-    prefetch_artifacts(runner, names)
-    names = surviving_benchmarks(runner, names)
-    suite = benchmark_suite(runner.scale)
+    names = experiment_benchmarks(engine, benchmarks, "table2")
+    suite = benchmark_suite(engine.scale)
     rows: List[Table1Row] = []
     for name in names:
-        artifacts = runner.artifacts(name)
+        artifacts = engine.artifacts(name)
         summary = summarize_trace(artifacts.trace, coverage=coverage)
         spec = suite.get(name) or suite.get(f"{name}_a")
         input_desc = (
@@ -125,21 +117,15 @@ class Table2Row:
 
 
 def run_table2(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> List[Table2Row]:
     """Regenerate Table 2: the branch working set statistics."""
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("table2"))
-    prefetch_artifacts(runner, names)
-    names = surviving_benchmarks(runner, names)
+    names = experiment_benchmarks(engine, benchmarks, "table2")
     rows: List[Table2Row] = []
     for name in names:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         metrics = working_set_metrics(profile, threshold=threshold)
         rows.append(
             Table2Row(
@@ -195,22 +181,16 @@ class SizingRow:
 
 
 def run_table3(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: int = DEFAULT_THRESHOLD,
     baseline_bht: int = BASELINE_BHT,
 ) -> List[SizingRow]:
     """Regenerate Table 3: minimal BHT size for plain branch allocation."""
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("table34"))
-    prefetch_artifacts(runner, names)
-    names = surviving_benchmarks(runner, names)
+    names = experiment_benchmarks(engine, benchmarks, "table34")
     rows: List[SizingRow] = []
     for name in names:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         allocator = BranchAllocator(profile, threshold=threshold)
         baseline = conventional_cost(allocator.graph, baseline_bht)
         sizing = required_bht_size(allocator, baseline)
@@ -227,7 +207,7 @@ def run_table3(
 
 
 def run_table4(
-    runner: BenchmarkRunner,
+    engine: ExecutionEngine,
     benchmarks: Optional[Sequence[str]] = None,
     threshold: int = DEFAULT_THRESHOLD,
     baseline_bht: int = BASELINE_BHT,
@@ -239,16 +219,10 @@ def run_table4(
     the classified allocator's cost is measured on its filtered graph, per
     the paper's premise that same-class biased conflicts are harmless.
     """
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        # default set: a sharded runner covers only its slice
-        names = shard_subset(runner, members("table34"))
-    prefetch_artifacts(runner, names)
-    names = surviving_benchmarks(runner, names)
+    names = experiment_benchmarks(engine, benchmarks, "table34")
     rows: List[SizingRow] = []
     for name in names:
-        profile = runner.profile(name)
+        profile = engine.profile(name)
         plain = BranchAllocator(profile, threshold=threshold)
         baseline = conventional_cost(plain.graph, baseline_bht)
         allocator = ClassifiedBranchAllocator(profile, threshold=threshold)

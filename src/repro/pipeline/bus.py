@@ -229,8 +229,7 @@ class BranchEventBus:
         consumers: initial consumer list (more via :meth:`subscribe`).
         chunk_events: events per chunk (block size of the columnar
             buffers).
-        limit: optional cap on *delivered* events.  Mirrors the classic
-            ``TraceCapture(limit=...)`` semantics: once the cap is hit
+        limit: optional cap on *delivered* events: once the cap is hit
             the bus goes quiet but the simulation keeps executing.  A
             limit that is not a multiple of the chunk size truncates
             exactly at the limit.

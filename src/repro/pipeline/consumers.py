@@ -159,9 +159,17 @@ class PredictorConsumer:
 class TraceBuilder:
     """The chunked trace writer: columnar blocks, concatenated at finish.
 
-    Unlike the seed's :class:`~repro.trace.capture.TraceCapture` (one
-    unbounded Python list per column, each event a boxed ``int``), blocks
-    are compact numpy arrays as soon as a chunk is full, so memory stays
+    Ride it on a :class:`~repro.pipeline.bus.BranchEventBus` to capture a
+    simulation's trace::
+
+        builder = TraceBuilder("compress/default")
+        bus = BranchEventBus([builder], limit=limit)
+        Simulator(program, branch_hook=bus).run()
+        bus.finish()
+        trace = builder.result
+
+    Blocks are compact numpy arrays as soon as a chunk is full (not one
+    Python list per column, each event a boxed ``int``), so memory stays
     ~8 bytes per event per column and long traces stop being capped by
     the Python object heap.
     """

@@ -162,7 +162,8 @@ class ServiceJournal(RunJournal):
         """
         submitted: Dict[str, Dict[str, Any]] = {}
         order: List[str] = []
-        for record in self.records():
+        records, _ = self.read(strict=False)
+        for record in records:
             job_id = record.get("job")
             if not isinstance(job_id, str):
                 continue

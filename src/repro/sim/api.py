@@ -8,7 +8,7 @@ and the evaluation engine's job path did the same inside workers.  A
 simulation strategy and builds the executor for it, so the interpreter
 and the superblock-compiled core are interchangeable everywhere a
 simulation starts — ``Simulator(..., backend=...)``, ``run_workload``,
-``run_simulation``, ``ExecutionEngine``/``BenchmarkRunner`` and the
+``run_simulation``, ``ExecutionEngine`` and the
 ``--backend`` CLI flag all resolve through :func:`get_backend`.
 
 Backends must be *semantically indistinguishable*: identical

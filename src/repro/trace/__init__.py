@@ -1,6 +1,9 @@
-"""Branch trace capture, storage, statistics and synthesis."""
+"""Branch trace storage, statistics and synthesis.
 
-from .capture import TraceCapture
+Traces are captured by a :class:`~repro.pipeline.bus.BranchEventBus`
+carrying a :class:`~repro.pipeline.consumers.TraceBuilder`.
+"""
+
 from .events import BranchEvent, BranchTrace
 from .io import (
     load_trace,
@@ -26,7 +29,6 @@ __all__ = [
     "Phase",
     "SyntheticBranch",
     "SyntheticWorkload",
-    "TraceCapture",
     "TraceSummary",
     "frequency_cutoff",
     "load_trace",

@@ -23,27 +23,19 @@ from .registry import (
     resolve_selection,
 )
 from .suite import (
-    ALL_BENCHMARKS,
-    FIGURE_BENCHMARKS,
-    TABLE2_BENCHMARKS,
-    TABLE34_BENCHMARKS,
     benchmark_names,
     benchmark_suite,
     get_benchmark,
 )
 
 __all__ = [
-    "ALL_BENCHMARKS",
     "BenchmarkSet",
     "BuiltWorkload",
-    "FIGURE_BENCHMARKS",
     "InputSpec",
     "KernelCall",
     "KernelSpec",
     "PhaseSpec",
     "Selection",
-    "TABLE2_BENCHMARKS",
-    "TABLE34_BENCHMARKS",
     "WorkloadSpec",
     "benchmark_names",
     "benchmark_sets",

@@ -3,9 +3,7 @@
 The single source of truth for *which benchmarks a run covers*.  Every
 CLI path, experiment and service endpoint resolves its benchmark
 selection here instead of re-implementing comma-splitting or importing
-hard-coded tuples; the legacy ``TABLE2_BENCHMARKS``-style constants in
-:mod:`repro.workloads.suite` are deprecated read-only views over this
-registry.
+hard-coded tuples: :func:`members` names a set's benchmarks.
 
 Named sets (SPEC2017 ``benchmark_sets.py`` style)::
 
@@ -126,7 +124,7 @@ _FIGURES = (
     "chess", "gs", "pgp", "plot", "python", "ss", "tex",
 )
 
-#: Union in first-seen order (the historical ``ALL_BENCHMARKS`` order).
+#: Union in first-seen order.
 _ALL = tuple(dict.fromkeys(_TABLE2 + _TABLE34 + _FIGURES))
 
 

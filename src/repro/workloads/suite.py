@@ -36,37 +36,10 @@ from typing import Callable, Dict, List, Tuple
 from .build import InputSpec, KernelCall, PhaseSpec, WorkloadSpec
 
 __all__ = [
-    "ALL_BENCHMARKS",
-    "TABLE2_BENCHMARKS",
-    "TABLE34_BENCHMARKS",
-    "FIGURE_BENCHMARKS",
     "benchmark_names",
     "benchmark_suite",
     "get_benchmark",
 ]
-
-#: Deprecated tuple constants, now read-only views over the declarative
-#: set registry (:mod:`repro.workloads.registry`).  New code should call
-#: ``resolve_selection("table2")`` etc. instead of importing these; they
-#: exist only so historical ``from repro.workloads.suite import
-#: TABLE2_BENCHMARKS`` keeps meaning the same thing.
-_REGISTRY_VIEWS = {
-    "TABLE2_BENCHMARKS": "table2",
-    "TABLE34_BENCHMARKS": "table34",
-    "FIGURE_BENCHMARKS": "figures",
-    "ALL_BENCHMARKS": "all",
-}
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    # PEP 562 lazy views: resolved through the registry on first access,
-    # which avoids a suite <-> registry import cycle in either order.
-    set_name = _REGISTRY_VIEWS.get(name)
-    if set_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .registry import members
-
-    return members(set_name)
 
 #: Aliases: the un-suffixed names used by Table 2 / the figures resolve to
 #: the ``_a`` input set where variants exist.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import BenchmarkRunner
+from repro.eval.engine import ExecutionEngine
 from repro.profiling.interleave import profile_trace
 from repro.trace.synthetic import make_phased_workload
 
@@ -23,9 +23,9 @@ TEST_THRESHOLD = 10
 
 
 @pytest.fixture(scope="session")
-def runner() -> BenchmarkRunner:
-    """A session-wide benchmark runner at test scale."""
-    return BenchmarkRunner(scale=TEST_SCALE)
+def engine() -> ExecutionEngine:
+    """A session-wide execution engine at test scale."""
+    return ExecutionEngine(scale=TEST_SCALE)
 
 
 @pytest.fixture(scope="session")

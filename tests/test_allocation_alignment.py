@@ -3,10 +3,11 @@
 import pytest
 
 from repro.allocation.alignment import align_workload
+from repro.pipeline.bus import BranchEventBus
+from repro.pipeline.consumers import TraceBuilder
 from repro.predictors.simulator import simulate_predictor
 from repro.predictors.twolevel import PAgPredictor
 from repro.profiling.interleave import profile_trace
-from repro.trace.capture import TraceCapture
 from repro.workloads.build import (
     InputSpec,
     KernelCall,
@@ -17,6 +18,15 @@ from repro.workloads.build import (
 )
 
 THRESHOLD = 5
+
+
+def _trace(built, name):
+    """Simulate *built* and capture its branch trace on the event bus."""
+    builder = TraceBuilder(name)
+    bus = BranchEventBus([builder])
+    run_workload(built, branch_hook=bus)
+    bus.finish()
+    return builder.result
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +60,7 @@ def spec():
 @pytest.fixture(scope="module")
 def profiled(spec):
     built = build_workload(spec)
-    capture = TraceCapture()
-    run_workload(built, branch_hook=capture)
-    trace = capture.finish(spec.name)
+    trace = _trace(built, spec.name)
     return built, trace, profile_trace(trace)
 
 
@@ -105,9 +113,7 @@ def test_alignment_helps_conventional_predictor(spec, profiled):
     result = align_workload(
         spec, profile, bht_size=64, threshold=THRESHOLD
     )
-    capture = TraceCapture()
-    run_workload(result.aligned, branch_hook=capture)
-    aligned_trace = capture.finish("aligned")
+    aligned_trace = _trace(result.aligned, "aligned")
 
     def mispredict(t):
         return simulate_predictor(
@@ -141,9 +147,7 @@ def test_pads_place_units_at_chosen_residues(spec, profiled):
 
     # relocate profile pcs onto the aligned layout via extents
     graph = build_conflict_graph(profile, threshold=THRESHOLD)
-    capture = TraceCapture()
-    run_workload(result.aligned, branch_hook=capture)
-    aligned_profile = profile_trace(capture.finish("aligned"))
+    aligned_profile = profile_trace(_trace(result.aligned, "aligned"))
     aligned_graph = build_conflict_graph(
         aligned_profile, threshold=THRESHOLD
     )

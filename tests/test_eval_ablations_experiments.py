@@ -20,9 +20,9 @@ from repro.eval.static_compare import (
 )
 
 
-def test_threshold_ablation_monotone_sets(runner):
+def test_threshold_ablation_monotone_sets(engine):
     rows = run_threshold_ablation(
-        runner, ["compress"], thresholds=(5, 20, 80)
+        engine, ["compress"], thresholds=(5, 20, 80)
     )
     assert [r.threshold for r in rows] == [5, 20, 80]
     # higher thresholds prune edges -> never fewer, larger sets
@@ -33,8 +33,8 @@ def test_threshold_ablation_monotone_sets(runner):
     assert "threshold" in format_threshold_ablation(rows)
 
 
-def test_input_sensitivity_rows(runner):
-    rows = run_input_sensitivity(runner, pairs=("ss",))
+def test_input_sensitivity_rows(engine):
+    rows = run_input_sensitivity(engine, pairs=("ss",))
     (row,) = rows
     assert row.benchmark == "ss"
     assert row.size_a >= 1 and row.size_b >= 1 and row.size_merged >= 1
@@ -44,8 +44,8 @@ def test_input_sensitivity_rows(runner):
     assert "input A" in format_input_sensitivity(rows)
 
 
-def test_predictor_family_results(runner):
-    results = run_predictor_family(runner, ["compress"], history_bits=10)
+def test_predictor_family_results(engine):
+    results = run_predictor_family(engine, ["compress"], history_bits=10)
     rates = results["compress"]
     assert set(rates) == {
         "PAg", "GAg", "gshare", "bimodal", "hybrid", "agree",
@@ -61,8 +61,8 @@ def test_predictor_family_results(runner):
     assert format_predictor_family({}) == "(no results)"
 
 
-def test_hash_baseline_rows(runner):
-    rows = run_hash_baseline(runner, ["compress"], bht_size=64)
+def test_hash_baseline_rows(engine):
+    rows = run_hash_baseline(engine, ["compress"], bht_size=64)
     (row,) = rows
     # the profile-guided allocation never loses to blind hashing at the
     # conflict-cost objective it optimises
@@ -85,20 +85,20 @@ def test_experiment_registry_complete():
         assert experiment.paper_artifact
 
 
-def test_run_experiment_unknown_id(runner):
+def test_run_experiment_unknown_id(engine):
     with pytest.raises(KeyError):
-        run_experiment("table9", runner)
+        run_experiment("table9", engine)
 
 
-def test_run_experiment_renders_text(runner):
-    text = run_experiment("table2", runner)
+def test_run_experiment_renders_text(engine):
+    text = run_experiment("table2", engine)
     assert "Table 2" in text
     assert "compress" in text
 
 
-def test_static_compare_rows(runner):
+def test_static_compare_rows(engine):
     rows = run_static_compare(
-        runner, benchmarks=["compress", "chess"], bht_size=32,
+        engine, benchmarks=["compress", "chess"], bht_size=32,
         threshold=TEST_THRESHOLD,
     )
     assert [r.benchmark for r in rows] == ["compress", "chess"]

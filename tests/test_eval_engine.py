@@ -11,10 +11,8 @@ from repro.eval.engine import (
     ExecutionEngine,
     JobSpec,
     compute_job_digest,
-    prefetch_artifacts,
 )
 from repro.eval.experiments import run_experiment
-from repro.eval.runner import BenchmarkRunner
 from repro.eval.tables import format_table2, run_table2
 from repro.trace.io import read_trace_meta
 
@@ -50,9 +48,9 @@ def test_digest_tracks_content():
 def test_cache_paths_fold_digest(tmp_path):
     """The legacy name-sSCALE scheme now carries the content digest, so a
     kernel edit (different digest) can never resurrect a stale artifact."""
-    runner = BenchmarkRunner(scale=SCALE, cache_dir=tmp_path)
-    trace_path, profile_path = runner._cache_paths("plot")
-    digest = runner.engine.digest("plot")
+    engine = ExecutionEngine(scale=SCALE, cache_dir=tmp_path)
+    trace_path, profile_path = engine.cache_paths("plot")
+    digest = engine.digest("plot")
     assert digest[: ArtifactStore.DIGEST_CHARS] in trace_path.name
     assert digest[: ArtifactStore.DIGEST_CHARS] in profile_path.name
     assert trace_path.name.startswith(f"plot-s{SCALE:g}-")
@@ -93,6 +91,53 @@ def test_store_round_trip_and_counters(tmp_path):
     # repeated access is memoised (and counted)
     assert warm.artifacts("plot") is second
     assert warm.stats.memo_hits == 1
+
+
+def test_artifacts_are_memoised(engine):
+    first = engine.artifacts("compress")
+    second = engine.artifacts("compress")
+    assert first is second
+
+
+def test_disk_cache_round_trip(tmp_path):
+    fast = ExecutionEngine(scale=SCALE, cache_dir=tmp_path)
+    first = fast.artifacts("plot")
+    files = list(tmp_path.iterdir())
+    assert any(f.suffix == ".npz" for f in files)
+    assert any(f.suffix == ".json" for f in files)
+
+    # a fresh engine loads from disk instead of re-simulating
+    reloaded = ExecutionEngine(scale=SCALE, cache_dir=tmp_path)
+    second = reloaded.artifacts("plot")
+    assert reloaded.stats.simulated == 0
+    assert np.array_equal(first.trace.pcs, second.trace.pcs)
+    assert second.profile.pairs == first.profile.pairs
+
+
+def test_artifacts_contents(engine):
+    artifacts = engine.artifacts("compress")
+    assert artifacts.name == "compress"
+    assert len(artifacts.trace) > 1000
+    assert artifacts.profile.static_branch_count > 20
+    assert artifacts.instructions > 100_000
+    # the profile's branch population matches the trace's
+    assert set(artifacts.profile.branches) == set(
+        artifacts.trace.static_branches()
+    )
+
+
+def test_invalidate_drops_memo(engine):
+    first = engine.artifacts("compress")
+    engine.invalidate("compress")
+    second = engine.artifacts("compress")
+    assert first is not second
+    assert np.array_equal(first.trace.pcs, second.trace.pcs)
+    engine._memo["compress"] = first  # restore for other tests
+
+
+def test_trace_limit_caps_events():
+    limited = ExecutionEngine(scale=SCALE, trace_limit=500)
+    assert len(limited.artifacts("plot").trace) == 500
 
 
 def test_stats_render_mentions_jobs_and_cache(tmp_path):
@@ -150,22 +195,15 @@ def test_parallel_without_store_ships_artifacts(tmp_path):
         assert seq.profile(name).pairs == par.profile(name).pairs
 
 
-# -- uniform runner API -----------------------------------------------------
+# -- experiment entry points ------------------------------------------------
 
 
 def test_run_experiment_accepts_bare_engine(tmp_path):
-    """Experiment entry points take an engine or the facade uniformly."""
+    """Experiment entry points take the engine directly."""
     engine = ExecutionEngine(scale=0.03, cache_dir=tmp_path, jobs=2)
     out = run_experiment("table2", engine)
     assert "Table 2" in out
     assert engine.stats.simulated > 0
-
-
-def test_prefetch_artifacts_tolerates_plain_runner():
-    class Stub:
-        pass
-
-    prefetch_artifacts(Stub(), ["plot"])  # no prefetch method: no-op
 
 
 def test_run_all_shim_is_gone():

@@ -234,7 +234,7 @@ def tiny_experiment(monkeypatch):
     """A registry entry whose run is just the surviving benchmark list."""
     exp = Experiment(
         "tiny_demo", "demo", "fault-injection test experiment",
-        lambda runner, benchmarks: "survivors: " + ",".join(benchmarks),
+        lambda engine, benchmarks: "survivors: " + ",".join(benchmarks),
         ("plot", "pgp"),
     )
     monkeypatch.setitem(EXPERIMENTS, exp.id, exp)

@@ -70,9 +70,9 @@ def test_allocate_groups_with_trivial_grouping_matches_branch_level():
     assert len(entries) == 4
 
 
-def test_run_group_ablation_rows(runner):
+def test_run_group_ablation_rows(engine):
     rows = run_group_ablation(
-        runner, ["compress"], bht_size=64, threshold=TEST_THRESHOLD
+        engine, ["compress"], bht_size=64, threshold=TEST_THRESHOLD
     )
     (row,) = rows
     assert row.benchmark == "compress"

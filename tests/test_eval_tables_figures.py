@@ -28,8 +28,8 @@ from repro.eval.tables import (
 BENCH_SUBSET = ["compress", "plot"]
 
 
-def test_table1_rows(runner):
-    rows = run_table1(runner, benchmarks=BENCH_SUBSET)
+def test_table1_rows(engine):
+    rows = run_table1(engine, benchmarks=BENCH_SUBSET)
     assert [r.benchmark for r in rows] == BENCH_SUBSET
     for row in rows:
         assert row.analyzed_dynamic <= row.total_dynamic
@@ -39,9 +39,9 @@ def test_table1_rows(runner):
     assert "Table 1" in text and "compress" in text
 
 
-def test_table2_rows(runner):
+def test_table2_rows(engine):
     rows = run_table2(
-        runner, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD
+        engine, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD
     )
     for row in rows:
         assert row.total_sets >= 1
@@ -51,9 +51,9 @@ def test_table2_rows(runner):
     assert "working sets" in text
 
 
-def test_table3_sizes_below_baseline_table(runner):
+def test_table3_sizes_below_baseline_table(engine):
     rows = run_table3(
-        runner, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD
+        engine, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD
     )
     for row in rows:
         assert 1 <= row.required_size < 1024
@@ -65,10 +65,10 @@ def test_table3_sizes_below_baseline_table(runner):
     assert "Table 3" in text
 
 
-def test_table4_requires_no_more_than_table3(runner):
-    t3 = run_table3(runner, benchmarks=BENCH_SUBSET,
+def test_table4_requires_no_more_than_table3(engine):
+    t3 = run_table3(engine, benchmarks=BENCH_SUBSET,
                     threshold=TEST_THRESHOLD)
-    t4 = run_table4(runner, benchmarks=BENCH_SUBSET,
+    t4 = run_table4(engine, benchmarks=BENCH_SUBSET,
                     threshold=TEST_THRESHOLD)
     for row3, row4 in zip(t3, t4):
         assert row4.benchmark == row3.benchmark
@@ -76,10 +76,10 @@ def test_table4_requires_no_more_than_table3(runner):
         assert row4.required_size <= row3.required_size + 2
 
 
-def test_reduction_summary_fractions(runner):
-    t3 = run_table3(runner, benchmarks=BENCH_SUBSET,
+def test_reduction_summary_fractions(engine):
+    t3 = run_table3(engine, benchmarks=BENCH_SUBSET,
                     threshold=TEST_THRESHOLD)
-    t4 = run_table4(runner, benchmarks=BENCH_SUBSET,
+    t4 = run_table4(engine, benchmarks=BENCH_SUBSET,
                     threshold=TEST_THRESHOLD)
     r3, r4 = reduction_summary(t3, t4)
     assert 0.0 < r3 <= 1.0
@@ -87,9 +87,9 @@ def test_reduction_summary_fractions(runner):
 
 
 @pytest.fixture(scope="module")
-def figure3_rows(runner):
+def figure3_rows(engine):
     return run_figure3(
-        runner, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD,
+        engine, benchmarks=BENCH_SUBSET, threshold=TEST_THRESHOLD,
         sizes=(16, 128, 1024),
     )
 
@@ -120,9 +120,9 @@ def test_figure_format_and_improvement(figure3_rows):
     assert average_improvement([]) == 0.0
 
 
-def test_figure4_classified_variant(runner):
+def test_figure4_classified_variant(engine):
     rows = run_figure4(
-        runner, benchmarks=["compress"], threshold=TEST_THRESHOLD,
+        engine, benchmarks=["compress"], threshold=TEST_THRESHOLD,
         sizes=(16, 128),
     )
     (row,) = rows

@@ -7,9 +7,9 @@ from repro.eval.static_compare import (
 )
 
 
-def test_verify_static_rows(runner):
+def test_verify_static_rows(engine):
     rows = run_verify_static(
-        runner, benchmarks=["compress", "chess"], threshold=TEST_THRESHOLD
+        engine, benchmarks=["compress", "chess"], threshold=TEST_THRESHOLD
     )
     assert [r.benchmark for r in rows] == ["compress", "chess"]
     for row in rows:
@@ -43,22 +43,22 @@ def test_verify_static_rows(runner):
         assert row.predicted_largest > 0 and row.measured_largest > 0
 
 
-def test_verify_static_matches_predictor_hit_rate(runner):
+def test_verify_static_matches_predictor_hit_rate(engine):
     """The dynamic-weighted hit rate IS the static-heur predictor's hit
     rate: both integrate per-branch agreement over the same executions."""
     from repro.eval.ablations import run_predictor_family
 
     [row] = run_verify_static(
-        runner, benchmarks=["compress"], threshold=TEST_THRESHOLD
+        engine, benchmarks=["compress"], threshold=TEST_THRESHOLD
     )
-    rates = run_predictor_family(runner, ["compress"])["compress"]
+    rates = run_predictor_family(engine, ["compress"])["compress"]
     miss_rate = rates["static-heur"]
     assert abs((1.0 - miss_rate) - row.hit_rate) < 1e-6
 
 
-def test_verify_static_as_dict_payload(runner):
+def test_verify_static_as_dict_payload(engine):
     [row] = run_verify_static(
-        runner, benchmarks=["compress"], threshold=TEST_THRESHOLD
+        engine, benchmarks=["compress"], threshold=TEST_THRESHOLD
     )
     payload = row.as_dict()
     assert payload["benchmark"] == "compress"
@@ -72,9 +72,9 @@ def test_verify_static_as_dict_payload(runner):
     assert payload["working_sets"]["measured_sets"] == row.measured_sets
 
 
-def test_format_verify_static(runner):
+def test_format_verify_static(engine):
     rows = run_verify_static(
-        runner, benchmarks=["compress"], threshold=TEST_THRESHOLD
+        engine, benchmarks=["compress"], threshold=TEST_THRESHOLD
     )
     text = format_verify_static(rows)
     assert "hit rate" in text and "compress" in text

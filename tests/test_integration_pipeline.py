@@ -58,9 +58,9 @@ def test_full_pipeline_on_synthetic_workload():
     assert abs(allocated - infinite) < 0.01
 
 
-def test_full_pipeline_on_simulated_benchmark(runner):
+def test_full_pipeline_on_simulated_benchmark(engine):
     """The same chain on an actually-simulated assembly workload."""
-    artifacts = runner.artifacts("tex")
+    artifacts = engine.artifacts("tex")
     profile = artifacts.profile
 
     graph = build_conflict_graph(profile, threshold=TEST_THRESHOLD)
@@ -103,12 +103,12 @@ def test_full_pipeline_on_simulated_benchmark(runner):
     assert abs(allocated - infinite) < 0.01
 
 
-def test_profile_merging_covers_both_inputs(runner):
+def test_profile_merging_covers_both_inputs(engine):
     """§5.2: merged profiles cover what either input exercises."""
     from repro.profiling.merge import coverage_against, merge_profiles
 
-    profile_a = runner.profile("ss_a")
-    profile_b = runner.profile("ss_b")
+    profile_a = engine.profile("ss_a")
+    profile_b = engine.profile("ss_b")
     merged = merge_profiles([profile_a, profile_b])
     assert coverage_against(merged, profile_a) == 1.0
     assert coverage_against(merged, profile_b) == 1.0
@@ -116,15 +116,15 @@ def test_profile_merging_covers_both_inputs(runner):
     assert coverage_against(profile_a, profile_b) <= 1.0
 
 
-def test_trace_cache_reuse_matches_fresh_run(runner, tmp_path):
+def test_trace_cache_reuse_matches_fresh_run(engine, tmp_path):
     """Disk-cached artifacts reproduce in-memory results exactly."""
-    from repro.eval.runner import BenchmarkRunner
+    from repro.eval.engine import ExecutionEngine
 
-    cached = BenchmarkRunner(
-        scale=runner.scale, cache_dir=tmp_path
+    cached = ExecutionEngine(
+        scale=engine.scale, cache_dir=tmp_path
     )
     first = cached.artifacts("plot")
-    again = BenchmarkRunner(scale=runner.scale, cache_dir=tmp_path)
+    again = ExecutionEngine(scale=engine.scale, cache_dir=tmp_path)
     second = again.artifacts("plot")
     assert first.profile.pairs == second.profile.pairs
     assert len(first.trace) == len(second.trace)

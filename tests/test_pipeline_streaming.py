@@ -35,7 +35,6 @@ from repro.predictors.simulator import simulate_predictor
 from repro.predictors.twolevel import GAgPredictor, PAgPredictor
 from repro.profiling.interleave import InterleaveAnalyzer
 from repro.schema import SCHEMA_VERSION, envelope
-from repro.trace.capture import TraceCapture
 
 #: (pc, taken) event streams over a small PC alphabet so branches recur.
 event_streams = st.lists(
@@ -53,11 +52,18 @@ def _feed(bus, events):
         bus.on_branch(pc, pc + 8, taken, count)
 
 
+def _capture(events, label, **bus_options):
+    """Capture *events* into a trace through a bus carrying a TraceBuilder."""
+    builder = TraceBuilder(label)
+    bus = BranchEventBus([builder], **bus_options)
+    _feed(bus, events)
+    bus.finish()
+    return builder.result
+
+
 def _classic(events, warmup):
-    """The seed shape: per-event capture, scalar profile, scalar replay."""
-    capture = TraceCapture()
-    _feed(capture, events)
-    trace = capture.finish("classic")
+    """The seed shape: captured trace, scalar profile, scalar replay."""
+    trace = _capture(events, "classic")
     analyzer = InterleaveAnalyzer(name="classic")
     for pc, taken in zip(trace.pcs.tolist(), trace.taken.tolist()):
         analyzer.observe(pc, taken)
@@ -108,18 +114,18 @@ def test_trace_builder_reconstructs_the_event_stream(events, chunk_events):
     assert stats.result.static_branches == len({pc for pc, _ in events})
 
 
-def test_fused_profile_byte_identical_to_replay(runner):
+def test_fused_profile_byte_identical_to_replay(engine):
     """The engine's fused profile and a chunked replay of the archived
     trace serialize to the same bytes (same chunking → same dict order)."""
-    artifacts = runner.artifacts("compress")
+    artifacts = engine.artifacts("compress")
     profiler = InterleaveConsumer(label="compress")
     BranchEventBus.replay(artifacts.trace, [profiler])
     profiler.result.instructions = artifacts.profile.instructions
     assert profiler.result.to_json() == artifacts.profile.to_json()
 
 
-def test_replay_bank_matches_scalar_loop_on_kernel_trace(runner):
-    trace = runner.trace("compress")
+def test_replay_bank_matches_scalar_loop_on_kernel_trace(engine):
+    trace = engine.trace("compress")
     bank = [PAgPredictor.conventional(256, 8), GAgPredictor(8)]
     fused = replay_bank(trace, bank, warmup=1000, track_per_branch=True)
     for predictor in [PAgPredictor.conventional(256, 8), GAgPredictor(8)]:
@@ -134,9 +140,9 @@ def test_replay_bank_matches_scalar_loop_on_kernel_trace(runner):
 
 def test_profile_and_predict_fused_equals_replayed():
     """Cold fused run == warm replay run, for profile and bank alike."""
-    from repro.eval.runner import BenchmarkRunner
+    from repro.eval.engine import ExecutionEngine
 
-    fresh = BenchmarkRunner(scale=0.05)  # no shared state: must start cold
+    fresh = ExecutionEngine(scale=0.05)  # no shared state: must start cold
     bank = lambda: [GSharePredictor(history_bits=8), GAgPredictor(8)]
     fused = fresh.profile_and_predict("pgp", bank(), archive=True)
     replayed = fresh.profile_and_predict("pgp", bank())
@@ -153,11 +159,13 @@ def test_profile_and_predict_fused_equals_replayed():
 
 
 def test_capture_limit_not_multiple_of_chunk_truncates_exactly():
-    capture = TraceCapture(limit=13, chunk_events=8)
-    _feed(capture, [(0x1000 + 4 * (i % 5), i % 2 == 0) for i in range(40)])
-    assert capture.saturated
-    assert len(capture) == 13
-    trace = capture.finish("limited")
+    builder = TraceBuilder("limited")
+    bus = BranchEventBus([builder], chunk_events=8, limit=13)
+    _feed(bus, [(0x1000 + 4 * (i % 5), i % 2 == 0) for i in range(40)])
+    assert bus.saturated
+    assert len(bus) == 13
+    bus.finish()
+    trace = builder.result
     assert len(trace) == 13
     assert trace.timestamps.tolist() == list(range(1, 14))
 
@@ -173,9 +181,7 @@ def test_bus_limit_smaller_than_one_chunk():
 
 
 def test_replay_honours_limit_exactly():
-    capture = TraceCapture()
-    _feed(capture, [(0x1000 + 4 * i, True) for i in range(20)])
-    trace = capture.finish("t")
+    trace = _capture([(0x1000 + 4 * i, True) for i in range(20)], "t")
     builder = TraceBuilder()
     BranchEventBus.replay(trace, [builder], chunk_events=8, limit=11)
     assert len(builder.result) == 11
@@ -183,7 +189,7 @@ def test_replay_honours_limit_exactly():
 
 
 def test_empty_capture_finishes_to_well_formed_trace():
-    trace = TraceCapture().finish("empty")
+    trace = _capture([], "empty")
     assert len(trace) == 0
     assert trace.name == "empty"
     for column in (trace.pcs, trace.targets, trace.timestamps):
@@ -192,9 +198,7 @@ def test_empty_capture_finishes_to_well_formed_trace():
 
 
 def test_zero_limit_capture_is_empty():
-    capture = TraceCapture(limit=0)
-    _feed(capture, [(0x1000, True)] * 5)
-    assert len(capture.finish("zero")) == 0
+    assert len(_capture([(0x1000, True)] * 5, "zero", limit=0)) == 0
 
 
 # -- bus contract ------------------------------------------------------------
@@ -258,8 +262,8 @@ def test_version_flag_reports_schema_v9(capsys):
     assert envelope("x", {}, {})["schema_version"] == 9
 
 
-def test_engine_envelope_carries_pipeline_counters(runner):
-    payload = runner.stats.as_dict()
+def test_engine_envelope_carries_pipeline_counters(engine):
+    payload = engine.stats.as_dict()
     assert {"fused_runs", "replayed_runs", "pipeline"} <= set(payload)
     pipeline = payload["pipeline"]
     assert {"events", "delivered", "chunk_flushes", "truncated",

@@ -2,9 +2,8 @@
 
 Property tests pin down the registry's contract: selector resolution is
 deterministic and (for union-only expressions) order-independent, every
-set member resolves, the legacy suite tuples are exact views over the
-registry, and unknown names produce the typed exit-2 errors with a
-near-miss suggestion.
+set member resolves, and unknown names produce the typed exit-2 errors
+with a near-miss suggestion.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SelectionError, UnknownBenchmark, UnknownSet
-from repro.workloads import suite
 from repro.workloads.registry import (
     benchmark_sets,
     estimated_cost,
@@ -41,13 +39,6 @@ def test_every_set_member_is_a_known_benchmark():
     for s in benchmark_sets().values():
         assert set(s.members) <= known
         assert len(s.members) == len(set(s.members))  # no duplicates
-
-
-def test_legacy_tuples_are_registry_views():
-    assert suite.TABLE2_BENCHMARKS == members("table2")
-    assert suite.TABLE34_BENCHMARKS == members("table34")
-    assert suite.FIGURE_BENCHMARKS == members("figures")
-    assert suite.ALL_BENCHMARKS == members("all")
 
 
 def test_all_set_is_the_union_in_canonical_order():

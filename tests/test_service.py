@@ -341,7 +341,7 @@ def test_journal_record_includes_resume_parameters(tmp_path):
     journal = ServiceJournal(tmp_path)
     job = make_job("job-a", predictors=("gshare:10",))
     journal.record_submitted(job)
-    (record,) = journal.records()
+    (record,) = journal.read(strict=False)[0]
     for key in ("benchmark", "scale", "trace_limit", "backend",
                 "digest", "predictors", "tenant"):
         assert key in record
@@ -400,7 +400,7 @@ def test_submit_admits_journals_and_acks(tmp_path):
     assert ack["dedup"] is False
     assert len(ack["digest"]) == 64
     assert service.admission.depth() == 1
-    (record,) = service.journal.records()
+    (record,) = service.journal.read(strict=False)[0]
     assert record["kind"] == "submitted"
     assert record["job"] == "job-1"
 
@@ -423,7 +423,7 @@ def test_submit_overload_is_shed_with_typed_rejection(tmp_path):
     assert frames[2]["error"]["code"] == "service_overloaded"
     assert frames[2]["error"]["queue_limit"] == 2
     # the shed job left no trace: no journal record, no job entry
-    assert len(service.journal.records()) == 2
+    assert len(service.journal.read(strict=False)[0]) == 2
     assert "job-2" not in service.jobs
 
 
@@ -533,7 +533,7 @@ def test_queued_deadline_expiry_cancels_without_launching(tmp_path):
     assert "deadline" in frame["error"]["message"]
     # the cancellation is terminal in the journal: no orphan to resume
     assert service.journal.orphans() == []
-    done = service.journal.records()[-1]
+    done = service.journal.read(strict=False)[0][-1]
     assert done == {
         "kind": "done",
         "job": "job-1",
@@ -848,6 +848,6 @@ def test_daemon_deadline_cancels_running_job():
     assert cancelled["error"]["code"] == "job_cancelled"
     assert "deadline" in cancelled["error"]["message"]
     journal = ServiceJournal(Path(config.cache_dir) / "service")
-    done = [r for r in journal.records() if r.get("kind") == "done"]
+    done = [r for r in journal.read(strict=False)[0] if r.get("kind") == "done"]
     assert done[-1]["status"] == "cancelled"
     assert journal.orphans() == []  # cancellation is terminal

@@ -31,7 +31,7 @@ from repro.sim import (
     backend_names,
     get_backend,
 )
-from repro.workloads import ALL_BENCHMARKS, build_workload, get_benchmark
+from repro.workloads import build_workload, get_benchmark, members
 
 #: Small scale + a fuel cap keep the sweep fast; truncation is
 #: deterministic, so identity on the truncated prefix is just as strong.
@@ -92,7 +92,7 @@ def _pipeline_run(built, backend, chunk_events=None):
     )
 
 
-@pytest.mark.parametrize("kernel", ALL_BENCHMARKS)
+@pytest.mark.parametrize("kernel", members("all"))
 def test_suite_kernel_is_byte_identical(kernel):
     built = build_workload(get_benchmark(kernel, scale=SCALE))
     assert _pipeline_run(built, "interp") == _pipeline_run(

@@ -1,5 +1,5 @@
 """Cross-suite invariants: properties that must hold for every benchmark
-analog, checked at test scale on the session runner."""
+analog, checked at test scale on the session engine."""
 
 import pytest
 
@@ -23,13 +23,13 @@ BENCHMARKS = ["compress", "gcc", "chess", "pgp", "ss_a"]
 
 
 @pytest.fixture(scope="module", params=BENCHMARKS)
-def artifacts(request, runner):
-    return runner.artifacts(request.param)
+def artifacts(request, engine):
+    return engine.artifacts(request.param)
 
 
 @pytest.fixture(scope="module")
-def built(artifacts, runner):
-    return build_workload(get_benchmark(artifacts.name, scale=runner.scale))
+def built(artifacts, engine):
+    return build_workload(get_benchmark(artifacts.name, scale=engine.scale))
 
 
 def test_profile_accounts_for_every_trace_event(artifacts):
@@ -131,13 +131,13 @@ def test_static_graph_covers_every_profiled_branch(artifacts, built):
     )
 
 
-def test_rerun_is_bit_identical(runner, artifacts):
+def test_rerun_is_bit_identical(engine, artifacts):
     """Re-simulating the same benchmark reproduces the trace exactly."""
     import numpy as np
 
-    from repro.eval.runner import BenchmarkRunner
+    from repro.eval.engine import ExecutionEngine
 
-    fresh = BenchmarkRunner(scale=runner.scale)
+    fresh = ExecutionEngine(scale=engine.scale)
     again = fresh.artifacts(artifacts.name)
     assert np.array_equal(again.trace.pcs, artifacts.trace.pcs)
     assert np.array_equal(again.trace.taken, artifacts.trace.taken)

@@ -1,9 +1,10 @@
-"""Trace capture and persistence tests."""
+"""Trace capture (event bus + TraceBuilder) and persistence tests."""
 
 import numpy as np
 import pytest
 
-from repro.trace.capture import TraceCapture
+from repro.pipeline.bus import BranchEventBus
+from repro.pipeline.consumers import TraceBuilder
 from repro.trace.events import BranchEvent, BranchTrace
 from repro.trace.io import (
     load_trace,
@@ -13,31 +14,33 @@ from repro.trace.io import (
 )
 
 
-def _fill(capture, n=10):
+def _fill(bus, n=10):
     for i in range(n):
-        capture.on_branch(0x1000 + 4 * (i % 3), 0x2000, i % 2 == 0, 5 * i)
+        bus.on_branch(0x1000 + 4 * (i % 3), 0x2000, i % 2 == 0, 5 * i)
 
 
 def test_capture_records_events_in_order():
-    capture = TraceCapture()
-    _fill(capture, 5)
-    trace = capture.finish("cap")
+    builder = TraceBuilder("cap")
+    bus = BranchEventBus([builder])
+    _fill(bus, 5)
+    bus.finish()
+    trace = builder.result
     assert len(trace) == 5
     assert trace.name == "cap"
     assert [e.timestamp for e in trace] == [0, 5, 10, 15, 20]
 
 
 def test_capture_limit_stops_recording():
-    capture = TraceCapture(limit=3)
-    _fill(capture, 10)
-    assert len(capture) == 3
-    assert capture.saturated
+    bus = BranchEventBus([TraceBuilder()], limit=3)
+    _fill(bus, 10)
+    assert len(bus) == 3
+    assert bus.saturated
 
 
 def test_capture_without_limit_never_saturates():
-    capture = TraceCapture()
-    _fill(capture, 4)
-    assert not capture.saturated
+    bus = BranchEventBus([TraceBuilder()])
+    _fill(bus, 4)
+    assert not bus.saturated
 
 
 def _sample_trace():

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.workloads.build import build_workload
+from repro.workloads.registry import members
 from repro.workloads.suite import (
-    ALL_BENCHMARKS,
-    FIGURE_BENCHMARKS,
-    TABLE2_BENCHMARKS,
-    TABLE34_BENCHMARKS,
     benchmark_names,
     benchmark_suite,
     get_benchmark,
@@ -23,13 +20,14 @@ def test_suite_contains_all_paper_benchmarks():
 
 
 def test_table_orders_match_paper():
-    assert TABLE2_BENCHMARKS[0] == "compress"
-    assert TABLE2_BENCHMARKS[1] == "gcc"
-    assert len(TABLE2_BENCHMARKS) == 11
-    assert len(TABLE34_BENCHMARKS) == 14
-    assert "perl_a" in TABLE34_BENCHMARKS and "perl_b" in TABLE34_BENCHMARKS
-    assert len(FIGURE_BENCHMARKS) == 13
-    assert set(ALL_BENCHMARKS) >= set(TABLE2_BENCHMARKS)
+    table2, table34 = members("table2"), members("table34")
+    assert table2[0] == "compress"
+    assert table2[1] == "gcc"
+    assert len(table2) == 11
+    assert len(table34) == 14
+    assert "perl_a" in table34 and "perl_b" in table34
+    assert len(members("figures")) == 13
+    assert set(members("all")) >= set(table2)
 
 
 def test_aliases_resolve_to_a_variant():
