@@ -13,7 +13,10 @@ Refinements over the plain allocator:
 
 The conflict cost of the result is evaluated on the *filtered* graph: the
 paper's premise is precisely that same-class biased conflicts carry no
-"significant negative effects".
+"significant negative effects".  On that graph only mixed-vs-mixed edges
+can share an entry: same-class biased edges are gone, the two biased
+classes use different reserved entries, and mixed branches never use a
+reserved one.  The cost is therefore the colouring's own cost.
 """
 
 from __future__ import annotations
@@ -55,6 +58,19 @@ class ClassifiedBranchAllocator:
         )
         #: the §5.2 graph: same-class biased edges removed
         self.graph = drop_same_class_biased_edges(raw, self.classes)
+        # the split into reserved-entry and mixed branches does not depend
+        # on the table size, so it is made once for every allocate()
+        self._reserved: Dict[int, int] = {}
+        mixed_nodes = []
+        for pc in self.graph.nodes():
+            bias = self.classes.get(pc, BiasClass.MIXED)
+            if bias is BiasClass.TAKEN_BIASED:
+                self._reserved[pc] = TAKEN_ENTRY
+            elif bias is BiasClass.NOT_TAKEN_BIASED:
+                self._reserved[pc] = NOT_TAKEN_ENTRY
+            else:
+                mixed_nodes.append(pc)
+        self._mixed_graph = self.graph.subgraph(mixed_nodes)
 
     def allocate(self, bht_size: int) -> AllocationResult:
         """Assign branches to *bht_size* entries with two reserved slots.
@@ -68,36 +84,19 @@ class ClassifiedBranchAllocator:
                 f"bht_size must exceed {RESERVED_ENTRIES} reserved entries, "
                 f"got {bht_size}"
             )
-        assignment: Dict[int, int] = {}
-        mixed_nodes = []
-        for pc in self.graph.nodes():
-            bias = self.classes.get(pc, BiasClass.MIXED)
-            if bias is BiasClass.TAKEN_BIASED:
-                assignment[pc] = TAKEN_ENTRY
-            elif bias is BiasClass.NOT_TAKEN_BIASED:
-                assignment[pc] = NOT_TAKEN_ENTRY
-            else:
-                mixed_nodes.append(pc)
-
-        mixed_graph = self.graph.subgraph(mixed_nodes)
         coloring = color_graph(
-            mixed_graph,
+            self._mixed_graph,
             bht_size - RESERVED_ENTRIES,
             color_offset=RESERVED_ENTRIES,
         )
+        assignment = dict(self._reserved)
         assignment.update(coloring.assignment)
-
-        # cost on the filtered graph, over the *full* assignment: biased
-        # branches sharing a reserved entry contribute only via edges the
-        # filter kept (i.e. cross-class or biased-vs-mixed conflicts).
-        cost = 0
-        for a, b, count in self.graph.edges():
-            if assignment[a] == assignment[b]:
-                cost += count
+        # cost on the filtered graph over the full assignment: only mixed
+        # pairs can share an entry there (see the module docstring)
         return AllocationResult(
             bht_size=bht_size,
             assignment=assignment,
-            cost=cost,
+            cost=coloring.cost,
             shared_branches=coloring.shared_nodes,
             threshold=self.threshold,
         )

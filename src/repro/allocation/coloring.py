@@ -24,15 +24,35 @@ but each still evicts the other's history across phase transitions; load
 balancing spreads branches over the whole table exactly the way the paper's
 one-to-one intent implies when the table is big enough.
 
-The result is deterministic: ties break on PC.
+The result is deterministic: ties break on PC, then on colour number.
+
+Both phases work on arrays built once per call: the graph's adjacency in
+CSR form (neighbour positions and edge weights per node, nodes in PC
+order) plus per-node degree and weighted-degree counters.  Each simplify
+step picks its victim with one masked ``argmin`` over the nodes, and
+each select step picks its colour with one masked ``argmin`` over the
+palette; ``argmin`` returns the first minimum, which is the lowest PC or
+colour, so the tie-breaks are exactly those stated above.  The cost is
+accumulated during select: when a node takes a colour, the weight of its
+edges to already-coloured neighbours of that colour is added, so every
+same-colour edge is counted once, by its later-coloured endpoint.
+``tests/test_allocation_coloring.py`` keeps the same greedy written with
+plain lists and dicts as the reference the property tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from ..analysis.conflict_graph import ConflictGraph
+
+#: argmin sentinel for masked-out nodes and colours.
+_NONE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -58,6 +78,26 @@ class ColoringResult:
         return len(set(self.assignment.values()))
 
 
+def _csr(graph: ConflictGraph, nodes: List[int]) -> Tuple[np.ndarray, ...]:
+    """(indptr, neighbour positions, edge weights) over *nodes* (sorted)."""
+    adjacency = [graph.neighbors(pc) for pc in nodes]
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
+    total = int(indptr[-1])
+    neighbor_pcs = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.int64, count=total
+    )
+    weights = np.fromiter(
+        chain.from_iterable(nbrs.values() for nbrs in adjacency),
+        dtype=np.int64,
+        count=total,
+    )
+    positions = np.searchsorted(
+        np.asarray(nodes, dtype=np.int64), neighbor_pcs
+    )
+    return indptr, positions, weights
+
+
 def color_graph(
     graph: ConflictGraph,
     colors: int,
@@ -76,59 +116,58 @@ def color_graph(
     """
     if colors <= 0:
         raise ValueError(f"colors must be positive, got {colors}")
+    nodes = graph.nodes()
+    n = len(nodes)
+    indptr, positions, weights = _csr(graph, nodes)
+    cumulative = np.concatenate(([0], np.cumsum(weights)))
 
     # ---- simplify ----------------------------------------------------------
-    degrees: Dict[int, int] = {pc: graph.degree(pc) for pc in graph.nodes()}
-    weighted: Dict[int, int] = {
-        pc: graph.weighted_degree(pc) for pc in graph.nodes()
-    }
-    remaining: Set[int] = set(degrees)
-    # bucket of currently-simplifiable nodes (degree < colors)
+    degrees = np.diff(indptr)
+    weighted = cumulative[indptr[1:]] - cumulative[indptr[:-1]]
+    remaining = np.ones(n, dtype=bool)
     stack: List[int] = []
-    while remaining:
-        simplifiable = [pc for pc in remaining if degrees[pc] < colors]
-        if simplifiable:
-            # remove all currently simplifiable nodes, lightest first for
-            # determinism (order within this batch does not affect safety)
-            simplifiable.sort(key=lambda pc: (degrees[pc], pc))
-            victim = simplifiable[0]
-        else:
+    for _ in range(n):
+        # lightest simplifiable node (degree < colors); argmin's first
+        # minimum is the lowest PC, since nodes are sorted
+        key = np.where(remaining & (degrees < colors), degrees, _NONE)
+        victim = int(key.argmin())
+        if key[victim] == _NONE:
             # overflow: the paper's rule — fewest conflicts shares
-            victim = min(remaining, key=lambda pc: (weighted[pc], pc))
+            victim = int(np.where(remaining, weighted, _NONE).argmin())
         stack.append(victim)
-        remaining.discard(victim)
-        for neighbor, weight in graph.neighbors(victim).items():
-            if neighbor in remaining:
-                degrees[neighbor] -= 1
-                weighted[neighbor] -= weight
+        remaining[victim] = False
+        lo, hi = indptr[victim], indptr[victim + 1]
+        live = remaining[positions[lo:hi]]
+        neighbors = positions[lo:hi][live]
+        degrees[neighbors] -= 1
+        weighted[neighbors] -= weights[lo:hi][live]
 
     # ---- select ------------------------------------------------------------
+    color = np.full(n, -1, dtype=np.int64)
+    load = np.zeros(colors, dtype=np.int64)
     assignment: Dict[int, int] = {}
     shared: Set[int] = set()
-    palette = list(range(color_offset, color_offset + colors))
-    load: Dict[int, int] = {color: 0 for color in palette}
-    while stack:
-        pc = stack.pop()
-        neighbor_colors: Dict[int, int] = {}
-        for neighbor, weight in graph.neighbors(pc).items():
-            color = assignment.get(neighbor)
-            if color is not None:
-                neighbor_colors[color] = neighbor_colors.get(color, 0) + weight
-        free = [color for color in palette if color not in neighbor_colors]
-        if free:
-            # conflict-free: balance execution weight across the table
-            chosen = min(free, key=lambda c: (load[c], c))
-        else:
+    cost = 0
+    for victim in reversed(stack):
+        pc = nodes[victim]
+        lo, hi = indptr[victim], indptr[victim + 1]
+        neighbor_colors = color[positions[lo:hi]]
+        colored = neighbor_colors >= 0
+        # summed edge weight to the coloured neighbours, per colour; edge
+        # weights are positive, so a colour is free exactly when it is 0
+        conflict = np.zeros(colors, dtype=np.int64)
+        np.add.at(conflict, neighbor_colors[colored], weights[lo:hi][colored])
+        # conflict-free: balance execution weight across the table
+        chosen = int(np.where(conflict > 0, _NONE, load).argmin())
+        if conflict[chosen]:
             # every colour conflicts: take the cheapest one
-            chosen = min(palette, key=lambda c: (neighbor_colors[c], c))
+            chosen = int(conflict.argmin())
             shared.add(pc)
-        assignment[pc] = chosen
+        color[victim] = chosen
+        cost += int(conflict[chosen])
+        assignment[pc] = color_offset + chosen
         load[chosen] += graph.node_weight(pc) or 1
 
-    cost = 0
-    for a, b, count in graph.edges():
-        if assignment[a] == assignment[b]:
-            cost += count
     return ColoringResult(
         assignment=assignment,
         colors=colors,
@@ -140,9 +179,18 @@ def color_graph(
 def verify_coloring(
     graph: ConflictGraph, assignment: Dict[int, int]
 ) -> Tuple[bool, int]:
-    """Check an assignment: (conflict-free?, same-colour edge weight)."""
+    """Check an assignment: (conflict-free?, same-colour edge weight).
+
+    Raises:
+        ValueError: if a node of *graph* has no colour in *assignment*
+            (two uncoloured endpoints would otherwise count as a clash).
+    """
+    uncolored = [pc for pc in graph.nodes() if pc not in assignment]
+    if uncolored:
+        listed = ", ".join(f"0x{pc:x}" for pc in uncolored)
+        raise ValueError(f"uncoloured nodes: {listed}")
     clashes = 0
     for a, b, count in graph.edges():
-        if assignment.get(a) == assignment.get(b):
+        if assignment[a] == assignment[b]:
             clashes += count
     return clashes == 0, clashes

@@ -23,9 +23,10 @@ Two event sources feed the same consumer API:
 Chunks carry both representations lazily (:class:`EventChunk`): consumers
 that iterate events share one ``tolist`` conversion per column, and
 vectorized consumers (the predictors' chunk fast path) get contiguous
-numpy views.  The bus records per-consumer observability counters —
-events, chunks, seconds, events/sec — surfaced by the engine's schema-v3
-JSON envelope.
+numpy views and one shared PC grouping (``np.unique`` with inverse),
+computed once per chunk however many predictors ride the bus.  The bus
+records per-consumer observability counters — events, chunks, seconds,
+events/sec — surfaced by the engine's schema-v3 JSON envelope.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from ..predictors.chunked import PCGroups
 from ..trace.events import BranchTrace
 
 #: Default events per chunk.  Large enough that per-chunk numpy/list
@@ -74,10 +76,10 @@ class EventChunk:
     converts lazily between numpy arrays and plain Python lists, caching
     each direction — so N consumers that iterate events share a single
     ``tolist`` per column, and vectorized consumers share a single
-    ``np.asarray`` per column.
+    ``np.asarray`` per column and a single PC grouping.
     """
 
-    __slots__ = ("_n", "_arrays", "_lists")
+    __slots__ = ("_n", "_arrays", "_lists", "_groups")
 
     def __init__(
         self,
@@ -90,6 +92,7 @@ class EventChunk:
         self._n = n
         self._arrays = arrays
         self._lists = lists
+        self._groups: Optional[PCGroups] = None
 
     @classmethod
     def from_lists(
@@ -129,6 +132,12 @@ class EventChunk:
         if self._lists is None:
             self._lists = tuple(col.tolist() for col in self._arrays)
         return self._lists
+
+    def pc_groups(self) -> PCGroups:
+        """``(unique_pcs, inverse)`` of the PC column (cached)."""
+        if self._groups is None:
+            self._groups = np.unique(self.arrays()[0], return_inverse=True)
+        return self._groups
 
     @property
     def pcs(self) -> np.ndarray:

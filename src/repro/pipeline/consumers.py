@@ -101,30 +101,36 @@ class PredictorConsumer:
 
     def on_chunk(self, chunk: EventChunk) -> None:
         pcs, targets, taken, _ = chunk.arrays()
+        groups = chunk.pc_groups()
         n = len(chunk)
-        predictions = self.predictor.access_chunk(pcs, taken, targets)
+        predictions = self.predictor.access_chunk(
+            pcs, taken, targets, groups=groups
+        )
         offset = self._offset
         self._offset = offset + n
         skip = self._warmup - offset  # events of this chunk still warming
         if skip >= n:
             return
         wrong = predictions != taken
+        uniq, inverse = groups
         if skip > 0:
-            pcs = pcs[skip:]
+            inverse = inverse[skip:]
             wrong = wrong[skip:]
             n -= skip
         self._stats.branches += n
         self._stats.mispredictions += int(np.count_nonzero(wrong))
         if not self._track:
             return
-        uniq, inverse = np.unique(pcs, return_inverse=True)
         executions = np.bincount(inverse, minlength=len(uniq))
         misses = np.bincount(
             inverse[wrong], minlength=len(uniq)
         )
+        seen = executions > 0  # PCs that only ran while warming are skipped
         per_branch = self._stats.per_branch
         for pc, ex, mi in zip(
-            uniq.tolist(), executions.tolist(), misses.tolist()
+            uniq[seen].tolist(),
+            executions[seen].tolist(),
+            misses[seen].tolist(),
         ):
             entry = per_branch.get(pc)
             if entry is None:

@@ -14,6 +14,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .chunked import PCGroups
+
 Column = Union[Sequence, np.ndarray]
 
 
@@ -44,6 +46,7 @@ class BranchPredictor(abc.ABC):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         """Predict+update over a columnar batch; returns the predictions.
 
@@ -52,7 +55,11 @@ class BranchPredictor(abc.ABC):
         predictor rides the streaming pipeline unmodified.  Table-based
         predictors override this with a vectorized path over the numpy
         columns (the trace outcome is known, so future table state is
-        computable without per-event Python dispatch).
+        computable without per-event Python dispatch).  *groups* is the
+        batch's ``(unique_pcs, inverse)`` PC grouping, shared by every
+        predictor on a bus (see :func:`repro.predictors.chunked.pc_groups`);
+        predictors that group events by PC use it instead of their own
+        ``np.unique``.
         """
         pcs_l = pcs.tolist() if isinstance(pcs, np.ndarray) else pcs
         taken_l = taken.tolist() if isinstance(taken, np.ndarray) else taken

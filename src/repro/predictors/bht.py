@@ -9,11 +9,11 @@ configuration of §5.3.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .chunked import grouped_history_patterns
+from .chunked import PCGroups, grouped_history_patterns, pc_groups
 from .indexing import IndexFunction
 
 
@@ -60,17 +60,25 @@ class BranchHistoryTable:
         return pattern
 
     def read_and_update_chunk(
-        self, pcs: np.ndarray, taken: np.ndarray
+        self,
+        pcs: np.ndarray,
+        taken: np.ndarray,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         """Vectorized :meth:`read_and_update` over an event batch.
 
         Returns the per-event patterns (register value *before* each
         event) and advances the table, bit-identical to the scalar path —
         including aliasing, since events are grouped by table entry, not
-        by PC.
+        by PC.  *groups* is the batch's ``(unique_pcs, inverse)`` PC
+        grouping when the caller already has it; only the distinct PCs
+        are mapped to entries.
         """
-        entry_ids = self.index_fn.index_array(pcs)
-        unique_entries, group_ids = np.unique(entry_ids, return_inverse=True)
+        unique_pcs, inverse = pc_groups(pcs, groups)
+        unique_entries, entry_group = np.unique(
+            self.index_fn.index_distinct(unique_pcs), return_inverse=True
+        )
+        group_ids = entry_group[inverse]
         entries = unique_entries.tolist()
         table = self.table
         carry_in = np.fromiter(
@@ -119,10 +127,13 @@ class InfiniteBHT:
         return pattern
 
     def read_and_update_chunk(
-        self, pcs: np.ndarray, taken: np.ndarray
+        self,
+        pcs: np.ndarray,
+        taken: np.ndarray,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         """Vectorized :meth:`read_and_update`; groups are exact PCs."""
-        unique_pcs, group_ids = np.unique(pcs, return_inverse=True)
+        unique_pcs, group_ids = pc_groups(pcs, groups)
         keys = unique_pcs.tolist()
         get = self.table.get
         carry_in = np.fromiter(

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from .base import BranchPredictor
+from typing import Optional
+
+import numpy as np
+
+from .base import BranchPredictor, Column
+from .chunked import PCGroups, pc_groups
 from .counters import CounterTable
 from .indexing import IndexFunction, PCModuloIndex
 
@@ -27,6 +32,20 @@ class BimodalPredictor(BranchPredictor):
 
     def access(self, pc: int, taken: bool, target: int = 0) -> bool:
         return self.counters.access(self.index_fn.index(pc), taken)
+
+    def access_chunk(
+        self,
+        pcs: Column,
+        taken: Column,
+        targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
+    ) -> np.ndarray:
+        """Vectorized chunk replay: distinct PCs indexed once."""
+        unique_pcs, inverse = pc_groups(pcs, groups)
+        indices = self.index_fn.index_distinct(unique_pcs)[inverse]
+        return self.counters.access_chunk(
+            indices, np.asarray(taken, dtype=bool)
+        )
 
     def reset(self) -> None:
         self.counters.reset()

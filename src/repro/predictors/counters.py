@@ -40,11 +40,15 @@ class CounterTable:
         self.bits = bits
         self.max_value = (1 << bits) - 1
         self.threshold = 1 << (bits - 1)
+        self.table: List[int] = [self._initial(initial)] * size
+
+    def _initial(self, initial: int) -> int:
+        """Resolve and validate a starting counter value."""
         if initial == -1:
-            initial = self.threshold
+            return self.threshold
         if not 0 <= initial <= self.max_value:
             raise ValueError(f"initial {initial} out of range")
-        self.table: List[int] = [initial] * size
+        return initial
 
     def __len__(self) -> int:
         return len(self.table)
@@ -82,8 +86,11 @@ class CounterTable:
         )
 
     def reset(self, initial: int = -1) -> None:
-        """Reset every counter (default: weakly-taken)."""
-        if initial == -1:
-            initial = self.threshold
+        """Reset every counter (default: weakly-taken).
+
+        Raises:
+            ValueError: on an out-of-range *initial*, like the constructor.
+        """
+        initial = self._initial(initial)
         for i in range(len(self.table)):
             self.table[i] = initial

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .base import BranchPredictor, Column
+from .chunked import PCGroups
 from .counters import CounterTable
 from .twolevel import _global_history_patterns
 
@@ -44,6 +45,7 @@ class GSharePredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         pcs = np.asarray(pcs).astype(np.int64)
         taken = np.asarray(taken, dtype=bool)

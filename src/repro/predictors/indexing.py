@@ -29,22 +29,22 @@ class IndexFunction(abc.ABC):
     def index(self, pc: int) -> int:
         """Table index for the branch at *pc* (in ``range(size)``)."""
 
-    def index_array(self, pcs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`index` over an event column.
+    def index_distinct(self, unique_pcs: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`index` over an array of distinct PCs.
 
-        The mapping depends only on the PC, so it is evaluated once per
-        *distinct* PC and broadcast back — exact for every subclass
-        (including :class:`StaticIndexMap`'s dictionary lookups) without
-        per-event Python calls.
+        Chunk kernels group events by PC first
+        (:func:`repro.predictors.chunked.pc_groups`) and broadcast the
+        result back through the grouping's inverse, so the mapping runs
+        once per *distinct* PC — exact for every subclass (including
+        :class:`StaticIndexMap`'s dictionary lookups) without per-event
+        Python calls.
         """
-        unique_pcs, inverse = np.unique(pcs, return_inverse=True)
         index = self.index
-        mapped = np.fromiter(
+        return np.fromiter(
             (index(pc) for pc in unique_pcs.tolist()),
             dtype=np.int64,
             count=len(unique_pcs),
         )
-        return mapped[inverse]
 
     def __call__(self, pc: int) -> int:
         return self.index(pc)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..profiling.profile import InterleaveProfile
 from .base import BranchPredictor, Column
+from .chunked import PCGroups
 
 
 class AlwaysTakenPredictor(BranchPredictor):
@@ -110,6 +111,7 @@ class StaticHeuristicPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         """Vectorized lookup: stateless, so the whole chunk is one
         searchsorted against the sorted direction table."""

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .base import BranchPredictor, Column
-from .chunked import grouped_history_patterns
+from .chunked import PCGroups, grouped_history_patterns
 from .bht import BranchHistoryTable, InfiniteBHT
 from .counters import CounterTable
 from .indexing import IndexFunction, PCModuloIndex
@@ -79,11 +79,12 @@ class PAgPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         """Vectorized chunk replay: both levels in columnar batches."""
         pcs = np.asarray(pcs)
         taken = np.asarray(taken, dtype=bool)
-        patterns = self.bht.read_and_update_chunk(pcs, taken)
+        patterns = self.bht.read_and_update_chunk(pcs, taken, groups)
         return self.pht.access_chunk(patterns, taken)
 
     def reset(self) -> None:
@@ -134,6 +135,7 @@ class GAgPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         taken = np.asarray(taken, dtype=bool)
         patterns, self.history = _global_history_patterns(
@@ -249,6 +251,7 @@ class GAsPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        groups: Optional[PCGroups] = None,
     ) -> np.ndarray:
         pcs = np.asarray(pcs).astype(np.int64)
         taken = np.asarray(taken, dtype=bool)

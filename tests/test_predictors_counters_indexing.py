@@ -74,6 +74,19 @@ def test_counter_validation():
         CounterTable(4, bits=2, initial=9)
 
 
+@pytest.mark.parametrize("initial", [7, 4, -2])
+def test_counter_reset_rejects_what_the_constructor_rejects(initial):
+    # an out-of-range counter made the scalar and chunked paths disagree:
+    # after reset(7) on a 2-bit table, T,T,F,F,F,F predicted six takens
+    # one at a time but T,T,T,T,F,F through access_chunk
+    table = CounterTable(1, bits=2)
+    with pytest.raises(ValueError, match="out of range"):
+        CounterTable(1, bits=2, initial=initial)
+    with pytest.raises(ValueError, match="out of range"):
+        table.reset(initial)
+    assert table.table == [2]
+
+
 @given(st.lists(st.booleans(), max_size=60))
 def test_counter_stays_in_range(outcomes):
     table = CounterTable(1, bits=2)
