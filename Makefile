@@ -5,8 +5,7 @@ export PYTHONPATH := src
 SMOKE_CACHE := .smoke-cache
 SMOKE_ARGS  := experiment table2 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
 
-.PHONY: test lint faults smoke bench bench-all bench-simcore bench-service \
-	bench-shards bench-supervisor clean
+.PHONY: test lint faults smoke bench bench-all bench-simcore clean
 
 test:
 	$(PY) -m pytest -x -q tests
@@ -57,26 +56,6 @@ bench-all:
 ## byte-identity asserted; writes BENCH_simcore.json at the repo root.
 bench-simcore:
 	$(PY) -m pytest benchmarks/bench_simcore.py -q
-
-## Analysis-service throughput: boots the `repro serve` daemon and
-## drives it with the open-loop load generator (cold simulate path,
-## warm store-hit path, typed shedding at saturation); writes
-## BENCH_service.json at the repo root.
-bench-service:
-	$(PY) -m pytest benchmarks/bench_service.py -q
-
-## Distributed sharding: one unsharded suite run vs two concurrent
-## --shard K/2 engine processes against a shared store, byte-identity
-## asserted; writes BENCH_shards.json at the repo root.
-bench-shards:
-	$(PY) -m pytest benchmarks/bench_shards.py -q
-
-## Crash-safe supervision: unsharded baseline vs a clean supervised
-## 2-worker run vs a supervised run with a SIGKILLed worker
-## (REPRO_FAULTS=shard_kill); recovery overhead measured, byte-identity
-## asserted; writes BENCH_supervisor.json at the repo root.
-bench-supervisor:
-	$(PY) -m pytest benchmarks/bench_supervisor.py -q
 
 clean:
 	rm -rf $(SMOKE_CACHE) .pytest_cache

@@ -972,10 +972,7 @@ def _run_supervised(
     args: argparse.Namespace, selection, scale: float
 ):
     """Build and run a :class:`ShardSupervisor` from CLI arguments."""
-    from .eval.supervisor import (
-        LEASE_INTERVAL_SECONDS,
-        ShardSupervisor,
-    )
+    from .eval.supervisor import ShardSupervisor
 
     supervisor = ShardSupervisor(
         selection.names,
@@ -987,9 +984,6 @@ def _run_supervised(
         retries=args.retries,
         max_restarts=args.max_restarts,
         lease_timeout=args.lease_timeout,
-        lease_interval=min(
-            LEASE_INTERVAL_SECONDS, args.lease_timeout / 4.0
-        ),
         speculate=not args.no_speculate,
         selection=selection.expression,
     )

@@ -728,24 +728,25 @@ def _execute_job(
     )
 
 
-def _worker_entry(conn, payload) -> None:
-    """Process entry point: ship the result (or a failure) to the parent.
+def _worker_entry(conn, target, payload) -> None:
+    """Process entry point: run ``target(payload)``, ship the outcome.
 
-    Every exception is serialised and sent back, so a *raising* job can
-    never take down the pass; a job that kills its process (``os._exit``)
-    or hangs is detected parent-side by liveness/deadline monitoring.
+    Every exception is serialised and sent back as ``("error", dict)``,
+    so a *raising* job can never take down its parent; a job that kills
+    its process (``os._exit``) or hangs is detected parent-side by
+    :meth:`WorkerProcess.poll` and the caller's deadline.
 
     SIGTERM is routed to the drain flag, so a terminated worker (drain,
     deadline cancellation) checkpoints at the next slice boundary and
     reports a typed ``job_interrupted`` outcome instead of dying with
     work in flight; a worker that ignores it (a hang fault) is escalated
-    to SIGKILL by the parent's reaper.
+    to SIGKILL by :meth:`WorkerProcess.reap`.
     """
     interrupt.install_worker_handler()
     interrupt.set_pdeathsig()
     try:
         try:
-            result = _execute_job(payload)
+            result = target(payload)
         except Exception as exc:  # crash isolation: report, don't die
             conn.send(("error", error_to_dict(exc)))
         else:
@@ -760,49 +761,33 @@ def _worker_entry(conn, payload) -> None:
 DRAIN_KILL_GRACE = 10.0
 
 
-class WorkerHandle:
-    """One in-flight attempt of one engine job in a sacrificial process.
+class WorkerProcess:
+    """One sacrificial daemon process running ``target(payload)``.
 
-    The spawn/poll/terminate lifecycle, extracted from the parallel
-    scheduler so that the analysis daemon (:mod:`repro.service.app`) can
-    drive the very same workers from an asyncio loop: ``poll`` is
-    non-blocking, so the caller decides how to wait (a sleep loop here,
-    ``await asyncio.sleep`` there).
+    The one spawn/poll/terminate lifecycle behind the engine's parallel
+    scheduler, the analysis daemon and the shard supervisor.  *target*
+    must be a module-level function; its return value comes back as the
+    ``ok`` payload.  ``poll`` is non-blocking, so each caller decides how
+    to wait (a sleep loop, ``await asyncio.sleep``).
 
     ``poll`` outcomes (None while still running):
 
-    * ``("ok", JobResult)`` — the job finished; artifacts are in the
-      store (or inline for storeless runs);
-    * ``("error", payload)`` — the job raised; *payload* is the typed
+    * ``("ok", result)`` — *target* returned *result*;
+    * ``("error", payload)`` — *target* raised; *payload* is the typed
       error dict (``payload["code"] == "job_interrupted"`` marks a
       drained worker that checkpointed on the way down);
-    * ``("crash", exitcode)`` — the process died without reporting;
-    * ``("timeout", None)`` — the deadline passed; the worker has been
-      sent SIGTERM (it checkpoints if a cadence is configured) and the
-      caller should :meth:`reap` it.
+    * ``("crash", exitcode)`` — the process died without reporting.
     """
 
-    def __init__(
-        self,
-        spec: JobSpec,
-        cache_root: Optional[str],
-        checkpoint_every: Optional[int] = None,
-        timeout: Optional[float] = None,
-        ctx: Optional[object] = None,
-    ) -> None:
-        if ctx is None:
-            import multiprocessing
+    def __init__(self, target: Callable, payload: object) -> None:
+        import multiprocessing
 
-            ctx = multiprocessing.get_context()
-        self.spec = spec
+        ctx = multiprocessing.get_context()
         self.started = time.monotonic()
-        self.deadline = (
-            self.started + timeout if timeout is not None else None
-        )
         self.receiver, sender = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_entry,
-            args=(sender, (spec, cache_root, True, checkpoint_every)),
+            args=(sender, target, payload),
             daemon=True,
         )
         self.process.start()
@@ -810,17 +795,18 @@ class WorkerHandle:
 
     def poll(self) -> Optional[Tuple[str, object]]:
         """The worker's outcome if it has one, else None (non-blocking)."""
-        if self.receiver.poll():
-            try:
-                return self.receiver.recv()
-            except EOFError:
+        if not self.receiver.poll():
+            if self.process.is_alive():
+                return None
+            # The child may have reported and exited between the pipe
+            # check and the liveness probe: drain before calling it a
+            # crash.
+            if not self.receiver.poll():
                 return ("crash", self.process.exitcode)
-        if not self.process.is_alive():
+        try:
+            return self.receiver.recv()
+        except EOFError:
             return ("crash", self.process.exitcode)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.terminate()
-            return ("timeout", None)
-        return None
 
     def terminate(self) -> None:
         """SIGTERM the worker: it checkpoints and reports interrupted."""
@@ -837,6 +823,76 @@ class WorkerHandle:
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=grace)
+
+
+class WorkerHandle(WorkerProcess):
+    """One attempt of one engine job in a :class:`WorkerProcess`.
+
+    Adds the job's *spec* and an optional wall-clock deadline: past it,
+    ``poll`` SIGTERMs the worker (it checkpoints if a cadence is
+    configured) and returns ``("timeout", None)``; the caller should
+    then :meth:`reap` it.
+    """
+
+    def __init__(
+        self,
+        spec: JobSpec,
+        cache_root: Optional[str],
+        checkpoint_every: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> None:
+        self.spec = spec
+        super().__init__(
+            _execute_job, (spec, cache_root, True, checkpoint_every)
+        )
+        self.deadline = (
+            self.started + timeout if timeout is not None else None
+        )
+
+    def poll(self) -> Optional[Tuple[str, object]]:
+        outcome = super().poll()
+        if (
+            outcome is None
+            and self.deadline is not None
+            and time.monotonic() > self.deadline
+        ):
+            self.terminate()
+            return ("timeout", None)
+        return outcome
+
+
+def worker_error(
+    kind: str, payload: object, benchmark: str, attempts: int
+) -> ReproError:
+    """The typed error for a worker's ``crash`` or ``error`` outcome.
+
+    ``crash`` and a raised job become :class:`JobFailed`; an ``error``
+    whose code is ``job_interrupted`` (a drained worker that wrote its
+    checkpoint) becomes :class:`JobInterrupted`, which callers must not
+    retry.  Timeouts are the caller's own decision and are not mapped.
+    """
+    if kind == "crash":
+        return JobFailed(
+            f"worker for {benchmark} died "
+            f"(exit code {payload}, attempt {attempts})",
+            benchmark=benchmark,
+            exit_code=payload,
+            attempts=attempts,
+        )
+    if payload.get("code") == JobInterrupted.code:
+        return JobInterrupted(
+            payload.get("message", f"{benchmark} drained on SIGTERM"),
+            benchmark=benchmark,
+            attempts=attempts,
+            events=payload.get("events"),
+            checkpoints_written=payload.get("checkpoints_written"),
+        )
+    return JobFailed(
+        f"{benchmark} failed: {payload.get('message', 'unknown error')}",
+        benchmark=benchmark,
+        attempts=attempts,
+        cause=payload,
+    )
 
 
 @dataclass
@@ -1597,51 +1653,11 @@ class ExecutionEngine:
                             attempts=attempt,
                         ),
                     )
-                elif kind == "crash":
+                else:  # "crash" or "error"; job_interrupted is never retried
                     finish(
                         spec,
                         attempt,
-                        JobFailed(
-                            f"worker for {spec.name} died "
-                            f"(exit code {payload}, attempt {attempt})",
-                            benchmark=spec.name,
-                            exit_code=payload,
-                            attempts=attempt,
-                        ),
-                    )
-                elif (
-                    isinstance(payload, dict)
-                    and payload.get("code") == JobInterrupted.code
-                ):
-                    # A drained worker checkpointed and wound down; this
-                    # is resumable progress, not a fault — never retried.
-                    finish(
-                        spec,
-                        attempt,
-                        JobInterrupted(
-                            payload.get(
-                                "message",
-                                f"{spec.name} drained on SIGTERM",
-                            ),
-                            benchmark=spec.name,
-                            attempts=attempt,
-                            events=payload.get("events"),
-                            checkpoints_written=payload.get(
-                                "checkpoints_written"
-                            ),
-                        ),
-                    )
-                else:  # kind == "error": the job raised inside the worker
-                    finish(
-                        spec,
-                        attempt,
-                        JobFailed(
-                            f"{spec.name} failed: "
-                            f"{payload.get('message', 'unknown error')}",
-                            benchmark=spec.name,
-                            attempts=attempt,
-                            cause=payload,
-                        ),
+                        worker_error(kind, payload, spec.name, attempt),
                     )
             if not progressed:
                 time.sleep(_POLL_SECONDS)

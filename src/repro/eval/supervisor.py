@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..checkpoint import RunJournal
 from ..errors import ShardLost, SuiteInterrupted, error_to_dict
 from . import faults, interrupt
-from .engine import DRAIN_KILL_GRACE, ExecutionEngine
+from .engine import DRAIN_KILL_GRACE, ExecutionEngine, WorkerProcess
 from .shards import (
     MergeReport,
     ShardSpec,
@@ -209,14 +208,16 @@ def read_lease(path: Path) -> Optional[Dict[str, object]]:
     return payload if isinstance(payload, dict) else None
 
 
-def _supervised_worker_entry(conn, payload: tuple) -> None:
-    """Shard worker process entry point (must stay module-level).
+def _run_shard(payload: tuple) -> Dict[str, object]:
+    """Shard worker body, run in a :class:`WorkerProcess` (module-level).
 
     Runs one in-process :class:`ExecutionEngine` over this slot's
     assigned benchmarks with ``resume=True`` against the shared store —
     which is the entire recovery story: a restarted worker replays the
     shared journal, skips everything any sibling already completed, and
-    resumes the in-flight benchmark from its latest checkpoint.
+    resumes the in-flight benchmark from its latest checkpoint.  Returns
+    the failures and job sources the supervisor folds in; a drain
+    surfaces as the worker's ``suite_interrupted`` error outcome.
 
     The engine's progress callback doubles as the fault hook
     (``shard_kill`` fires here, deterministically in event time) and the
@@ -240,8 +241,6 @@ def _supervised_worker_entry(conn, payload: tuple) -> None:
         cost_model,
         lease_interval,
     ) = payload
-    interrupt.install_worker_handler()
-    interrupt.set_pdeathsig()
     plan = faults.active_plan()
     stalled = plan.lease_stalled(slot) if plan is not None else False
     lease = LeaseWriter(
@@ -259,107 +258,44 @@ def _supervised_worker_entry(conn, payload: tuple) -> None:
             plan.on_shard_events(slot, events)
         lease.beat(benchmark=benchmark, events=events)
 
-    try:
-        shard = ShardSpec(slot, total) if 1 <= slot <= total else None
-        engine = ExecutionEngine(
-            scale=scale,
-            cache_dir=Path(store_root),
-            trace_limit=trace_limit,
-            jobs=1,
-            retries=retries,
-            checkpoint_every_events=checkpoint_every,
-            resume=True,
-            backend=backend,
-            shard=shard,
-            selection=selection,
-            progress=heartbeat,
-            speculative=speculative,
-            cost_model=cost_model,
-            journal_strict=False,
-        )
-        engine.prefetch(list(names))
-    except SuiteInterrupted as exc:
-        conn.send(
-            (
-                "interrupted",
-                {
-                    "slot": slot,
-                    "completed": list(exc.context.get("completed", [])),
-                    "remaining": list(exc.context.get("remaining", [])),
-                },
-            )
-        )
-    except Exception as exc:  # crash isolation: report, don't die silently
-        conn.send(("error", error_to_dict(exc)))
-    else:
-        conn.send(
-            (
-                "ok",
-                {
-                    "slot": slot,
-                    "completed": sorted(
-                        n
-                        for n in names
-                        if n in engine.stats.job_source
-                        and n not in engine.failures
-                    ),
-                    "failed": {
-                        name: error_to_dict(err)
-                        for name, err in engine.failures.items()
-                    },
-                    "job_source": dict(engine.stats.job_source),
-                    "stats": engine.stats.as_dict(),
-                },
-            )
-        )
-    finally:
-        conn.close()
+    shard = ShardSpec(slot, total) if 1 <= slot <= total else None
+    engine = ExecutionEngine(
+        scale=scale,
+        cache_dir=Path(store_root),
+        trace_limit=trace_limit,
+        jobs=1,
+        retries=retries,
+        checkpoint_every_events=checkpoint_every,
+        resume=True,
+        backend=backend,
+        shard=shard,
+        selection=selection,
+        progress=heartbeat,
+        speculative=speculative,
+        cost_model=cost_model,
+        journal_strict=False,
+    )
+    engine.prefetch(list(names))
+    return {
+        "failed": {
+            name: error_to_dict(err)
+            for name, err in engine.failures.items()
+        },
+        "job_source": dict(engine.stats.job_source),
+    }
 
 
-class _ShardWorker:
-    """One spawned shard worker process and its supervisor-side state."""
+@dataclass
+class _ShardRun:
+    """One shard slot's worker process and its supervisor-side state."""
 
-    def __init__(
-        self,
-        slot: int,
-        names: Sequence[str],
-        payload: tuple,
-        lease_dir: Path,
-        speculative: bool = False,
-        restarts: int = 0,
-        ctx=None,
-    ) -> None:
-        if ctx is None:
-            ctx = multiprocessing.get_context()
-        self.slot = slot
-        self.names = list(names)
-        self.speculative = speculative
-        self.restarts = restarts
-        self.lease_path = lease_dir / f"lease-{slot}.json"
-        try:  # a stale lease from a previous incarnation must not look fresh
-            self.lease_path.unlink()
-        except OSError:
-            pass
-        self.spawned_wall = time.time()
-        self.receiver, sender = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=_supervised_worker_entry,
-            args=(sender, payload),
-            daemon=True,
-        )
-        self.process.start()
-        sender.close()
-
-    def poll(self) -> Optional[Tuple[str, object]]:
-        """The worker's outcome if it has one, else None (non-blocking)."""
-        if self.receiver.poll():
-            try:
-                return self.receiver.recv()
-            except EOFError:
-                return ("crash", self.process.exitcode)
-        if not self.process.is_alive():
-            return ("crash", self.process.exitcode)
-        return None
+    slot: int
+    names: List[str]
+    speculative: bool
+    restarts: int
+    lease_path: Path
+    spawned_wall: float
+    worker: WorkerProcess
 
     def lease_age(self) -> float:
         """Seconds since the last heartbeat (spawn time if never beaten)."""
@@ -368,19 +304,6 @@ class _ShardWorker:
         except OSError:
             newest = self.spawned_wall
         return max(0.0, time.time() - newest)
-
-    def terminate(self) -> None:
-        self.process.terminate()
-
-    def kill(self) -> None:
-        self.process.kill()
-
-    def reap(self, grace: float = 5.0) -> None:
-        self.receiver.close()
-        self.process.join(timeout=grace)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=grace)
 
 
 @dataclass
@@ -500,9 +423,8 @@ class ShardSupervisor:
             is retired and its work re-partitioned.
         restart_backoff: base delay for :func:`restart_delay`.
         lease_timeout: heartbeat staleness threshold for
-            :func:`classify_worker`.
-        lease_interval: worker heartbeat cadence (must be well under
-            *lease_timeout*).
+            :func:`classify_worker`; workers beat every
+            ``min(LEASE_INTERVAL_SECONDS, lease_timeout / 4)`` seconds.
         speculate: enable speculative tail re-execution.
         selection: the selector expression (observability only).
     """
@@ -520,7 +442,6 @@ class ShardSupervisor:
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         restart_backoff: float = 0.25,
         lease_timeout: float = LEASE_TIMEOUT_SECONDS,
-        lease_interval: float = LEASE_INTERVAL_SECONDS,
         speculate: bool = True,
         selection: Optional[str] = None,
     ) -> None:
@@ -541,7 +462,9 @@ class ShardSupervisor:
         self.max_restarts = max_restarts
         self.restart_backoff = restart_backoff
         self.lease_timeout = lease_timeout
-        self.lease_interval = lease_interval
+        self.lease_interval = min(
+            LEASE_INTERVAL_SECONDS, lease_timeout / 4.0
+        )
         self.speculate = speculate
         self.selection = selection
         self.journal = RunJournal(self.store_root)
@@ -575,17 +498,25 @@ class ShardSupervisor:
         names: Sequence[str],
         speculative: bool = False,
         restarts: int = 0,
-    ) -> _ShardWorker:
-        worker = _ShardWorker(
-            slot,
-            names,
-            self._payload(slot, names, speculative),
-            self.lease_dir,
-            speculative=speculative,
-            restarts=restarts,
+    ) -> None:
+        lease_path = self.lease_dir / f"lease-{slot}.json"
+        try:  # a stale lease from a previous incarnation must not look fresh
+            lease_path.unlink()
+        except OSError:
+            pass
+        self._running.append(
+            _ShardRun(
+                slot,
+                list(names),
+                speculative,
+                restarts,
+                lease_path,
+                time.time(),
+                WorkerProcess(
+                    _run_shard, self._payload(slot, names, speculative)
+                ),
+            )
         )
-        self._running.append(worker)
-        return worker
 
     def _completed_now(self) -> Dict[str, str]:
         return self.journal.completed(
@@ -600,42 +531,42 @@ class ShardSupervisor:
             if n not in completed and n not in self._failed
         ]
 
-    def _handle_dead(self, worker: _ShardWorker) -> None:
+    def _handle_dead(self, shard: _ShardRun) -> None:
         """Recover a dead (or killed-wedged) worker's incomplete work."""
-        if worker.speculative:
+        if shard.speculative:
             return  # speculative attempts are free to lose
-        remaining = self._unfinished(worker.names)
+        remaining = self._unfinished(shard.names)
         self._shard_events.append(
             ShardLost(
-                f"shard {worker.slot} lost with "
+                f"shard {shard.slot} lost with "
                 f"{len(remaining)} benchmark(s) incomplete",
-                slot=worker.slot,
-                restarts=worker.restarts,
+                slot=shard.slot,
+                restarts=shard.restarts,
                 benchmarks=list(remaining),
             ).to_dict()
         )
         if not remaining:
             return
-        if worker.restarts < self.max_restarts:
-            restart = worker.restarts + 1
+        if shard.restarts < self.max_restarts:
+            restart = shard.restarts + 1
             self.stats.restarts += 1
-            self._pending_restarts[worker.slot] = (
+            self._pending_restarts[shard.slot] = (
                 time.monotonic()
                 + restart_delay(self.restart_backoff, restart),
                 remaining,
                 restart,
             )
         else:
-            self._retired.add(worker.slot)
+            self._retired.add(shard.slot)
             self.stats.shards_lost += 1
             self._orphans.extend(
                 n for n in remaining if n not in self._orphans
             )
 
-    def _absorb_ok(self, worker: _ShardWorker, summary: Dict) -> None:
+    def _absorb_ok(self, shard: _ShardRun, summary: Dict) -> None:
         for name, err in dict(summary.get("failed", {})).items():
             self._failed[name] = err
-        if worker.speculative:
+        if shard.speculative:
             for name, source in dict(
                 summary.get("job_source", {})
             ).items():
@@ -672,7 +603,7 @@ class ShardSupervisor:
     def run(self) -> SupervisorReport:
         """Partition, spawn, babysit, merge; returns the honest report."""
         started = time.perf_counter()
-        self._running: List[_ShardWorker] = []
+        self._running: List[_ShardRun] = []
         self._pending_restarts: Dict[
             int, Tuple[float, List[str], int]
         ] = {}
@@ -717,14 +648,14 @@ class ShardSupervisor:
                     interrupted = True
                     drain_started = now
                     self._pending_restarts.clear()
-                    for worker in self._running:
-                        worker.terminate()
+                    for shard in self._running:
+                        shard.worker.terminate()
                 if (
                     draining
                     and now - drain_started > DRAIN_KILL_GRACE
                 ):
-                    for worker in self._running:
-                        worker.kill()
+                    for shard in self._running:
+                        shard.worker.kill()
 
                 for slot in list(self._pending_restarts):
                     due, names, restart = self._pending_restarts[slot]
@@ -733,14 +664,14 @@ class ShardSupervisor:
                         self._spawn(slot, names, restarts=restart)
 
                 progressed = False
-                for worker in list(self._running):
-                    outcome = worker.poll()
+                for shard in list(self._running):
+                    outcome = shard.worker.poll()
                     if outcome is None:
                         if draining:
                             continue
                         state = classify_worker(
-                            worker.process.is_alive(),
-                            worker.lease_age(),
+                            shard.worker.process.is_alive(),
+                            shard.lease_age(),
                             self.lease_timeout,
                         )
                         if state == "straggler":
@@ -748,22 +679,25 @@ class ShardSupervisor:
                             # and recover exactly like a crash — the
                             # journal diff is the same either way.
                             self.stats.lease_expiries += 1
-                            worker.kill()
-                            worker.reap()
-                            self._running.remove(worker)
-                            self._handle_dead(worker)
+                            shard.worker.kill()
+                            shard.worker.reap()
+                            self._running.remove(shard)
+                            self._handle_dead(shard)
                             progressed = True
                         continue
                     progressed = True
-                    self._running.remove(worker)
+                    self._running.remove(shard)
                     kind, payload = outcome
-                    worker.reap()
+                    shard.worker.reap()
                     if kind == "ok":
-                        self._absorb_ok(worker, payload)
-                    elif kind == "interrupted":
+                        self._absorb_ok(shard, payload)
+                    elif (
+                        kind == "error"
+                        and payload.get("code") == SuiteInterrupted.code
+                    ):
                         interrupted = True
                     elif not draining:  # "crash" or "error"
-                        self._handle_dead(worker)
+                        self._handle_dead(shard)
 
                 if draining:
                     if not self._running:
@@ -773,7 +707,7 @@ class ShardSupervisor:
                     continue
 
                 if self._orphans:
-                    busy = {w.slot for w in self._running} | set(
+                    busy = {r.slot for r in self._running} | set(
                         self._pending_restarts
                     )
                     free = [
@@ -811,9 +745,9 @@ class ShardSupervisor:
                 ):
                     tail = [
                         n
-                        for w in self._running
-                        if not w.speculative
-                        for n in self._unfinished(w.names)
+                        for r in self._running
+                        if not r.speculative
+                        for n in self._unfinished(r.names)
                         if n not in speculated
                     ]
                     while tail and len(self._running) < self.workers:
@@ -828,9 +762,9 @@ class ShardSupervisor:
                 if not progressed:
                     time.sleep(_POLL_SECONDS)
         finally:
-            for worker in self._running:
-                worker.kill()
-                worker.reap()
+            for shard in self._running:
+                shard.worker.kill()
+                shard.worker.reap()
             self._running.clear()
             if previous_env is not None:
                 os.environ[faults.ENV_VAR] = previous_env

@@ -14,7 +14,7 @@ traffic; this package is the serving layer over the evaluation engine:
   journal, predictor wire specs;
 * :mod:`repro.service.wire` — the NDJSON frame protocol;
 * :mod:`repro.service.loadgen` — the open-loop load generator
-  (``repro loadgen``) and the ``BENCH_service.json`` report shape.
+  (``repro loadgen``) and its report shape.
 
 See ``docs/SERVICE.md`` for the API, the failure model and the recovery
 guarantees.

@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
     JobCancelled,
-    JobFailed,
     JobInterrupted,
     ReproError,
     UnknownBenchmark,
@@ -58,6 +57,7 @@ from ..eval.engine import (
     JobSpec,
     WorkerHandle,
     compute_job_digest,
+    worker_error,
 )
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
@@ -94,7 +94,6 @@ class ServiceConfig:
     quota_burst: float = 8.0
     checkpoint_every: int = 2000
     default_deadline_s: Optional[float] = None
-    drain_grace_s: float = DRAIN_KILL_GRACE
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -339,35 +338,16 @@ class AnalysisService:
                     ),
                     now,
                 )
-            elif kind == "crash":
-                self._retry_or_fail(
-                    job,
-                    JobFailed(
-                        f"worker for {job.spec.name} died "
-                        f"(exit code {payload}, attempt {job.attempts})",
-                        benchmark=job.spec.name,
-                        exit_code=payload,
-                        attempts=job.attempts,
-                    ),
-                    now,
-                )
-            elif (
-                isinstance(payload, dict)
-                and payload.get("code") == JobInterrupted.code
-            ):
-                self._finalize_interrupted(job, payload, now)
             else:
-                self._retry_or_fail(
-                    job,
-                    JobFailed(
-                        f"{job.spec.name} failed: "
-                        f"{payload.get('message', 'unknown error')}",
-                        benchmark=job.spec.name,
-                        attempts=job.attempts,
-                        cause=payload,
-                    ),
-                    now,
+                error = worker_error(
+                    kind, payload, job.spec.name, job.attempts
                 )
+                if isinstance(error, JobInterrupted):
+                    # the frame carries the worker's own report (events,
+                    # checkpoints written), not the re-typed error
+                    self._finalize_interrupted(job, payload, now)
+                else:
+                    self._retry_or_fail(job, error, now)
 
     def _retry_or_fail(
         self, job: ServiceJob, error: ReproError, now: float
@@ -676,8 +656,7 @@ class AnalysisService:
                     break
                 if (
                     self._drain_started is not None
-                    and now - self._drain_started
-                    > self.config.drain_grace_s
+                    and now - self._drain_started > DRAIN_KILL_GRACE
                 ):
                     for _, handle in self.running.values():
                         handle.kill()
@@ -737,7 +716,7 @@ class AnalysisService:
             if self._tasks:
                 await asyncio.wait_for(
                     asyncio.gather(*self._tasks, return_exceptions=True),
-                    timeout=self.config.drain_grace_s,
+                    timeout=DRAIN_KILL_GRACE,
                 )
         finally:
             server.close()

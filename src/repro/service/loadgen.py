@@ -221,7 +221,7 @@ def summarize(
     service_stats: Optional[Dict[str, Any]],
     config: LoadgenConfig,
 ) -> Dict[str, Any]:
-    """The loadgen report (the ``BENCH_service.json`` results shape)."""
+    """The loadgen report (``repro loadgen --json`` results)."""
     by_outcome: Dict[str, int] = {}
     for record in records:
         by_outcome[record.outcome] = by_outcome.get(record.outcome, 0) + 1

@@ -649,7 +649,7 @@ def test_summarize_classifies_outcomes():
     assert report["shed_rate"] == pytest.approx(0.25)
     assert report["cache_hit_ratio"] == 0.5
     assert report["service"]["admission"] == {"shed": 1}
-    assert json.loads(json.dumps(report)) == report  # BENCH_service.json
+    assert json.loads(json.dumps(report)) == report  # JSON-ready
 
 
 # -- the real daemon over a unix socket --------------------------------------

@@ -405,7 +405,7 @@ def test_loadgen_fault_modes_drop_connections_but_not_jobs():
 
 def test_loadgen_cli_emits_report_envelope():
     """``repro loadgen --json`` against a live daemon: a machine-
-    readable envelope with the BENCH_service.json report shape."""
+    readable envelope with the loadgen report shape."""
     root = short_socket_dir()
     sock = root / "svc.sock"
     cache = root / "cache"
