@@ -4,6 +4,15 @@ export PYTHONPATH := src
 
 SMOKE_CACHE := .smoke-cache
 SMOKE_ARGS  := experiment table2 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
+SMOKE_JSON  := .smoke-envelope.json
+
+## Assert engine counters of the last smoke leg's --json envelope:
+## $(SMOKE_EXPECT) simulated=0 quarantined=1 ...
+SMOKE_EXPECT = $(PY) -c "import json, sys; \
+engine = json.load(open('$(SMOKE_JSON)'))['results']['engine']; \
+want = {k: int(v) for k, v in (a.split('=') for a in sys.argv[1:])}; \
+got = {k: engine[k] for k in want}; print(f'engine counters: {got}'); \
+sys.exit(0 if got == want else f'smoke check failed: wanted {want}')"
 
 .PHONY: test lint faults smoke bench bench-all bench-simcore clean
 
@@ -28,21 +37,25 @@ faults:
 
 ## End-to-end sanity check for the evaluation engine: a cold run that
 ## simulates and populates the content-addressed store, a warm run that
-## must be served from it, then a corruption pass — one cache entry is
-## damaged in place and the rerun must quarantine + resimulate it.
+## must be served from it (nothing simulated), then a corruption pass —
+## one cache entry is damaged in place and the rerun must quarantine +
+## resimulate exactly that one.  The warm and recover legs read their
+## --json envelope and fail the target when the counters disagree.
 smoke:
-	rm -rf $(SMOKE_CACHE)
+	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 	@echo "== cold: simulating into $(SMOKE_CACHE) =="
 	$(PY) -m repro $(SMOKE_ARGS)
 	@echo "== warm: store hits only =="
-	$(PY) -m repro $(SMOKE_ARGS)
+	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
+	$(SMOKE_EXPECT) simulated=0
 	@echo "== corrupt: damaging one stored trace =="
 	$(PY) -c "import pathlib; from repro.eval.faults import corrupt_file; \
 	victim = sorted(pathlib.Path('$(SMOKE_CACHE)').glob('*.trace.npz'))[0]; \
 	corrupt_file(victim); print(f'corrupted {victim}')"
 	@echo "== recover: quarantine + resimulate the damaged entry =="
-	$(PY) -m repro $(SMOKE_ARGS)
-	rm -rf $(SMOKE_CACHE)
+	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
+	$(SMOKE_EXPECT) quarantined=1 simulated=1
+	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 
 bench:
 	$(PY) -m pytest benchmarks -q
@@ -58,5 +71,5 @@ bench-simcore:
 	$(PY) -m pytest benchmarks/bench_simcore.py -q
 
 clean:
-	rm -rf $(SMOKE_CACHE) .pytest_cache
+	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON) .pytest_cache
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

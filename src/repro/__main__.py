@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional, Sequence
 
 from . import __version__
 from .allocation import (
@@ -88,11 +89,13 @@ from .allocation import (
     required_bht_size,
 )
 from .analysis import working_set_metrics
+from .checkpoint import DEFAULT_CHECKPOINT_EVERY
 from .errors import SuiteDegraded
 from .eval import interrupt
 from .eval.engine import ExecutionEngine, shard_subset, surviving_benchmarks
 from .eval.experiments import EXPERIMENTS, run_experiment
 from .eval.shards import ShardSpec
+from .eval.supervisor import DEFAULT_MAX_RESTARTS, LEASE_TIMEOUT_SECONDS
 from .schema import SCHEMA_VERSION, dump, envelope
 from .sim.api import DEFAULT_BACKEND, backend_names
 from .static_analysis import (
@@ -593,7 +596,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     workers = getattr(args, "workers", 0) or 0
     if workers > 1:
         from .errors import ShardRestartsExhausted, SuiteInterrupted
-        from .eval.supervisor import ShardSupervisor
 
         if not args.cache:
             print(
@@ -614,18 +616,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             if selection
             else list(EXPERIMENTS[args.id].benchmarks)
         )
-        supervisor = ShardSupervisor(
-            names,
-            workers=workers,
-            store_root=args.cache,
-            scale=scale,
-            backend=args.backend,
-            checkpoint_every_events=args.checkpoint_every or 2_000,
-            retries=args.retries,
-            selection=selection.expression if selection else None,
+        sup_report = _run_supervised(
+            args, names, scale, selection.expression if selection else None
         )
-        with interrupt.sigterm_drain():
-            sup_report = supervisor.run()
         if sup_report.interrupted:
             raise SuiteInterrupted(
                 "supervised run drained on SIGTERM; rerun the same "
@@ -775,7 +768,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
         kill[bench] = int(events or 10_000)
     # worker_kill proves checkpoint/resume, which needs an artifact store
     # for the checkpoint directory and periodic snapshots to restore from
-    checkpoint_every = args.checkpoint_every or (2_000 if kill else None)
+    checkpoint_every = args.checkpoint_every or (
+        DEFAULT_CHECKPOINT_EVERY if kill else None
+    )
     state_dir = tempfile.mkdtemp(prefix="repro-faults-")
     cache_dir = args.cache or None
     cache_is_temp = cache_dir is None and bool(corrupt or kill)
@@ -969,23 +964,33 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
 
 
 def _run_supervised(
-    args: argparse.Namespace, selection, scale: float
+    args: argparse.Namespace,
+    names: Sequence[str],
+    scale: float,
+    selection: Optional[str],
 ):
-    """Build and run a :class:`ShardSupervisor` from CLI arguments."""
+    """Build and run the :class:`ShardSupervisor` from CLI arguments.
+
+    The one construction site for ``supervise`` and ``experiment
+    --workers``; the latter has no restart, lease or speculation flags
+    and runs with ``supervise``'s defaults for them.
+    """
     from .eval.supervisor import ShardSupervisor
 
     supervisor = ShardSupervisor(
-        selection.names,
+        names,
         workers=args.workers,
         store_root=args.cache,
         scale=scale,
         backend=args.backend,
-        checkpoint_every_events=args.checkpoint_every or 2_000,
+        checkpoint_every_events=(
+            args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+        ),
         retries=args.retries,
-        max_restarts=args.max_restarts,
-        lease_timeout=args.lease_timeout,
-        speculate=not args.no_speculate,
-        selection=selection.expression,
+        max_restarts=getattr(args, "max_restarts", DEFAULT_MAX_RESTARTS),
+        lease_timeout=getattr(args, "lease_timeout", LEASE_TIMEOUT_SECONDS),
+        speculate=not getattr(args, "no_speculate", False),
+        selection=selection,
     )
     with interrupt.sigterm_drain():
         return supervisor.run()
@@ -1016,7 +1021,9 @@ def cmd_supervise(args: argparse.Namespace) -> int:
             if selection.default_scale is not None
             else 1.0
         )
-    report = _run_supervised(args, selection, scale)
+    report = _run_supervised(
+        args, selection.names, scale, selection.expression
+    )
     if report.merge is not None:
         for warning in report.merge.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -1032,7 +1039,9 @@ def cmd_supervise(args: argparse.Namespace) -> int:
                 "cache": args.cache,
                 "backend": args.backend,
                 "retries": args.retries,
-                "checkpoint_every": args.checkpoint_every or 2_000,
+                "checkpoint_every": (
+                    args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+                ),
                 "max_restarts": args.max_restarts,
                 "lease_timeout": args.lease_timeout,
                 "speculate": not args.no_speculate,
@@ -1250,7 +1259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--checkpoint-every", type=int, default=0,
                           metavar="EVENTS",
                           help="checkpoint cadence in branch events "
-                          "(default: 2000 when --kill is given)")
+                          f"(default: {DEFAULT_CHECKPOINT_EVERY} when "
+                          "--kill is given)")
     add_fault_tolerance(p_faults)
     add_json(p_faults)
 
@@ -1275,10 +1285,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 = unlimited)")
     p_serve.add_argument("--quota-burst", type=float, default=8.0,
                          help="per-tenant token bucket capacity")
-    p_serve.add_argument("--checkpoint-every", type=int, default=2000,
+    p_serve.add_argument("--checkpoint-every", type=int,
+                         default=DEFAULT_CHECKPOINT_EVERY,
                          metavar="EVENTS",
                          help="checkpoint cadence in branch events — the "
-                         "preemption/recovery granularity (default 2000)")
+                         "preemption/recovery granularity (default "
+                         "%(default)s)")
     p_serve.add_argument("--deadline", type=float, default=0.0,
                          help="default per-job deadline in seconds "
                          "(0 = unbounded; submits may override)")
@@ -1347,14 +1359,17 @@ def build_parser() -> argparse.ArgumentParser:
                        "checkpoints and leases live here)")
     p_sup.add_argument("--retries", type=int, default=1,
                        help="extra in-worker attempts per failed job")
-    p_sup.add_argument("--checkpoint-every", type=int, default=2_000,
+    p_sup.add_argument("--checkpoint-every", type=int,
+                       default=DEFAULT_CHECKPOINT_EVERY,
                        metavar="EVENTS",
                        help="snapshot cadence so restarted shards resume "
                        "mid-benchmark instead of cold-starting")
-    p_sup.add_argument("--max-restarts", type=int, default=2,
+    p_sup.add_argument("--max-restarts", type=int,
+                       default=DEFAULT_MAX_RESTARTS,
                        help="restart budget per shard slot before its "
                        "work is reassigned to surviving slots")
-    p_sup.add_argument("--lease-timeout", type=float, default=10.0,
+    p_sup.add_argument("--lease-timeout", type=float,
+                       default=LEASE_TIMEOUT_SECONDS,
                        metavar="SECONDS",
                        help="heartbeat-lease age after which a live but "
                        "silent worker is declared wedged and recycled")

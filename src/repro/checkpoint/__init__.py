@@ -30,6 +30,7 @@ retention, and ``docs/PIPELINE.md`` for the consumer snapshot hooks.
 
 from .journal import JOURNAL_VERSION, RunJournal
 from .runner import (
+    DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_SLICE_INSTRUCTIONS,
     MIN_SLICE_INSTRUCTIONS,
     CheckpointConfig,
@@ -55,6 +56,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointConfig",
     "CheckpointStore",
+    "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_SLICE_INSTRUCTIONS",
     "JOURNAL_VERSION",
     "MIN_SLICE_INSTRUCTIONS",

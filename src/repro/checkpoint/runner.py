@@ -1,12 +1,13 @@
 """The checkpointed simulation loop.
 
-:func:`run_simulation` replaces the one-shot
-:func:`~repro.workloads.build.run_workload` call inside engine jobs.  It
-executes the same program with the same bus, but drives the interpreter
-in *fuel slices* so there are periodic quiesced points — the executor
-syncs ``state.pc`` and its retired-instruction counter only when
-``Executor.run`` returns, so a checkpoint taken mid-hook would capture a
-stale machine.  Between slices the simulation is exactly restorable.
+:func:`run_simulation` is the one simulate call inside engine jobs.  It
+executes the same program with the same bus as the one-shot
+:func:`~repro.workloads.build.run_workload`; with a checkpoint cadence
+it drives the interpreter in *fuel slices* so there are periodic
+quiesced points — the executor syncs ``state.pc`` and its
+retired-instruction counter only when ``Executor.run`` returns, so a
+checkpoint taken mid-hook would capture a stale machine.  Between
+slices the simulation is exactly restorable.
 
 A checkpoint is written whenever at least ``every_events`` new branch
 events have accumulated since the last one (measured on the bus, which
@@ -39,6 +40,11 @@ from .snapshot import (
 )
 from .store import CheckpointStore
 
+#: Default checkpoint cadence in branch events for the daemon, the shard
+#: supervisor and ``repro faults --kill``: fine enough that a killed or
+#: preempted job loses little work.
+DEFAULT_CHECKPOINT_EVERY = 2_000
+
 #: Default instructions per executor slice.  Small enough that the
 #: event-count checkpoint trigger and fault hooks are checked with fine
 #: granularity, large enough that the per-slice Python call overhead is
@@ -69,32 +75,22 @@ def slice_for_cadence(every_events: int) -> int:
 
 @dataclass(frozen=True)
 class CheckpointConfig:
-    """Where and how often to checkpoint one simulation job.
-
-    ``slice_instructions`` defaults to 0, meaning "derive from
-    ``every_events``" via :func:`slice_for_cadence`.
-    """
+    """Where and how often to checkpoint one simulation job."""
 
     store: CheckpointStore
     stem: str
     every_events: int
-    slice_instructions: int = 0
 
     def __post_init__(self) -> None:
         if self.every_events < 1:
             raise ValueError(
                 f"every_events must be >= 1, got {self.every_events}"
             )
-        if self.slice_instructions < 0:
-            raise ValueError(
-                "slice_instructions must be >= 0 (0 = auto), got "
-                f"{self.slice_instructions}"
-            )
-        if self.slice_instructions == 0:
-            object.__setattr__(
-                self, "slice_instructions",
-                slice_for_cadence(self.every_events),
-            )
+
+    @property
+    def slice_instructions(self) -> int:
+        """Executor slice budget, derived from the cadence."""
+        return slice_for_cadence(self.every_events)
 
 
 @dataclass
@@ -128,7 +124,6 @@ def run_simulation(
     built: BuiltWorkload,
     bus: Any,
     config: Optional[CheckpointConfig] = None,
-    max_instructions: int = 0,
     fault_plan: Optional[Any] = None,
     benchmark: str = "",
     in_worker: bool = False,
@@ -144,12 +139,13 @@ def run_simulation(
             :class:`~repro.pipeline.bus.BranchEventBus`); the caller
             finishes it and reads consumer results afterwards.
         config: checkpoint store/stem/cadence; None disables
-            checkpointing entirely (single executor slice, exactly the
-            historical ``run_workload`` behaviour).
-        max_instructions: fuel limit; 0 uses the spec's budget.
+            checkpointing entirely (one executor slice spending the
+            spec's whole fuel budget, exactly what
+            :func:`~repro.workloads.build.run_workload` does).
         fault_plan: optional fault-injection plan; its ``on_events``
-            hook fires after every slice with the bus's live event
-            count (the ``worker_kill`` fault mode).
+            hook fires after every slice (so once, at the end, without
+            a *config*) with the bus's live event count (the
+            ``worker_kill`` fault mode).
         benchmark: benchmark tag passed to fault hooks.
         in_worker: whether this runs in a sacrificial worker process.
         backend: simulation backend name or instance; backends are
@@ -169,7 +165,7 @@ def run_simulation(
     Truncation by fuel is normal (mirrors ``run_workload``): the outcome
     result reports ``halted=False`` rather than raising.
     """
-    fuel = max_instructions or built.spec.fuel
+    fuel = built.spec.fuel
     sim = Simulator(
         built.program,
         input_data=built.input_data,
@@ -265,6 +261,7 @@ def run_simulation(
 
 __all__ = [
     "CheckpointConfig",
+    "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_SLICE_INSTRUCTIONS",
     "SimulationOutcome",
     "run_simulation",

@@ -61,18 +61,12 @@ from ..errors import (
     error_to_dict,
 )
 from ..pipeline.bus import BranchEventBus, PipelineStats
-from ..pipeline.consumers import (
-    InterleaveConsumer,
-    PredictorConsumer,
-    TraceBuilder,
-)
-from ..predictors.base import BranchPredictor
-from ..predictors.simulator import PredictionStats
+from ..pipeline.consumers import InterleaveConsumer, TraceBuilder
 from ..profiling.profile import InterleaveProfile
 from ..sim.api import get_backend
 from ..trace.events import BranchTrace
 from ..trace.io import load_trace, read_trace_meta, save_trace
-from ..workloads.build import BuiltWorkload, build_workload, run_workload
+from ..workloads.build import BuiltWorkload, build_workload
 from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
 from . import faults, interrupt
@@ -95,26 +89,6 @@ class RunArtifacts:
     profile: InterleaveProfile
     instructions: int
     static_branches: int
-
-
-@dataclass(frozen=True)
-class FusedRunResult:
-    """Outcome of one :meth:`ExecutionEngine.profile_and_predict` call.
-
-    ``fused`` is True when the profile and every predictor ran inside
-    the simulation pass itself; False when a cached trace was replayed.
-    ``archived`` is True when a full trace exists for the benchmark
-    (materialised this run or already cached).
-    """
-
-    name: str
-    profile: InterleaveProfile
-    predictions: Dict[str, PredictionStats]
-    instructions: int
-    static_branches: int
-    fused: bool
-    archived: bool
-    pipeline: PipelineStats
 
 
 @dataclass(frozen=True)
@@ -562,17 +536,18 @@ def _execute_job(
     stores.  With a store the result carries no arrays — the parent
     reloads them by digest — so the pickle pipe stays small.
 
-    With a checkpoint cadence (``checkpoint_every`` events) and a store,
-    the simulation runs through the sliced checkpoint runner: it resumes
+    The simulation always runs through
+    :func:`~repro.checkpoint.run_simulation`.  With a checkpoint cadence
+    (``checkpoint_every`` events) and a store it is sliced: it resumes
     from the latest valid checkpoint for this job's stem, writes new
     ones as it goes, and clears them once the artifacts are safely in
     the store.  A retried/killed job therefore continues where the
     previous attempt stopped instead of restarting from instruction
-    zero.
+    zero.  Without a cadence it runs as one slice.
 
     ``progress`` (in-process callers only; it cannot cross the pool's
     pickle pipe) is invoked with ``(benchmark, events)`` at job start and
-    after every checkpoint slice — supervised shard workers refresh their
+    after every simulation slice — supervised shard workers refresh their
     heartbeat lease from it.  Independently of the caller's hook, a held
     store claim has its mtime refreshed on the same path (throttled by
     :data:`ArtifactStore.CLAIM_REFRESH_SECONDS`), so a slow-but-alive
@@ -585,7 +560,7 @@ def _execute_job(
 
     An installed :class:`~repro.eval.faults.FaultPlan` is honoured here:
     crash/hang/flaky faults fire before the build, ``worker_kill`` fires
-    from the checkpointed runner's slice loop, corruption faults right
+    from the simulation runner's slice loop, corruption faults right
     after the artifacts are stored.
     """
     spec, cache_root, in_worker, checkpoint_every = payload
@@ -600,15 +575,18 @@ def _execute_job(
         built, trace_limit=spec.trace_limit, backend=spec.backend
     )
     store = ArtifactStore(Path(cache_root)) if cache_root else None
-    ckpt_store = None
-    stem = ""
+    checkpoints = None
     if checkpoint_every is not None and store is not None:
-        stem = store.stem(spec, digest)
-        ckpt_store = CheckpointStore(Path(cache_root) / CHECKPOINT_SUBDIR)
+        checkpoints = CheckpointConfig(
+            store=CheckpointStore(Path(cache_root) / CHECKPOINT_SUBDIR),
+            stem=store.stem(spec, digest),
+            every_events=checkpoint_every,
+        )
 
     def store_hit() -> JobResult:
-        if ckpt_store is not None:
-            ckpt_store.clear(stem)  # artifacts exist; drop stale state
+        if checkpoints is not None:
+            # artifacts exist; drop stale state
+            checkpoints.store.clear(checkpoints.stem)
         return JobResult(
             spec=spec,
             digest=digest,
@@ -652,43 +630,32 @@ def _execute_job(
         profiler = InterleaveConsumer(label=spec.name)
         builder = TraceBuilder(label=spec.name)
         bus = BranchEventBus([profiler, builder], limit=spec.trace_limit)
-        checkpoints_written = 0
-        resumed = False
-        checkpoint_quarantined = 0
-        if ckpt_store is not None:
-            outcome = run_simulation(
-                built,
-                bus,
-                config=CheckpointConfig(
-                    store=ckpt_store,
-                    stem=stem,
-                    every_events=checkpoint_every,
-                ),
-                fault_plan=plan,
+        outcome = run_simulation(
+            built,
+            bus,
+            config=checkpoints,
+            fault_plan=plan,
+            benchmark=spec.name,
+            in_worker=in_worker,
+            backend=spec.backend,
+            stop_check=interrupt.drain_requested,
+            progress=_slice_progress,
+        )
+        result = outcome.result
+        checkpoints_written = outcome.checkpoints_written
+        if outcome.interrupted:
+            raise JobInterrupted(
+                f"{spec.name} drained on SIGTERM after "
+                f"{bus.stats.events} events "
+                f"({checkpoints_written} checkpoint(s) written; "
+                "resumable)",
                 benchmark=spec.name,
-                in_worker=in_worker,
-                backend=spec.backend,
-                stop_check=interrupt.drain_requested,
-                progress=_slice_progress,
+                events=bus.stats.events,
+                checkpoints_written=checkpoints_written,
             )
-            result = outcome.result
-            checkpoints_written = outcome.checkpoints_written
-            resumed = outcome.resumed_from_checkpoint
-            checkpoint_quarantined = len(ckpt_store.corrupt_events)
-            if outcome.interrupted:
-                raise JobInterrupted(
-                    f"{spec.name} drained on SIGTERM after "
-                    f"{bus.stats.events} events "
-                    f"({checkpoints_written} checkpoint(s) written; "
-                    "resumable)",
-                    benchmark=spec.name,
-                    events=bus.stats.events,
-                    checkpoints_written=checkpoints_written,
-                )
-        else:
-            result = run_workload(
-                built, branch_hook=bus, backend=spec.backend
-            )
+        checkpoint_quarantined = (
+            len(checkpoints.store.corrupt_events) if checkpoints else 0
+        )
         pipeline = bus.finish()
         trace = builder.result
         profile = profiler.result
@@ -702,8 +669,9 @@ def _execute_job(
         )
         if store is not None:
             store.put(spec, digest, artifacts)
-            if ckpt_store is not None:
-                ckpt_store.clear(stem)  # artifacts are the durable state
+            if checkpoints is not None:
+                # the artifacts are the durable state now
+                checkpoints.store.clear(checkpoints.stem)
             if plan is not None:
                 trace_path, _, meta_path = store.paths(spec, digest)
                 plan.on_artifacts_stored(spec.name, trace_path, meta_path)
@@ -723,7 +691,7 @@ def _execute_job(
         + checkpoint_quarantined,
         pipeline=pipeline,
         checkpoints_written=checkpoints_written,
-        resumed=resumed,
+        resumed=outcome.resumed_from_checkpoint,
         quarantine_pruned=store.pruned_entries if store is not None else 0,
     )
 
@@ -913,8 +881,7 @@ class EngineStats:
     journal_skips: int = 0
     #: quarantine files age-pruned to keep the directory bounded.
     quarantine_pruned: int = 0
-    #: fused one-pass profile+predict runs vs replays of a cached trace.
-    fused_runs: int = 0
+    #: predictor-bank replays of a stored trace.
     replayed_runs: int = 0
     #: distributed-run identity (schema v8): the ``K/N`` shard this
     #: engine owns and the selector expression that produced its names,
@@ -927,7 +894,7 @@ class EngineStats:
     #: partitioning happened.
     cost_model: Optional[str] = None
     #: aggregated per-consumer bus counters across every bus this engine
-    #: ran (simulation jobs, fused runs and bank replays alike).
+    #: ran (simulation jobs and bank replays alike).
     pipeline: PipelineStats = field(default_factory=PipelineStats)
     job_seconds: Dict[str, float] = field(default_factory=dict)
     job_source: Dict[str, str] = field(default_factory=dict)
@@ -960,10 +927,6 @@ class EngineStats:
             "failed" if result.error is not None else result.source
         )
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.job_seconds.values())
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready view (the CLI's --json envelope embeds this)."""
         return {
@@ -978,7 +941,6 @@ class EngineStats:
             "resumed_from_checkpoint": self.resumed_from_checkpoint,
             "journal_skips": self.journal_skips,
             "quarantine_pruned": self.quarantine_pruned,
-            "fused_runs": self.fused_runs,
             "replayed_runs": self.replayed_runs,
             "shard": self.shard,
             "selection": self.selection,
@@ -1242,123 +1204,6 @@ class ExecutionEngine:
         """The benchmark's interleave profile."""
         return self.artifacts(name).profile
 
-    def profile_and_predict(
-        self,
-        name: str,
-        predictors: Sequence[BranchPredictor],
-        warmup: int = 0,
-        track_per_branch: bool = False,
-        archive: Optional[bool] = None,
-    ) -> FusedRunResult:
-        """Profile *name* and run a predictor bank over it in one pass.
-
-        Warm path — artifacts already memoised or verifiably in the
-        store — replays the cached trace through the bank in one chunked
-        pass (the profile comes from the cache).  Cold path fuses
-        everything into the simulation itself: the event bus fans each
-        branch event to the interleave analyzer and every predictor
-        concurrently, so the trace need never be materialised when only
-        aggregates are wanted.
-
-        Args:
-            name: benchmark name.
-            predictors: the bank (consumed statefully; reset first when
-                reusing predictor instances).
-            warmup: leading events that train but are not scored.
-            track_per_branch: keep per-static-branch counters.
-            archive: materialise (and, with a store, persist) the trace
-                on a cold run.  None archives exactly when a store is
-                configured — so the next run goes warm — False skips the
-                trace entirely, True forces materialisation (memo-only
-                without a store).
-
-        Raises:
-            ValueError: if two predictors share a name.
-            JobFailed: when the benchmark keeps failing.
-        """
-        seen = set()
-        for predictor in predictors:
-            if predictor.name in seen:
-                raise ValueError(
-                    f"duplicate predictor name {predictor.name!r}"
-                )
-            seen.add(predictor.name)
-        known_failure = self.failures.get(name)
-        if known_failure is not None:
-            raise known_failure
-        warm = name in self._memo or (
-            self.store is not None
-            and self.store.verify(self.job(name), self.digest(name))
-        )
-        bank = [
-            PredictorConsumer(
-                predictor,
-                label=name,
-                track_per_branch=track_per_branch,
-                warmup=warmup,
-            )
-            for predictor in predictors
-        ]
-        if warm:
-            artifacts = self.artifacts(name)
-            stats = BranchEventBus.replay(artifacts.trace, bank)
-            self.stats.replayed_runs += 1
-            self.stats.pipeline.merge(stats)
-            return FusedRunResult(
-                name=name,
-                profile=artifacts.profile,
-                predictions={c.predictor.name: c.result for c in bank},
-                instructions=artifacts.instructions,
-                static_branches=artifacts.static_branches,
-                fused=False,
-                archived=True,
-                pipeline=stats,
-            )
-        started = time.perf_counter()
-        built = build_workload(get_benchmark(name, scale=self.scale))
-        digest = artifact_digest(
-            built, trace_limit=self.trace_limit, backend=self.backend
-        )
-        profiler = InterleaveConsumer(label=name)
-        do_archive = archive if archive is not None else (
-            self.store is not None
-        )
-        builder = TraceBuilder(label=name) if do_archive else None
-        consumers: List[object] = [profiler, *bank]
-        if builder is not None:
-            consumers.append(builder)
-        bus = BranchEventBus(consumers, limit=self.trace_limit)
-        run = run_workload(built, branch_hook=bus, backend=self.backend)
-        stats = bus.finish()
-        profile = profiler.result
-        profile.instructions = run.instructions
-        if builder is not None:
-            artifacts = RunArtifacts(
-                name=name,
-                trace=builder.result,
-                profile=profile,
-                instructions=run.instructions,
-                static_branches=built.static_conditional_branches,
-            )
-            if self.store is not None:
-                self.store.put(self.job(name), digest, artifacts)
-            self._memo[name] = artifacts
-        self._digests[name] = digest
-        self.stats.fused_runs += 1
-        self.stats.pipeline.merge(stats)
-        self.stats.job_seconds[name] = time.perf_counter() - started
-        self.stats.job_source[name] = "fused"
-        return FusedRunResult(
-            name=name,
-            profile=profile,
-            predictions={c.predictor.name: c.result for c in bank},
-            instructions=run.instructions,
-            static_branches=built.static_conditional_branches,
-            fused=True,
-            archived=builder is not None,
-            pipeline=stats,
-        )
-
     def prefetch(
         self, names: Sequence[str]
     ) -> Dict[str, RunArtifacts]:
@@ -1388,30 +1233,14 @@ class ExecutionEngine:
             n for n in wanted
             if n not in self._memo and n not in self.failures
         ]
-        if self.resume and self.journal is not None and missing:
-            # Replay the run journal first: benchmarks it records as
-            # completed load straight from the store (in-process — no
-            # worker spawn) and drop out of the pool pass.  A journaled
-            # entry whose artifacts turn out damaged falls back to a
-            # resimulation inside _absorb.
-            completed = self.journal.completed(
-                self.scale, self.trace_limit, backend=self.backend
-            )
-            remaining = []
-            for name in missing:
-                digest = completed.get(name)
-                if digest is None:
-                    remaining.append(name)
-                    continue
-                self._absorb(
-                    JobResult(
-                        spec=self.job(name),
-                        digest=digest,
-                        source="journal",
-                        seconds=0.0,
-                    )
-                )
-            missing = remaining
+        # Replay the run journal first: benchmarks it records as
+        # completed load straight from the store (in-process — no worker
+        # spawn) and drop out of the pool pass.
+        completed = self._journal_completed() if missing else {}
+        for name in missing:
+            if name in completed:
+                self._absorb(self._journal_result(name, completed[name]))
+        missing = [n for n in missing if n not in completed]
         if self.jobs > 1 and len(missing) > 1:
             self._run_parallel(missing)
         else:
@@ -1465,30 +1294,36 @@ class ExecutionEngine:
         so the first retry — attempt 2 — waits one base interval)."""
         return self.retry_backoff * (2 ** (attempt - 2))
 
-    def _journal_digest(self, name: str) -> Optional[str]:
-        """The journal-recorded artifact digest for *name*, if resuming."""
+    def _journal_completed(self) -> Dict[str, str]:
+        """benchmark -> journaled digest for this engine's job parameters.
+
+        Empty unless resuming.  The one place the engine reads the run
+        journal's completions, so every lookup matches on scale, trace
+        limit *and* backend.
+        """
         if not self.resume or self.journal is None:
-            return None
-        return self.journal.completed(self.scale, self.trace_limit).get(
-            name
+            return {}
+        return self.journal.completed(
+            self.scale, self.trace_limit, backend=self.backend
+        )
+
+    def _journal_result(self, name: str, digest: str) -> JobResult:
+        """A job the run journal records as completed under *digest*.
+
+        :meth:`_absorb` loads it straight from the store by that digest,
+        and falls back to a resimulation if the artifacts turn out to be
+        damaged.
+        """
+        return JobResult(
+            spec=self.job(name), digest=digest, source="journal", seconds=0.0
         )
 
     def _run_sequential_job(self, name: str) -> JobResult:
         """Run one job in-process with the retry policy, then absorb it."""
         spec = self.job(name)
-        journal_digest = self._journal_digest(name)
+        journal_digest = self._journal_completed().get(name)
         if journal_digest is not None:
-            # Recorded as completed: load straight from the store by the
-            # journaled digest.  _absorb's load path falls back to a
-            # resimulation if the artifacts turn out to be damaged.
-            return self._absorb(
-                JobResult(
-                    spec=spec,
-                    digest=journal_digest,
-                    source="journal",
-                    seconds=0.0,
-                )
-            )
+            return self._absorb(self._journal_result(name, journal_digest))
         payload = (spec, self._cache_root(), False, self.checkpoint_every_events)
         started = time.perf_counter()
         attempt = 0
@@ -1864,7 +1699,6 @@ __all__ = [
     "DIGEST_VERSION",
     "EngineStats",
     "ExecutionEngine",
-    "FusedRunResult",
     "JobResult",
     "JobSpec",
     "RunArtifacts",

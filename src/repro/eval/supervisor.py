@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint import RunJournal
+from ..checkpoint import DEFAULT_CHECKPOINT_EVERY, RunJournal
 from ..errors import ShardLost, SuiteInterrupted, error_to_dict
 from . import faults, interrupt
 from .engine import DRAIN_KILL_GRACE, ExecutionEngine, WorkerProcess
@@ -437,7 +437,7 @@ class ShardSupervisor:
         scale: float = 1.0,
         trace_limit: Optional[int] = None,
         backend: str = "interp",
-        checkpoint_every_events: int = 2000,
+        checkpoint_every_events: int = DEFAULT_CHECKPOINT_EVERY,
         retries: int = 1,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         restart_backoff: float = 0.25,

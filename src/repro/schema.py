@@ -97,6 +97,10 @@ Version history:
   and ``warnings`` (damaged journal lines tolerated during a
   partial-shard merge); new failure codes ``shard_lost``/
   ``shard_restarts_exhausted``.
+* **10** — one job path through the engine: the embedded ``engine``
+  stats drop ``fused_runs`` (the fused profile-and-predict path it
+  counted is gone; every job simulates, stores and is replayed).
+  Every other key is unchanged.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def envelope(

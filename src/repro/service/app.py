@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..checkpoint import DEFAULT_CHECKPOINT_EVERY
 from ..errors import (
     JobCancelled,
     JobInterrupted,
@@ -92,7 +93,7 @@ class ServiceConfig:
     retries: int = 1
     quota_rate: float = 0.0
     quota_burst: float = 8.0
-    checkpoint_every: int = 2000
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     default_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -177,10 +178,9 @@ class AnalysisService:
         benchmark = frame.get("benchmark")
         if not isinstance(benchmark, str) or not benchmark:
             raise ReproError("submit frame needs a benchmark name")
-        try:
-            resolve_benchmark(benchmark)
-        except UnknownBenchmark as exc:
-            raise exc  # typed wire rejection with a near-miss suggestion
+        # an unknown name raises UnknownBenchmark: a typed wire rejection
+        # with a near-miss suggestion
+        resolve_benchmark(benchmark)
         predictors = tuple(frame.get("predictors") or ())
         for spec_text in predictors:
             try:
@@ -261,24 +261,12 @@ class AnalysisService:
     # -- scheduling ---------------------------------------------------------
 
     def _launch(self, now: float) -> None:
+        """Cancel expired queued jobs, then fill free worker slots."""
+        self._expire_queued(now)
         while len(self.running) < self.config.workers:
             job = self.admission.pop()
             if job is None:
                 return
-            remaining = job.deadline_remaining(now)
-            if remaining is not None and remaining <= 0:
-                self._finalize(
-                    job,
-                    "cancelled",
-                    JobCancelled(
-                        f"{job.spec.name} missed its "
-                        f"{job.deadline_s:g}s deadline while queued",
-                        benchmark=job.spec.name,
-                        deadline_s=job.deadline_s,
-                    ),
-                    now,
-                )
-                continue
             job.state = "running"
             job.started_at = now
             job.attempts += 1
@@ -286,7 +274,7 @@ class AnalysisService:
                 job.spec,
                 str(self.cache_dir),
                 checkpoint_every=self.config.checkpoint_every,
-                timeout=remaining,
+                timeout=job.deadline_remaining(now),
             )
             self.running[job.id] = (job, handle)
 
@@ -661,7 +649,6 @@ class AnalysisService:
                     for _, handle in self.running.values():
                         handle.kill()
             else:
-                self._expire_queued(now)
                 self._launch(now)
             self._poll_outcomes(now)
             await asyncio.sleep(_POLL_SECONDS)

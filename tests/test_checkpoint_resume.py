@@ -34,6 +34,7 @@ from repro.checkpoint import (
     slice_for_cadence,
 )
 from repro.errors import CheckpointCorrupt
+from repro.eval import engine as engine_module
 from repro.eval.engine import CHECKPOINT_SUBDIR, ExecutionEngine
 from repro.eval.faults import FaultPlan, InjectedFault
 from repro.pipeline.bus import BranchEventBus
@@ -523,6 +524,43 @@ def test_journal_resume_survives_missing_artifacts(tmp_path):
     assert second.stats.job_source["plot"] == "resimulated"
     assert second.stats.journal_skips == 0
     assert second.failures == {}
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize(
+    "backends", [("superblock",), ("interp", "superblock")],
+    ids=["superblock-only", "both-backends"],
+)
+def test_resumed_artifacts_lookup_matches_the_engine_backend(
+    tmp_path, monkeypatch, backends
+):
+    """``artifacts()`` on a resumed engine finds its own backend's record.
+
+    The per-job journal lookup must match on backend as well as scale
+    and trace limit.  Otherwise a superblock engine either misses its
+    own record and rebuilds (superblock-only store), or loads the
+    interpreter's digest, misses in the store and reruns a pure store
+    hit as ``resimulated`` (both backends stored)."""
+    for backend in backends:
+        make_engine(tmp_path, backend=backend).prefetch(["plot"])
+    journal = RunJournal(tmp_path / "cache")
+    records_before = len(journal.read(strict=True)[0])
+    builds = []
+    real_build = engine_module.build_workload
+
+    def counting_build(spec):
+        builds.append(spec.name)
+        return real_build(spec)
+
+    monkeypatch.setattr(engine_module, "build_workload", counting_build)
+    engine = make_engine(tmp_path, backend="superblock", resume=True)
+    engine.artifacts("plot")
+    assert engine.stats.job_source["plot"] == "journal"
+    assert engine.stats.journal_skips == 1
+    assert engine.stats.simulated == 0
+    assert builds == []
+    # a journal hit is not re-journaled (no bogus "resimulated" record)
+    assert len(journal.read(strict=True)[0]) == records_before
 
 
 @pytest.mark.faults

@@ -138,23 +138,6 @@ def test_replay_bank_matches_scalar_loop_on_kernel_trace(engine):
         assert got.per_branch == ref.per_branch
 
 
-def test_profile_and_predict_fused_equals_replayed():
-    """Cold fused run == warm replay run, for profile and bank alike."""
-    from repro.eval.engine import ExecutionEngine
-
-    fresh = ExecutionEngine(scale=0.05)  # no shared state: must start cold
-    bank = lambda: [GSharePredictor(history_bits=8), GAgPredictor(8)]
-    fused = fresh.profile_and_predict("pgp", bank(), archive=True)
-    replayed = fresh.profile_and_predict("pgp", bank())
-    assert fused.fused and not replayed.fused
-    assert fused.profile.to_json() == replayed.profile.to_json()
-    for name, stats in fused.predictions.items():
-        other = replayed.predictions[name]
-        assert (stats.branches, stats.mispredictions) == (
-            other.branches, other.mispredictions
-        )
-
-
 # -- capture limit semantics -------------------------------------------------
 
 
@@ -258,13 +241,14 @@ def test_version_flag_reports_schema_v9(capsys):
     out = capsys.readouterr().out
     assert __version__ in out
     assert f"schema {SCHEMA_VERSION}" in out
-    assert SCHEMA_VERSION == 9
-    assert envelope("x", {}, {})["schema_version"] == 9
+    assert SCHEMA_VERSION == 10
+    assert envelope("x", {}, {})["schema_version"] == 10
 
 
 def test_engine_envelope_carries_pipeline_counters(engine):
     payload = engine.stats.as_dict()
-    assert {"fused_runs", "replayed_runs", "pipeline"} <= set(payload)
+    assert {"replayed_runs", "pipeline"} <= set(payload)
+    assert "fused_runs" not in payload
     pipeline = payload["pipeline"]
     assert {"events", "delivered", "chunk_flushes", "truncated",
             "consumers"} <= set(pipeline)
