@@ -37,10 +37,12 @@ faults:
 
 ## End-to-end sanity check for the evaluation engine: a cold run that
 ## simulates and populates the content-addressed store, a warm run that
-## must be served from it (nothing simulated), then a corruption pass —
+## must be served from it (nothing simulated), a bad-memo pass — every
+## digest-memo record is overwritten with garbage and the rerun must
+## still be all store hits, nothing quarantined — then a corruption pass:
 ## one cache entry is damaged in place and the rerun must quarantine +
-## resimulate exactly that one.  The warm and recover legs read their
-## --json envelope and fail the target when the counters disagree.
+## resimulate exactly that one.  Every leg after the cold one reads its
+## --json envelope and fails the target when the counters disagree.
 smoke:
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 	@echo "== cold: simulating into $(SMOKE_CACHE) =="
@@ -48,6 +50,14 @@ smoke:
 	@echo "== warm: store hits only =="
 	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
 	$(SMOKE_EXPECT) simulated=0
+	@echo "== bad memo: garbage in every digest-memo record =="
+	$(PY) -c "import pathlib; \
+	memo = sorted(pathlib.Path('$(SMOKE_CACHE)/digests').iterdir()); \
+	assert memo, 'no digest-memo records'; \
+	[p.write_bytes(b'\\x00garbage{') for p in memo]; \
+	print(f'overwrote {len(memo)} memo record(s)')"
+	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
+	$(SMOKE_EXPECT) simulated=0 quarantined=0
 	@echo "== corrupt: damaging one stored trace =="
 	$(PY) -c "import pathlib; from repro.eval.faults import corrupt_file; \
 	victim = sorted(pathlib.Path('$(SMOKE_CACHE)').glob('*.trace.npz'))[0]; \

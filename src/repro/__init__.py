@@ -31,108 +31,72 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .allocation import (
-    AllocationResult,
-    BranchAllocator,
-    ClassifiedBranchAllocator,
-    conflict_cost,
-    conventional_cost,
-    required_bht_size,
-)
-from .analysis import (
-    BiasClass,
-    ClassificationBounds,
-    ConflictGraph,
-    WorkingSetPartition,
-    build_conflict_graph,
-    classify_profile,
-    partition_working_sets,
-    working_set_metrics,
-)
-from .eval import (
-    ArtifactStore,
-    ExecutionEngine,
-    RunArtifacts,
-    run_all_experiments,
-    run_experiment,
-)
-from .predictors import (
-    InterferenceFreePAg,
-    PAgPredictor,
-    PCModuloIndex,
-    StaticIndexMap,
-    simulate_predictor,
-)
-from .profiling import (
-    InterleaveAnalyzer,
-    InterleaveProfile,
-    merge_profiles,
-    profile_trace,
-)
-from .static_analysis import (
-    StaticConflictEstimator,
-    build_cfg,
-    estimate_conflict_graph,
-    find_loops,
-    lint_program,
-    lint_source,
-)
-from .pipeline import (
-    BranchEventBus,
-    InterleaveConsumer,
-    PredictorConsumer,
-    TraceBuilder,
-    replay_bank,
-)
-from .trace import BranchTrace, make_phased_workload
-from .workloads import benchmark_suite, build_workload, run_workload
+import importlib
+from typing import Dict, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllocationResult",
-    "ArtifactStore",
-    "BiasClass",
-    "BranchAllocator",
-    "BranchEventBus",
-    "BranchTrace",
-    "ClassificationBounds",
-    "ClassifiedBranchAllocator",
-    "ConflictGraph",
-    "ExecutionEngine",
-    "InterferenceFreePAg",
-    "InterleaveAnalyzer",
-    "InterleaveConsumer",
-    "InterleaveProfile",
-    "PAgPredictor",
-    "PCModuloIndex",
-    "PredictorConsumer",
-    "RunArtifacts",
-    "StaticConflictEstimator",
-    "StaticIndexMap",
-    "TraceBuilder",
-    "WorkingSetPartition",
-    "__version__",
-    "benchmark_suite",
-    "build_cfg",
-    "build_conflict_graph",
-    "build_workload",
-    "classify_profile",
-    "conflict_cost",
-    "conventional_cost",
-    "estimate_conflict_graph",
-    "find_loops",
-    "lint_program",
-    "lint_source",
-    "make_phased_workload",
-    "merge_profiles",
-    "partition_working_sets",
-    "profile_trace",
-    "replay_bank",
-    "required_bht_size",
-    "run_all_experiments",
-    "run_experiment",
-    "run_workload",
-    "simulate_predictor",
-    "working_set_metrics",
-]
+#: public name -> the subpackage defining it.  Names resolve on first
+#: access (PEP 562), so ``import repro`` stays cheap: a command pays only
+#: for the subpackages it uses.
+_EXPORTS: Dict[str, str] = {
+    "AllocationResult": ".allocation",
+    "BranchAllocator": ".allocation",
+    "ClassifiedBranchAllocator": ".allocation",
+    "conflict_cost": ".allocation",
+    "conventional_cost": ".allocation",
+    "required_bht_size": ".allocation",
+    "BiasClass": ".analysis",
+    "ClassificationBounds": ".analysis",
+    "ConflictGraph": ".analysis",
+    "WorkingSetPartition": ".analysis",
+    "build_conflict_graph": ".analysis",
+    "classify_profile": ".analysis",
+    "partition_working_sets": ".analysis",
+    "working_set_metrics": ".analysis",
+    "ArtifactStore": ".eval",
+    "ExecutionEngine": ".eval",
+    "RunArtifacts": ".eval",
+    "run_all_experiments": ".eval",
+    "run_experiment": ".eval",
+    "InterferenceFreePAg": ".predictors",
+    "PAgPredictor": ".predictors",
+    "PCModuloIndex": ".predictors",
+    "StaticIndexMap": ".predictors",
+    "simulate_predictor": ".predictors",
+    "InterleaveAnalyzer": ".profiling",
+    "InterleaveProfile": ".profiling",
+    "merge_profiles": ".profiling",
+    "profile_trace": ".profiling",
+    "StaticConflictEstimator": ".static_analysis",
+    "build_cfg": ".static_analysis",
+    "estimate_conflict_graph": ".static_analysis",
+    "find_loops": ".static_analysis",
+    "lint_program": ".static_analysis",
+    "lint_source": ".static_analysis",
+    "BranchEventBus": ".pipeline",
+    "InterleaveConsumer": ".pipeline",
+    "PredictorConsumer": ".pipeline",
+    "TraceBuilder": ".pipeline",
+    "replay_bank": ".pipeline",
+    "BranchTrace": ".trace",
+    "make_phased_workload": ".trace",
+    "benchmark_suite": ".workloads",
+    "build_workload": ".workloads",
+    "run_workload": ".workloads",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

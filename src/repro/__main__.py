@@ -95,15 +95,8 @@ from .eval import interrupt
 from .eval.engine import ExecutionEngine, shard_subset, surviving_benchmarks
 from .eval.experiments import EXPERIMENTS, run_experiment
 from .eval.shards import ShardSpec
-from .eval.supervisor import DEFAULT_MAX_RESTARTS, LEASE_TIMEOUT_SECONDS
 from .schema import SCHEMA_VERSION, dump, envelope
 from .sim.api import DEFAULT_BACKEND, backend_names
-from .static_analysis import (
-    StaticConflictEstimator,
-    build_cfg,
-    find_loops,
-    lint_program,
-)
 from .workloads import (
     benchmark_sets,
     benchmark_suite,
@@ -317,6 +310,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 def _allocate_static(args: argparse.Namespace, threshold: int) -> int:
     """Profile-free allocation: build, estimate, colour.  No simulation."""
+    from .static_analysis import StaticConflictEstimator
+
     if args.bht < 1:
         print(f"error: --bht must be positive, got {args.bht}",
               file=sys.stderr)
@@ -373,6 +368,8 @@ def _allocate_static(args: argparse.Namespace, threshold: int) -> int:
 
 
 def cmd_cfg(args: argparse.Namespace) -> int:
+    from .static_analysis import build_cfg, find_loops
+
     resolve_benchmark(args.benchmark)
     built = build_workload(get_benchmark(args.benchmark, scale=args.scale))
     cfg = build_cfg(built.program)
@@ -421,6 +418,8 @@ def _parse_waivers(specs) -> set:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from .static_analysis import lint_program
+
     if args.all:
         names = sorted(benchmark_suite())
     elif args.benchmark:
@@ -975,8 +974,18 @@ def _run_supervised(
     --workers``; the latter has no restart, lease or speculation flags
     and runs with ``supervise``'s defaults for them.
     """
-    from .eval.supervisor import ShardSupervisor
+    from .eval.supervisor import (
+        DEFAULT_MAX_RESTARTS,
+        LEASE_TIMEOUT_SECONDS,
+        ShardSupervisor,
+    )
 
+    # the flags default to None so that building the parser does not
+    # import the supervisor; resolved here, for the envelope too
+    if getattr(args, "max_restarts", None) is None:
+        args.max_restarts = DEFAULT_MAX_RESTARTS
+    if getattr(args, "lease_timeout", None) is None:
+        args.lease_timeout = LEASE_TIMEOUT_SECONDS
     supervisor = ShardSupervisor(
         names,
         workers=args.workers,
@@ -987,8 +996,8 @@ def _run_supervised(
             args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
         ),
         retries=args.retries,
-        max_restarts=getattr(args, "max_restarts", DEFAULT_MAX_RESTARTS),
-        lease_timeout=getattr(args, "lease_timeout", LEASE_TIMEOUT_SECONDS),
+        max_restarts=args.max_restarts,
+        lease_timeout=args.lease_timeout,
         speculate=not getattr(args, "no_speculate", False),
         selection=selection,
     )
@@ -1365,11 +1374,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snapshot cadence so restarted shards resume "
                        "mid-benchmark instead of cold-starting")
     p_sup.add_argument("--max-restarts", type=int,
-                       default=DEFAULT_MAX_RESTARTS,
                        help="restart budget per shard slot before its "
                        "work is reassigned to surviving slots")
     p_sup.add_argument("--lease-timeout", type=float,
-                       default=LEASE_TIMEOUT_SECONDS,
                        metavar="SECONDS",
                        help="heartbeat-lease age after which a live but "
                        "silent worker is declared wedged and recycled")

@@ -36,9 +36,12 @@ the pipeline through one :class:`ExecutionEngine`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,10 +65,10 @@ from ..errors import (
 )
 from ..pipeline.bus import BranchEventBus, PipelineStats
 from ..pipeline.consumers import InterleaveConsumer, TraceBuilder
-from ..profiling.profile import InterleaveProfile
+from ..profiling.profile import PROFILE_COLUMNS, InterleaveProfile
 from ..sim.api import get_backend
 from ..trace.events import BranchTrace
-from ..trace.io import load_trace, read_trace_meta, save_trace
+from ..trace.io import read_trace_archive, read_trace_meta, save_trace
 from ..workloads.build import BuiltWorkload, build_workload
 from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
@@ -75,6 +78,11 @@ from .shards import ShardSpec, shard_names
 #: Bump to invalidate every stored artifact (digest input change).
 #: v2: the simulation backend became a digest component.
 DIGEST_VERSION = 2
+
+#: Bump when the on-disk layout of a store entry changes; an entry of any
+#: other format reads as corrupt (quarantined, resimulated).
+#: v2: the profile moved from ``.profile.json`` into the trace archive.
+STORE_FORMAT = 2
 
 #: Scheduler poll interval while parallel jobs are in flight (seconds).
 _POLL_SECONDS = 0.02
@@ -145,23 +153,145 @@ def artifact_digest(
     return hasher.hexdigest()
 
 
-def compute_job_digest(spec: JobSpec) -> str:
-    """Build the workload for *spec* and digest it (no simulation)."""
+#: subdirectory of the cache root holding the digest memo.
+DIGEST_SUBDIR = "digests"
+
+#: source packages whose bytes decide a job's digest: the kernels, inputs
+#: and suite definitions, the assembler, the ISA encoding.
+_DIGEST_SOURCE_PACKAGES = ("workloads", "asm", "isa")
+
+#: modules the packages above import from the package root.
+_DIGEST_SOURCE_MODULES = ("__init__.py", "errors.py")
+
+
+def digest_sources() -> List[Path]:
+    """Every source file the digest memo's source key hashes.
+
+    The source packages, the modules they import, and this module, which
+    defines :func:`artifact_digest`.
+    """
+    here = Path(__file__).resolve()
+    root = here.parent.parent
+    files = [here] + [root / name for name in _DIGEST_SOURCE_MODULES]
+    for package in _DIGEST_SOURCE_PACKAGES:
+        files.extend((root / package).rglob("*.py"))
+    return sorted(set(files))
+
+
+@functools.lru_cache(maxsize=None)
+def digest_source_key() -> str:
+    """sha256 over everything a job's digest is a function of besides its spec.
+
+    That is :data:`DIGEST_VERSION`, the Python and numpy versions (the
+    workload inputs come from ``numpy.random.default_rng``) and the bytes
+    of :func:`digest_sources`.  Computed once per process.
+    """
+    import numpy
+
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for part in (f"v{DIGEST_VERSION}", sys.version, numpy.__version__):
+        hasher.update(part.encode("utf-8"))
+        hasher.update(b"\x00")
+    for path in digest_sources():
+        hasher.update(path.relative_to(root).as_posix().encode("utf-8"))
+        hasher.update(b"\x00")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+class DigestMemo:
+    """``<root>/digests/``: one small file per job spec holding its digest.
+
+    A record is ``{"source", "spec", "digest"}``; it answers only while
+    its source key equals :func:`digest_source_key`, so an edit to a
+    kernel, the assembler or the ISA invalidates every record.  The memo
+    is advisory: an unreadable, truncated or foreign record is a miss,
+    and a failed write is ignored.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.directory = Path(root) / DIGEST_SUBDIR
+
+    def path(self, spec: JobSpec) -> Path:
+        return self.directory / f"{spec.tag()}.json"
+
+    def get(self, spec: JobSpec) -> Optional[str]:
+        """The memoised digest for *spec*, or None."""
+        try:
+            record = json.loads(self.path(spec).read_bytes())
+            digest = record["digest"]
+            if (
+                record["source"] == digest_source_key()
+                and record["spec"] == dataclasses.asdict(spec)
+                and re.fullmatch("[0-9a-f]{64}", digest)
+            ):
+                return digest
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # unreadable, truncated or foreign: a miss
+        return None
+
+    def put(self, spec: JobSpec, digest: str) -> None:
+        """Record *digest* for *spec* (tmp + ``os.replace``, no fsync)."""
+        path = self.path(spec)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        record = {
+            "source": digest_source_key(),
+            "spec": dataclasses.asdict(spec),
+            "digest": digest,
+        }
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(record), encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+
+
+def compute_job_digest(
+    spec: JobSpec,
+    cache_root: Optional[str] = None,
+    on_build: Optional[Callable[[BuiltWorkload], None]] = None,
+) -> str:
+    """The content digest of *spec*'s artifacts (never simulates).
+
+    With a store root the :class:`DigestMemo` answers first and a hit
+    skips the build.  Otherwise the workload is built and digested, and
+    the memo (if any) records the result.  *on_build* receives a
+    workload built here, so a caller about to simulate it need not
+    build it again.
+    """
+    memo = DigestMemo(Path(cache_root)) if cache_root else None
+    if memo is not None:
+        digest = memo.get(spec)
+        if digest is not None:
+            return digest
     built = build_workload(get_benchmark(spec.name, scale=spec.scale))
-    return artifact_digest(
+    if on_build is not None:
+        on_build(built)
+    digest = artifact_digest(
         built, trace_limit=spec.trace_limit, backend=spec.backend
     )
+    if memo is not None:
+        memo.put(spec, digest)
+    return digest
 
 
 @dataclass(frozen=True)
 class JobResult:
     """Outcome of one executed job.
 
-    ``artifacts`` is ``None`` when they were written to (or found in) the
-    artifact store — the parent process loads them from there instead of
-    shipping arrays through the pool's pickle pipe — *and* when the job
-    failed, in which case ``error`` carries the typed failure and
-    ``source`` is ``"failed"``.
+    ``artifacts`` is ``None`` when a worker process wrote them to (or
+    found them in) the artifact store — the parent loads them from there
+    instead of shipping arrays through the pickle pipe — *and* when the
+    job failed, in which case ``error`` carries the typed failure and
+    ``source`` is ``"failed"``.  An in-process store hit carries the
+    artifacts of its one full read, so the engine never reads a stored
+    entry twice.
     """
 
     spec: JobSpec
@@ -184,15 +314,25 @@ class JobResult:
     quarantine_pruned: int = 0
 
 
+def _check_embedded_digest(embedded: Dict, digest: str) -> None:
+    """Raise unless a trace archive's embedded meta names *digest*."""
+    if embedded.get("digest") != digest:
+        raise ValueError("trace digest does not match content digest")
+
+
 class ArtifactStore:
     """Content-addressed trace/profile store with verified, atomic entries.
 
     Layout is flat and human-readable: the legacy ``name-sSCALE[-lLIMIT]``
-    tag with the content digest folded in::
+    tag with the content digest folded in, two files per entry::
 
         <root>/compress-s1-3f9a2c41d06b17e8.trace.npz
-        <root>/compress-s1-3f9a2c41d06b17e8.profile.json
         <root>/compress-s1-3f9a2c41d06b17e8.meta.json
+
+    The ``.trace.npz`` archive holds the trace's event columns, the
+    interleave profile's columns (:data:`~repro.profiling.profile.
+    PROFILE_COLUMNS`) and the embedded content digest; the
+    ``.meta.json`` sidecar is the commit record.
 
     The digest alone decides validity: a kernel edit changes the program
     image, hence the digest, hence the filename — stale artifacts simply
@@ -200,11 +340,12 @@ class ArtifactStore:
 
     Robustness guarantees:
 
-    * :meth:`put` stages all three files in a temp directory and commits
-      each with ``os.replace`` (meta last), so a crashed or killed writer
-      can never leave a torn entry that looks complete;
+    * :meth:`put` stages both files in a temp directory and commits each
+      with ``os.replace`` (meta last), so a crashed or killed writer can
+      never leave a torn entry that looks complete;
     * :meth:`load` and :meth:`verify` treat *any* defect — truncated
-      JSON, a bad zip member, a missing key, a digest mismatch — as an
+      JSON, a bad zip member or CRC, a missing column, a digest mismatch,
+      an entry of an older :data:`STORE_FORMAT` — as an
       :class:`~repro.errors.ArtifactCorrupt` cache miss: the bad files
       are moved to ``<root>/quarantine/`` (for post-mortem) and the
       caller resimulates;
@@ -264,22 +405,17 @@ class ArtifactStore:
     def stem(self, spec: JobSpec, digest: str) -> str:
         return f"{spec.tag()}-{digest[: self.DIGEST_CHARS]}"
 
-    def paths(self, spec: JobSpec, digest: str) -> Tuple[Path, Path, Path]:
-        """(trace, profile, meta) paths for one job."""
+    def paths(self, spec: JobSpec, digest: str) -> Tuple[Path, Path]:
+        """(trace archive, meta) paths for one job."""
         stem = self.stem(spec, digest)
         return (
             self.root / f"{stem}.trace.npz",
-            self.root / f"{stem}.profile.json",
             self.root / f"{stem}.meta.json",
         )
 
     def contains(self, spec: JobSpec, digest: str) -> bool:
-        trace_path, profile_path, meta_path = self.paths(spec, digest)
-        return (
-            trace_path.exists()
-            and profile_path.exists()
-            and meta_path.exists()
-        )
+        trace_path, meta_path = self.paths(spec, digest)
+        return trace_path.exists() and meta_path.exists()
 
     # -- in-flight claims ---------------------------------------------------
 
@@ -392,15 +528,22 @@ class ArtifactStore:
     def quarantine(
         self, spec: JobSpec, digest: str, reason: str
     ) -> ArtifactCorrupt:
-        """Move the entry's files aside and record the corruption event."""
+        """Move the entry's files aside and record the corruption event.
+
+        A file that vanishes first was quarantined by a concurrent
+        reader of the same entry; it is skipped, never an error.
+        """
         quarantine_root = self.root / self.QUARANTINE_DIR
+        # an entry of the previous store format also had a profile sidecar
+        legacy = self.root / f"{self.stem(spec, digest)}.profile.json"
         moved = []
-        for path in self.paths(spec, digest):
-            if not path.exists():
-                continue
-            quarantine_root.mkdir(parents=True, exist_ok=True)
+        for path in (*self.paths(spec, digest), legacy):
             target = quarantine_root / path.name
-            os.replace(path, target)
+            try:
+                quarantine_root.mkdir(parents=True, exist_ok=True)
+                os.replace(path, target)
+            except FileNotFoundError:
+                continue
             moved.append(str(target))
         if moved:
             self.pruned_entries += prune_directory(
@@ -415,10 +558,14 @@ class ArtifactStore:
         self.corrupt_events.append(error)
         return error
 
-    def _read_verified_meta(self, spec: JobSpec, digest: str) -> Dict:
-        """Parse + schema/digest-check the sidecars; raises on any defect."""
-        trace_path, profile_path, meta_path = self.paths(spec, digest)
+    def _read_meta(self, spec: JobSpec, digest: str) -> Dict:
+        """Parse and check the commit record; raises on any defect."""
+        _, meta_path = self.paths(spec, digest)
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if int(meta["store_format"]) != STORE_FORMAT:
+            raise ValueError(
+                f"store format {meta['store_format']} != {STORE_FORMAT}"
+            )
         if int(meta["digest_version"]) != DIGEST_VERSION:
             raise ValueError(
                 f"digest version {meta['digest_version']} != {DIGEST_VERSION}"
@@ -427,28 +574,24 @@ class ArtifactStore:
             raise ValueError("meta digest does not match content digest")
         int(meta["instructions"])
         int(meta["static_branches"])
-        if read_trace_meta(trace_path).get("digest") != digest:
-            raise ValueError("trace digest does not match content digest")
-        profile_payload = json.loads(
-            profile_path.read_text(encoding="utf-8")
-        )
-        for key in ("branches", "pairs"):
-            if key not in profile_payload:
-                raise KeyError(key)
         return meta
 
     def verify(self, spec: JobSpec, digest: str) -> bool:
         """True when the stored entry exists and passes verification.
 
-        Cheap relative to :meth:`load` (no event-column decompression);
-        pool workers use it to decide hit vs resimulate.  Corrupt entries
-        are quarantined as a side effect, so a False return means the
-        caller can simulate-and-put without racing the bad files.
+        Reads only the commit record, the archive's member list and its
+        embedded digest — no column decompression — so pool workers use
+        it to decide hit vs resimulate.  Corrupt entries are quarantined
+        as a side effect, so a False return means the caller can
+        simulate-and-put without racing the bad files.
         """
         if not self.contains(spec, digest):
             return False
+        trace_path, _ = self.paths(spec, digest)
         try:
-            self._read_verified_meta(spec, digest)
+            self._read_meta(spec, digest)
+            embedded = read_trace_meta(trace_path, require=PROFILE_COLUMNS)
+            _check_embedded_digest(embedded, digest)
         except Exception as exc:
             self.quarantine(spec, digest, f"{type(exc).__name__}: {exc}")
             return False
@@ -457,23 +600,31 @@ class ArtifactStore:
     def load(self, spec: JobSpec, digest: str) -> Optional[RunArtifacts]:
         """Artifacts for *spec* if stored and intact, else None.
 
-        Any corruption — unparseable JSON, missing keys, a damaged
-        ``.npz``, digest mismatches — quarantines the entry and reads as
-        a cache miss; corruption is *reported* via
+        One full read of the archive, every member checked against its
+        zip CRC.  Any corruption — unparseable JSON, a damaged ``.npz``,
+        a missing column, digest mismatches — quarantines the entry and
+        reads as a cache miss; corruption is *reported* via
         :attr:`corrupt_events`, never raised.
         """
         if not self.contains(spec, digest):
             return None
-        trace_path, profile_path, _ = self.paths(spec, digest)
+        trace_path, _ = self.paths(spec, digest)
         try:
-            meta = self._read_verified_meta(spec, digest)
-            trace = load_trace(trace_path)
-            profile = InterleaveProfile.load(profile_path)
+            meta = self._read_meta(spec, digest)
+            trace, columns, embedded = read_trace_archive(
+                trace_path, PROFILE_COLUMNS
+            )
+            _check_embedded_digest(embedded, digest)
+            instructions = int(meta["instructions"])
             return RunArtifacts(
                 name=spec.name,
                 trace=trace,
-                profile=profile,
-                instructions=int(meta["instructions"]),
+                profile=InterleaveProfile.from_columns(
+                    columns,
+                    instructions=instructions,
+                    name=str(embedded.get("profile", spec.name)),
+                ),
+                instructions=instructions,
                 static_branches=int(meta["static_branches"]),
             )
         except Exception as exc:
@@ -485,25 +636,30 @@ class ArtifactStore:
     ) -> None:
         """Persist one job's artifacts under their content address.
 
-        All three files are staged in a private temp directory and moved
-        into place with ``os.replace`` — meta last, acting as the commit
+        Both files are staged in a private temp directory and moved into
+        place with ``os.replace`` — meta last, acting as the commit
         record — so readers never observe a torn entry.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        trace_path, profile_path, meta_path = self.paths(spec, digest)
+        trace_path, meta_path = self.paths(spec, digest)
         stage = self.root / f".stage-{os.getpid()}-{self.stem(spec, digest)}"
         stage.mkdir(parents=True, exist_ok=True)
         try:
             save_trace(
                 artifacts.trace, stage / trace_path.name,
-                meta={"digest": digest, "benchmark": spec.name},
+                meta={
+                    "digest": digest,
+                    "benchmark": spec.name,
+                    "profile": artifacts.profile.name,
+                },
+                columns=artifacts.profile.to_columns(),
             )
-            artifacts.profile.save(stage / profile_path.name)
             (stage / meta_path.name).write_text(
                 json.dumps(
                     {
                         "digest": digest,
                         "digest_version": DIGEST_VERSION,
+                        "store_format": STORE_FORMAT,
                         "benchmark": spec.name,
                         "scale": spec.scale,
                         "trace_limit": spec.trace_limit,
@@ -513,7 +669,7 @@ class ArtifactStore:
                 ),
                 encoding="utf-8",
             )
-            for final in (trace_path, profile_path, meta_path):
+            for final in (trace_path, meta_path):
                 os.replace(stage / final.name, final)
         finally:
             for leftover in stage.glob("*"):
@@ -532,9 +688,12 @@ def _execute_job(
 ) -> JobResult:
     """Run one job end to end (pool worker; must stay module-level).
 
-    Builds, digests, then either loads from the store or simulates and
-    stores.  With a store the result carries no arrays — the parent
-    reloads them by digest — so the pickle pipe stays small.
+    Digests (through the store's digest memo, which skips the build on a
+    hit), then either takes the artifacts from the store or builds,
+    simulates and stores.  A worker process only verifies a stored entry
+    and returns no arrays — the parent loads them by digest — so the
+    pickle pipe stays small; an in-process store hit returns the
+    artifacts of its one full read.
 
     The simulation always runs through
     :func:`~repro.checkpoint.run_simulation`.  With a checkpoint cadence
@@ -570,10 +729,8 @@ def _execute_job(
         plan.on_job_start(spec.name, in_worker)
     if progress is not None:
         progress(spec.name, 0)
-    built = build_workload(get_benchmark(spec.name, scale=spec.scale))
-    digest = artifact_digest(
-        built, trace_limit=spec.trace_limit, backend=spec.backend
-    )
+    built_here: List[BuiltWorkload] = []
+    digest = compute_job_digest(spec, cache_root, on_build=built_here.append)
     store = ArtifactStore(Path(cache_root)) if cache_root else None
     checkpoints = None
     if checkpoint_every is not None and store is not None:
@@ -583,7 +740,7 @@ def _execute_job(
             every_events=checkpoint_every,
         )
 
-    def store_hit() -> JobResult:
+    def store_hit(artifacts: Optional[RunArtifacts] = None) -> JobResult:
         if checkpoints is not None:
             # artifacts exist; drop stale state
             checkpoints.store.clear(checkpoints.stem)
@@ -592,12 +749,19 @@ def _execute_job(
             digest=digest,
             source="store",
             seconds=time.perf_counter() - started,
+            artifacts=artifacts,
             quarantined=len(store.corrupt_events),
             quarantine_pruned=store.pruned_entries,
         )
 
-    if store is not None and store.verify(spec, digest):
-        return store_hit()
+    if store is not None:
+        if in_worker:
+            if store.verify(spec, digest):
+                return store_hit()
+        else:
+            stored = store.load(spec, digest)
+            if stored is not None:
+                return store_hit(stored)
     claimed = store.try_claim(spec, digest) if store is not None else False
     if store is not None and not claimed and not speculative:
         # Another engine (or daemon worker) is simulating this exact
@@ -610,6 +774,11 @@ def _execute_job(
             return store_hit()
         claimed = store.try_claim(spec, digest)
 
+    built = (
+        built_here[0]
+        if built_here
+        else build_workload(get_benchmark(spec.name, scale=spec.scale))
+    )
     last_refresh = [time.monotonic()]
 
     def _slice_progress(events: int) -> None:
@@ -673,7 +842,7 @@ def _execute_job(
                 # the artifacts are the durable state now
                 checkpoints.store.clear(checkpoints.stem)
             if plan is not None:
-                trace_path, _, meta_path = store.paths(spec, digest)
+                trace_path, meta_path = store.paths(spec, digest)
                 plan.on_artifacts_stored(spec.name, trace_path, meta_path)
             artifacts = None  # parent reloads from the store
     finally:
@@ -1156,21 +1325,21 @@ class ExecutionEngine:
         )
 
     def digest(self, name: str) -> str:
-        """Content digest of *name*'s artifacts (builds, never simulates)."""
+        """Content digest of *name*'s artifacts (never simulates).
+
+        Answered by the store's digest memo when it can be, else built.
+        """
         cached = self._digests.get(name)
         if cached is None:
-            cached = compute_job_digest(self.job(name))
+            cached = compute_job_digest(self.job(name), self._cache_root())
             self._digests[name] = cached
         return cached
 
     def cache_paths(self, name: str) -> Optional[Tuple[Path, Path]]:
-        """(trace, profile) store paths for *name*; None without a store."""
+        """(trace archive, meta) store paths for *name*; None without a store."""
         if self.store is None:
             return None
-        trace_path, profile_path, _ = self.store.paths(
-            self.job(name), self.digest(name)
-        )
-        return trace_path, profile_path
+        return self.store.paths(self.job(name), self.digest(name))
 
     def _cache_root(self) -> Optional[str]:
         return str(self.cache_dir) if self.cache_dir else None
@@ -1696,14 +1865,19 @@ def surviving_benchmarks(
 __all__ = [
     "ArtifactStore",
     "CHECKPOINT_SUBDIR",
+    "DIGEST_SUBDIR",
     "DIGEST_VERSION",
+    "DigestMemo",
     "EngineStats",
     "ExecutionEngine",
     "JobResult",
     "JobSpec",
     "RunArtifacts",
+    "STORE_FORMAT",
     "artifact_digest",
     "compute_job_digest",
+    "digest_source_key",
+    "digest_sources",
     "experiment_benchmarks",
     "shard_subset",
     "surviving_benchmarks",

@@ -60,7 +60,7 @@ __all__ = [
 #: artifact suffixes a store entry is made of; ``.meta.json`` commits the
 #: entry, so merges copy it last (same ordering the store's atomic put
 #: uses).
-_ARTIFACT_SUFFIXES = (".trace.npz", ".profile.json", ".meta.json")
+_ARTIFACT_SUFFIXES = (".trace.npz", ".meta.json")
 
 _SHARD_RE = re.compile(r"^(\d+)/(\d+)$")
 
@@ -303,8 +303,9 @@ def _artifact_files(root: Path) -> List[Path]:
     """Store entry files in *root*, metas last within stable name order.
 
     Only top-level artifact files count: ``quarantine/``, ``checkpoints/``,
-    ``service/``, ``.stage-*`` staging droppings and advisory ``*.claim``
-    files are shard-local operational state, not suite results.
+    ``service/``, ``digests/``, ``.stage-*`` staging droppings and
+    advisory ``*.claim`` files are shard-local operational state, not
+    suite results.
     """
     files = [
         p

@@ -4,7 +4,8 @@ An :class:`InterleaveProfile` is the output of the paper's first two analysis
 steps: per-static-branch execution statistics plus the pairwise interleave
 counts that become the edges of the branch conflict graph.  Profiles are
 JSON-serializable so they can be cached, inspected and merged across input
-sets (the paper's §5.2 cumulative-profile approach).
+sets (the paper's §5.2 cumulative-profile approach).  The artifact store
+keeps them as columns instead (:meth:`InterleaveProfile.to_columns`).
 """
 
 from __future__ import annotations
@@ -12,12 +13,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
+
+import numpy as np
 
 PathLike = Union[str, Path]
 PairKey = Tuple[int, int]
 
 _FORMAT_VERSION = 1
+
+#: column name -> dtype of :meth:`InterleaveProfile.to_columns`.
+PROFILE_COLUMNS = {
+    "branch_pc": np.uint64,
+    "branch_executions": np.int64,
+    "branch_taken": np.int64,
+    "pair_a": np.uint64,
+    "pair_b": np.uint64,
+    "pair_count": np.int64,
+}
 
 
 @dataclass
@@ -144,6 +157,58 @@ class InterleaveProfile:
     def load(cls, path: PathLike) -> "InterleaveProfile":
         """Read a profile written by :meth:`save`."""
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+    def to_columns(self) -> Dict[str, np.ndarray]:
+        """The branch stats and pair counts as :data:`PROFILE_COLUMNS` arrays.
+
+        Rows keep the dicts' iteration order, so :meth:`from_columns`
+        rebuilds a profile that iterates exactly like this one.
+        """
+        stats = list(self.branches.values())
+        values = {
+            "branch_pc": list(self.branches),
+            "branch_executions": [s.executions for s in stats],
+            "branch_taken": [s.taken for s in stats],
+            "pair_a": [a for a, _ in self.pairs],
+            "pair_b": [b for _, b in self.pairs],
+            "pair_count": list(self.pairs.values()),
+        }
+        return {
+            key: np.array(values[key], dtype=dtype)
+            for key, dtype in PROFILE_COLUMNS.items()
+        }
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Mapping[str, np.ndarray],
+        instructions: int = 0,
+        name: str = "<profile>",
+    ) -> "InterleaveProfile":
+        """Rebuild a profile from :meth:`to_columns` arrays.
+
+        Counts and PCs come back as Python ``int``s.
+
+        Raises:
+            KeyError: on a missing column.
+            ValueError: when the branch or pair columns differ in length.
+        """
+        pcs, executions, taken, a, b, counts = (
+            columns[key].tolist() for key in PROFILE_COLUMNS
+        )
+        if not len(pcs) == len(executions) == len(taken):
+            raise ValueError("branch columns differ in length")
+        if not len(a) == len(b) == len(counts):
+            raise ValueError("pair columns differ in length")
+        return cls(
+            branches={
+                pc: BranchStats(ex, tk)
+                for pc, ex, tk in zip(pcs, executions, taken)
+            },
+            pairs=dict(zip(zip(a, b), counts)),
+            instructions=instructions,
+            name=name,
+        )
 
     def restricted_to(self, pcs: Iterable[int]) -> "InterleaveProfile":
         """A copy containing only the given static branches and their pairs."""

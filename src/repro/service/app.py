@@ -213,7 +213,7 @@ class AnalysisService:
             )
         self.counters["submitted"] += 1
         self.quotas.admit(tenant)  # may raise QuotaExceeded
-        digest = compute_job_digest(spec)
+        digest = compute_job_digest(spec, str(self.cache_dir))
         stem = self.store.stem(spec, digest)
         primary = self.inflight.get(stem)
         if primary is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ def save_trace(
     trace: BranchTrace,
     path: PathLike,
     meta: Optional[Dict[str, object]] = None,
+    columns: Optional[Mapping[str, np.ndarray]] = None,
 ) -> None:
     """Write *trace* to an ``.npz`` file.
 
@@ -36,8 +37,11 @@ def save_trace(
         meta: optional JSON-serialisable provenance metadata (the artifact
             store stamps the content digest here); readable without
             decompressing the event columns via :func:`read_trace_meta`.
+        columns: optional extra named arrays kept in the same archive
+            (the artifact store keeps the interleave profile here); read
+            back with :func:`read_trace_archive`.
     """
-    extras = {}
+    extras = dict(columns or {})
     if meta is not None:
         extras["meta"] = np.array([json.dumps(meta)])
     np.savez_compressed(
@@ -52,19 +56,56 @@ def save_trace(
     )
 
 
-def read_trace_meta(path: PathLike) -> Dict[str, object]:
+def _archive_meta(archive) -> Dict[str, object]:
+    version = int(archive["version"][0])
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version {version}")
+    if "meta" not in archive.files:
+        return {}
+    return json.loads(str(archive["meta"][0]))
+
+
+def read_trace_meta(
+    path: PathLike, require: Sequence[str] = ()
+) -> Dict[str, object]:
     """Provenance metadata stored with :func:`save_trace` (may be empty).
+
+    Reads the archive's member list and its two small header members;
+    the event columns stay compressed on disk.
 
     Raises:
         ValueError: on a format-version mismatch.
+        KeyError: when a column named in *require* is missing.
     """
     with np.load(Path(path), allow_pickle=False) as archive:
-        version = int(archive["version"][0])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported trace format version {version}")
-        if "meta" not in archive.files:
-            return {}
-        return json.loads(str(archive["meta"][0]))
+        for key in require:
+            if key not in archive.files:
+                raise KeyError(key)
+        return _archive_meta(archive)
+
+
+def read_trace_archive(
+    path: PathLike, columns: Sequence[str] = ()
+) -> Tuple[BranchTrace, Dict[str, np.ndarray], Dict[str, object]]:
+    """One full read of a :func:`save_trace` archive.
+
+    Returns the trace, the extra *columns* asked for and the provenance
+    metadata.  Every member read is checked against its zip CRC.
+
+    Raises:
+        ValueError: on a format-version mismatch.
+        KeyError: when a column named in *columns* is missing.
+    """
+    with np.load(Path(path), allow_pickle=False) as archive:
+        meta = _archive_meta(archive)
+        trace = BranchTrace(
+            archive["pcs"],
+            archive["targets"],
+            archive["taken"],
+            archive["timestamps"],
+            name=str(archive["name"][0]),
+        )
+        return trace, {key: archive[key] for key in columns}, meta
 
 
 def load_trace(path: PathLike) -> BranchTrace:
@@ -73,17 +114,7 @@ def load_trace(path: PathLike) -> BranchTrace:
     Raises:
         ValueError: on a format-version mismatch.
     """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        version = int(archive["version"][0])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported trace format version {version}")
-        return BranchTrace(
-            archive["pcs"],
-            archive["targets"],
-            archive["taken"],
-            archive["timestamps"],
-            name=str(archive["name"][0]),
-        )
+    return read_trace_archive(path)[0]
 
 
 def save_trace_ndjson(trace: BranchTrace, path: PathLike) -> None:

@@ -244,7 +244,8 @@ def test_lint_waiver_suppresses_strict_failure(capsys, monkeypatch):
             ),
         )
 
-    monkeypatch.setattr("repro.__main__.lint_program", fake_lint)
+    # cmd_lint imports the linter when it runs
+    monkeypatch.setattr("repro.static_analysis.lint_program", fake_lint)
     base = ["lint", "plot", "--scale", "0.05", "--strict"]
     assert main(base) == 1
     capsys.readouterr()

@@ -49,10 +49,10 @@ def test_cache_paths_fold_digest(tmp_path):
     """The legacy name-sSCALE scheme now carries the content digest, so a
     kernel edit (different digest) can never resurrect a stale artifact."""
     engine = ExecutionEngine(scale=SCALE, cache_dir=tmp_path)
-    trace_path, profile_path = engine.cache_paths("plot")
+    trace_path, meta_path = engine.cache_paths("plot")
     digest = engine.digest("plot")
     assert digest[: ArtifactStore.DIGEST_CHARS] in trace_path.name
-    assert digest[: ArtifactStore.DIGEST_CHARS] in profile_path.name
+    assert digest[: ArtifactStore.DIGEST_CHARS] in meta_path.name
     assert trace_path.name.startswith(f"plot-s{SCALE:g}-")
 
 
@@ -70,7 +70,9 @@ def test_store_round_trip_and_counters(tmp_path):
     trace_path = tmp_path / f"{stem}.trace.npz"
     meta_path = tmp_path / f"{stem}.meta.json"
     assert trace_path.exists()
-    assert (tmp_path / f"{stem}.profile.json").exists()
+    assert meta_path.exists()
+    # the profile lives inside the trace archive: no sidecar of its own
+    assert not (tmp_path / f"{stem}.profile.json").exists()
 
     # provenance is stamped both in the sidecar and inside the trace file
     meta = json.loads(meta_path.read_text(encoding="utf-8"))

@@ -53,7 +53,7 @@ def test_corrupt_entry_is_quarantined_and_resimulated(tmp_path, victim):
     cold = make_engine(tmp_path)
     cold.artifacts("plot")
     spec, digest = cold.job("plot"), cold.digest("plot")
-    trace_path, _, meta_path = cold.store.paths(spec, digest)
+    trace_path, meta_path = cold.store.paths(spec, digest)
     corrupt_file(trace_path if victim == "trace" else meta_path)
 
     fresh = make_engine(tmp_path)
@@ -78,9 +78,8 @@ def test_store_load_never_raises_on_garbage(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = JobSpec("plot", scale=SCALE)
     digest = "ab" * 32
-    trace_path, profile_path, meta_path = store.paths(spec, digest)
+    trace_path, meta_path = store.paths(spec, digest)
     trace_path.write_bytes(b"\x00not a zip")
-    profile_path.write_text("{}", encoding="utf-8")
     meta_path.write_text("{not json", encoding="utf-8")
 
     assert store.load(spec, digest) is None
