@@ -37,7 +37,9 @@ faults:
 
 ## End-to-end sanity check for the evaluation engine: a cold run that
 ## simulates and populates the content-addressed store, a warm run that
-## must be served from it (nothing simulated), a bad-memo pass — every
+## must be served from it (nothing simulated — the "rerun continues a
+## run" check: a plain rerun is how an interrupted suite resumes, there
+## is no separate resume mode), a bad-memo pass — every
 ## digest-memo record is overwritten with garbage and the rerun must
 ## still be all store hits, nothing quarantined — then a corruption pass:
 ## one cache entry is damaged in place and the rerun must quarantine +

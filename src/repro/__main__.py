@@ -78,6 +78,7 @@ Unknown benchmark names exit with status 2 and a message on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -566,10 +567,10 @@ def _materialise_selection(engine: ExecutionEngine, selection) -> str:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if (args.resume or args.checkpoint_every) and not args.cache:
+    if args.checkpoint_every and not args.cache:
         print(
-            "error: --resume/--checkpoint-every need --cache (the journal "
-            "and checkpoints live in the cache directory)",
+            "error: --checkpoint-every needs --cache (checkpoints live in "
+            "the cache directory)",
             file=sys.stderr,
         )
         return 2
@@ -621,7 +622,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if sup_report.interrupted:
             raise SuiteInterrupted(
                 "supervised run drained on SIGTERM; rerun the same "
-                "command to resume from the journal",
+                "command",
                 completed=list(sup_report.completed),
                 remaining=list(sup_report.remaining),
             )
@@ -632,13 +633,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 + ", ".join(sup_report.lost),
                 benchmarks=list(sup_report.lost),
             )
-        # the supervised pass left a warm store + journal; the normal
-        # engine below replays it (journal/store hits) to assemble the
-        # experiment output without re-simulating anything
-        args.resume = True
-    # Constructing the engine validates the run journal when resuming: a
-    # structurally damaged journal raises JournalInvalid (caught in
-    # main(), exit 1) naming the journal path and the offending record.
+    # after a supervised pass the store is warm: this engine assembles
+    # the experiment output from store hits, simulating nothing
     engine = ExecutionEngine(
         scale=scale,
         cache_dir=args.cache or None,
@@ -646,13 +642,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         timeout=args.timeout or None,
         retries=args.retries,
         checkpoint_every_events=args.checkpoint_every or None,
-        resume=args.resume,
         backend=args.backend,
         shard=shard,
         selection=selection.expression if selection else None,
     )
-    for warning in engine.journal_warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     experiment = EXPERIMENTS[args.id] if args.id else None
     params = {
         "id": args.id or None,
@@ -661,7 +654,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "cache": args.cache or None,
         "timeout": args.timeout or None,
         "retries": args.retries,
-        "resume": args.resume,
         "checkpoint_every": args.checkpoint_every or None,
         "backend": args.backend,
         "selection": selection.expression if selection else None,
@@ -671,7 +663,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     try:
         # SIGTERM drains instead of killing: workers checkpoint, the
         # journal records completed work, and the run exits 1 with a
-        # typed suite_interrupted message; rerun --resume to continue.
+        # typed suite_interrupted message; rerunning continues it.
         with interrupt.sigterm_drain():
             if experiment is not None:
                 output = run_experiment(
@@ -1061,7 +1053,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         print(report.render())
     if report.interrupted:
         # an honest drain: completed work is durable and merged; a rerun
-        # of the same command resumes from the journal.  Exit 0.
+        # of the same command continues it.  Exit 0.
         return 0
     if report.exhausted:
         raise ShardRestartsExhausted(
@@ -1084,6 +1076,27 @@ def cmd_disasm(args: argparse.Namespace) -> int:
         listing += f"\n... ({len(lines) - args.head} more lines)"
     print(listing)
     return 0
+
+
+def _bounded(kind: type, low: float, strict: bool = False):
+    """argparse ``type``: a finite *kind* value >= *low* (> if *strict*)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        too_low = value <= low if strict else value < low
+        if too_low or not math.isfinite(value):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bound} {low}, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1183,17 +1196,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scale", type=float, default=1.0)
     p_verify.add_argument("--cache", default="",
                           help="trace cache directory")
-    p_verify.add_argument("--jobs", type=int, default=1,
+    p_verify.add_argument("--jobs", type=_bounded(int, 1), default=1,
                           help="worker processes for the profiling runs")
     p_verify.add_argument("--threshold", type=int, default=0,
                           help="edge threshold (0 = auto for scale)")
     add_json(p_verify)
 
     def add_fault_tolerance(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--timeout", type=float, default=0.0,
+        p.add_argument("--timeout", type=_bounded(float, 0),
+                       default=0.0,
                        help="per-attempt wall-clock budget in seconds for "
                        "parallel jobs (0 = unbounded)")
-        p.add_argument("--retries", type=int, default=1,
+        p.add_argument("--retries", type=_bounded(int, 0), default=1,
                        help="extra attempts per failed job before it is "
                        "dropped from the run")
 
@@ -1214,19 +1228,18 @@ def build_parser() -> argparse.ArgumentParser:
                        "declared scale, else 1.0)")
     p_exp.add_argument("--cache", default="",
                        help="content-addressed artifact store directory")
-    p_exp.add_argument("--jobs", type=int, default=1,
+    p_exp.add_argument("--jobs", type=_bounded(int, 1), default=1,
                        help="worker processes for benchmark simulation "
                        "(1 = sequential)")
     add_fault_tolerance(p_exp)
-    p_exp.add_argument("--checkpoint-every", type=int, default=0,
+    p_exp.add_argument("--checkpoint-every", type=_bounded(int, 0),
+                       default=0,
                        metavar="EVENTS",
                        help="snapshot simulator+pipeline state every N "
                        "branch events so retried/killed jobs resume "
                        "instead of cold-starting (needs --cache)")
-    p_exp.add_argument("--resume", action="store_true",
-                       help="skip benchmarks the run journal records as "
-                       "completed at these parameters (needs --cache)")
-    p_exp.add_argument("--workers", type=int, default=0, metavar="N",
+    p_exp.add_argument("--workers", type=_bounded(int, 0), default=0,
+                       metavar="N",
                        help="run the suite under the crash-safe shard "
                        "supervisor with N worker processes before "
                        "assembling the experiment output (needs --cache; "
@@ -1245,7 +1258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--scale", type=float, default=None,
                           help="workload scale (default: the selected "
                           "set's declared scale, else 0.05)")
-    p_faults.add_argument("--jobs", type=int, default=4)
+    p_faults.add_argument("--jobs", type=_bounded(int, 1), default=4)
     p_faults.add_argument("--cache", default="",
                           help="artifact store directory (default: a "
                           "throwaway temp store when corruption is "
@@ -1265,7 +1278,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "SIGKILLed once the bus has seen EVENTS branch "
                           "events (default 10000); the retry resumes from "
                           "the last checkpoint")
-    p_faults.add_argument("--checkpoint-every", type=int, default=0,
+    p_faults.add_argument("--checkpoint-every", type=_bounded(int, 0),
+                          default=0,
                           metavar="EVENTS",
                           help="checkpoint cadence in branch events "
                           f"(default: {DEFAULT_CHECKPOINT_EVERY} when "
@@ -1282,25 +1296,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache", required=True,
                          help="artifact store root (journal, checkpoints "
                          "and the service journal live under it)")
-    p_serve.add_argument("--workers", type=int, default=2,
+    p_serve.add_argument("--workers", type=_bounded(int, 1), default=2,
                          help="simulation worker processes (default 2)")
-    p_serve.add_argument("--queue-limit", type=int, default=16,
+    p_serve.add_argument("--queue-limit", type=_bounded(int, 1),
+                         default=16,
                          help="admission queue bound; submits beyond it "
                          "are shed with a typed rejection (default 16)")
-    p_serve.add_argument("--retries", type=int, default=1,
+    p_serve.add_argument("--retries", type=_bounded(int, 0), default=1,
                          help="extra attempts per crashed job (default 1)")
     p_serve.add_argument("--quota-rate", type=float, default=0.0,
                          help="per-tenant token refill rate in jobs/s "
                          "(0 = unlimited)")
     p_serve.add_argument("--quota-burst", type=float, default=8.0,
                          help="per-tenant token bucket capacity")
-    p_serve.add_argument("--checkpoint-every", type=int,
+    p_serve.add_argument("--checkpoint-every", type=_bounded(int, 1),
                          default=DEFAULT_CHECKPOINT_EVERY,
                          metavar="EVENTS",
                          help="checkpoint cadence in branch events — the "
                          "preemption/recovery granularity (default "
                          "%(default)s)")
-    p_serve.add_argument("--deadline", type=float, default=0.0,
+    p_serve.add_argument("--deadline", type=_bounded(float, 0),
+                         default=0.0,
                          help="default per-job deadline in seconds "
                          "(0 = unbounded; submits may override)")
 
@@ -1324,7 +1340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--predictors", default="",
                       help="comma-separated predictor specs to run per "
                       "job (e.g. bimodal,gshare:10)")
-    p_lg.add_argument("--deadline", type=float, default=0.0,
+    p_lg.add_argument("--deadline", type=_bounded(float, 0),
+                      default=0.0,
                       help="per-job deadline in seconds (0 = none)")
     p_lg.add_argument("--slow-client", type=int, default=0, metavar="N",
                       help="every Nth request trickles its submit frame "
@@ -1358,7 +1375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--benchmarks", default="",
                        help="benchmark selector expression (unions with "
                        "--set)")
-    p_sup.add_argument("--workers", type=int, default=2, metavar="N",
+    p_sup.add_argument("--workers", type=_bounded(int, 1), default=2,
+                       metavar="N",
                        help="shard worker processes to supervise")
     p_sup.add_argument("--scale", type=float, default=None,
                        help="workload scale (default: the selected set's "
@@ -1366,17 +1384,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--cache", required=True,
                        help="shared artifact store directory (journal, "
                        "checkpoints and leases live here)")
-    p_sup.add_argument("--retries", type=int, default=1,
+    p_sup.add_argument("--retries", type=_bounded(int, 0), default=1,
                        help="extra in-worker attempts per failed job")
-    p_sup.add_argument("--checkpoint-every", type=int,
+    p_sup.add_argument("--checkpoint-every", type=_bounded(int, 0),
                        default=DEFAULT_CHECKPOINT_EVERY,
                        metavar="EVENTS",
                        help="snapshot cadence so restarted shards resume "
                        "mid-benchmark instead of cold-starting")
-    p_sup.add_argument("--max-restarts", type=int,
+    p_sup.add_argument("--max-restarts", type=_bounded(int, 0),
                        help="restart budget per shard slot before its "
                        "work is reassigned to surviving slots")
-    p_sup.add_argument("--lease-timeout", type=float,
+    p_sup.add_argument("--lease-timeout",
+                       type=_bounded(float, 0, strict=True),
                        metavar="SECONDS",
                        help="heartbeat-lease age after which a live but "
                        "silent worker is declared wedged and recycled")

@@ -1,4 +1,4 @@
-"""Crash-safe simulation checkpoints and the resumable suite journal.
+"""Crash-safe simulation checkpoints and the suite run journal.
 
 The paper's profiles run to hundreds of millions of instructions per
 benchmark; at that horizon a preempted or killed worker must not throw
@@ -20,9 +20,10 @@ rather than merely retryable:
   and restores the latest valid one on restart, so a resumed run
   replays zero events and produces byte-identical artifacts;
 * :mod:`repro.checkpoint.journal` — the append-only, fsynced
-  ``journal.jsonl`` recording per-benchmark completion, so
-  ``repro experiment --resume`` skips finished work even after the
-  driver process itself died.
+  ``journal.jsonl`` logging per-benchmark outcomes.  The engine only
+  writes it; the shard supervisor, ``merge-shards`` and the analysis
+  service read it.  A rerun continues an interrupted run by finding
+  finished work in the artifact store, not in the journal.
 
 See ``docs/EVAL.md`` ("Checkpoint & resume") for file formats and
 retention, and ``docs/PIPELINE.md`` for the consumer snapshot hooks.

@@ -5,21 +5,17 @@ benchmark name, run parameters, the content digest of the stored
 artifacts, and outcome — flushed and fsynced per record, so the history
 survives the *driver* process dying, not just a worker.
 
-``repro experiment --resume`` replays the journal before scheduling
-work: a benchmark whose latest record (for the same scale/trace-limit
-parameters) is ``completed`` is loaded straight from the artifact store
-by its recorded digest and never re-simulated.  The journal is advisory
-provenance, not a second artifact index: if the recorded artifacts
-turn out to be missing or corrupt, the engine falls back to the normal
-simulate-or-cache path for that benchmark.
+The engine only ever writes it.  It is a log, not an artifact index:
+a rerun finds finished work through the digest memo and the content-
+addressed store, which check the current sources, never through a
+digest the journal recorded.  Its readers are the shard supervisor's
+recovery diff and learned cost model (:func:`~repro.eval.shards.
+measured_costs`), ``merge-shards`` and the analysis service's crash
+recovery.
 
-Every consumer reads through :meth:`RunJournal.read`.  A torn trailing
-line (the driver died mid-append) is always a warning naming the line.
-Structural damage (garbage mid-file, records written by a newer format
-version) is skipped with a warning by a tolerant read; a strict read —
-a resume run that must *trust* the journal — raises a typed
-:class:`~repro.errors.JournalInvalid` that names the journal path, the
-line number and the offending record.
+Every reader goes through :meth:`RunJournal.read`, which skips damage —
+a torn trailing line, garbage mid-file, records written by a newer
+format version — with a warning naming the journal path and line.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import JournalInvalid
-
 #: Format version stamped (as ``"v"``) into every record this writer
 #: appends.  Records without the field read as version 0 (pre-v7
 #: journals); records from a *newer* writer are never returned by
@@ -39,7 +33,7 @@ from ..errors import JournalInvalid
 #: misreads them.
 JOURNAL_VERSION = 1
 
-#: How many characters of an offending line an error message quotes.
+#: How many characters of an offending line a warning quotes.
 _SNIPPET_CHARS = 120
 
 
@@ -124,44 +118,29 @@ class RunJournal:
 
     # -- reading -------------------------------------------------------------
 
-    def read(self, strict: bool) -> Tuple[List[Dict[str, Any]], List[str]]:
+    def read(self) -> Tuple[List[Dict[str, Any]], List[str]]:
         """``(records, warnings)``: every usable record, in append order.
 
-        A single unparsable *final* line is the signature of a writer
-        that died mid-append.  It is always tolerated (the record it was
-        describing is simply not on record) and reported as a warning
-        naming the journal path and line number.  Every other kind of
-        damage depends on *strict*:
+        Damage is skipped, never raised, with one warning per skipped
+        line naming the journal path and line number:
 
-        * an unreadable journal file,
-        * an unparsable or non-object line anywhere *before* the tail
-          (manual edits, interleaved writers without the append lock),
+        * a torn final line — the signature of a writer that died
+          mid-append (the record it was describing is not on record);
+        * an unparsable or non-object line anywhere else (manual edits,
+          a torn line a later append sealed);
         * a record stamped with a format version newer than this
-          build's :data:`JOURNAL_VERSION` (written by a newer repro).
+          build's :data:`JOURNAL_VERSION` (written by a newer repro),
+          which is never returned.
 
-        Strict reads (a ``--resume`` run staking correctness on the
-        journal) raise.  Tolerant reads (completion lookups, cost
-        models, shard merges, service recovery, supervised workers
-        sharing one journal) skip the damage with a warning naming the
-        path and line, so a consumer can make progress over a partial
-        journal without silently under-counting what it dropped.  A
-        record from a newer writer is never returned either way.
-
-        Raises:
-            JournalInvalid: (strict only) naming ``self.path``, the
-                1-based line number and a snippet of the offending
-                record.
+        An unreadable journal reads as empty, with one warning.  Every
+        consumer can thus make progress over a partial journal without
+        silently under-counting what it dropped.
         """
         if not self.path.exists():
             return [], []
         try:
             raw = self.path.read_text(encoding="utf-8")
         except OSError as exc:
-            if strict:
-                raise JournalInvalid(
-                    f"run journal {self.path} is unreadable: {exc}",
-                    path=str(self.path),
-                ) from exc
             return [], [f"{self.path}: unreadable journal skipped: {exc}"]
         records: List[Dict[str, Any]] = []
         warnings: List[str] = []
@@ -173,74 +152,35 @@ class RunJournal:
         for index, line in enumerate(lines):
             if not line.strip():
                 continue
-            number = index + 1
+            where = f"{self.path}:{index + 1}"
             try:
                 record = json.loads(line)
             except ValueError:
                 if index == last_index and torn_tail:
                     warnings.append(
-                        f"{self.path}:{number}: torn tail "
-                        f"{_snippet(line)!r} — the writer died "
-                        "mid-append; the record is skipped"
-                    )
-                elif strict:
-                    raise self._invalid(
-                        f"run journal {self.path} has an unparsable record "
-                        f"at line {number}: {_snippet(line)!r} — delete the "
-                        "line or rerun without --resume",
-                        number,
-                        line,
+                        f"{where}: torn tail {_snippet(line)!r} — the "
+                        "writer died mid-append; the record is skipped"
                     )
                 else:
                     warnings.append(
-                        f"{self.path}:{number}: unparsable record "
-                        f"{_snippet(line)!r} skipped"
+                        f"{where}: unparsable record {_snippet(line)!r} "
+                        "skipped"
                     )
                 continue
             if not isinstance(record, dict):
-                if strict:
-                    raise self._invalid(
-                        f"run journal {self.path} has a non-object record "
-                        f"at line {number}: {_snippet(line)!r}",
-                        number,
-                        line,
-                    )
                 warnings.append(
-                    f"{self.path}:{number}: non-object record "
-                    f"{_snippet(line)!r} skipped"
+                    f"{where}: non-object record {_snippet(line)!r} skipped"
                 )
                 continue
             version = record.get("v", 0)
             if not isinstance(version, int) or version > JOURNAL_VERSION:
-                if strict:
-                    raise self._invalid(
-                        f"run journal {self.path} record at line {number} "
-                        f"has format version {version!r}, but this build "
-                        f"supports <= {JOURNAL_VERSION} — it was written by "
-                        "a newer repro; upgrade, or move the journal aside",
-                        number,
-                        line,
-                        version=version,
-                        supported=JOURNAL_VERSION,
-                    )
                 warnings.append(
-                    f"{self.path}:{number}: record with format version "
-                    f"{version!r} (> supported {JOURNAL_VERSION}) skipped"
+                    f"{where}: record with format version {version!r} "
+                    f"(> supported {JOURNAL_VERSION}) skipped"
                 )
                 continue
             records.append(record)
         return records, warnings
-
-    def _invalid(
-        self, message: str, number: int, line: str, **extra: Any
-    ) -> JournalInvalid:
-        return JournalInvalid(
-            message,
-            path=str(self.path),
-            line=number,
-            record=_snippet(line),
-            **extra,
-        )
 
     def completed(
         self,
@@ -257,7 +197,7 @@ class RunJournal:
         backend field count as interpreter runs.
         """
         latest: Dict[str, Optional[str]] = {}
-        records, _ = self.read(strict=False)
+        records, _ = self.read()
         for record in records:
             benchmark = record.get("benchmark")
             if not isinstance(benchmark, str):

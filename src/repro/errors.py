@@ -10,7 +10,6 @@ Layers::
     ReproError                      — root; carries a message + context dict
     ├── ArtifactCorrupt             — cache entry failed verification/load
     ├── CheckpointCorrupt           — checkpoint file failed verification
-    ├── JournalInvalid              — run journal structurally damaged
     ├── JobFailed                   — one engine job exhausted its retries
     │   ├── JobTimeout              — ... by exceeding its wall-clock budget
     │   └── JobCancelled            — cancelled by deadline/client, not retried
@@ -93,18 +92,6 @@ class CheckpointCorrupt(ReproError):
     """
 
     code = "checkpoint_corrupt"
-
-
-class JournalInvalid(ReproError):
-    """The run journal is structurally damaged beyond the tolerated cases.
-
-    Raised by a strict :meth:`repro.checkpoint.journal.RunJournal.read` with
-    the journal path, the 1-based line number and a snippet of the
-    offending record, so a failed ``experiment --resume`` names exactly
-    what to inspect (or delete) instead of dying with a bare exception.
-    """
-
-    code = "journal_invalid"
 
 
 class JobFailed(ReproError):
@@ -247,8 +234,9 @@ class SuiteInterrupted(ReproError):
     """A SIGTERM drained this suite run before it finished.
 
     Completed benchmarks are journaled and their artifacts durable;
-    in-flight jobs wrote checkpoints on the way down.  Rerunning with
-    ``--resume`` continues from where the drain stopped.
+    in-flight jobs wrote checkpoints on the way down.  Rerunning the
+    same command continues from where the drain stopped: finished work
+    is served by the store, in-flight work restores its checkpoint.
     """
 
     code = "suite_interrupted"
@@ -310,7 +298,6 @@ __all__ = [
     "JobFailed",
     "JobInterrupted",
     "JobTimeout",
-    "JournalInvalid",
     "MemAccessError",
     "QuotaExceeded",
     "ReproError",

@@ -296,7 +296,7 @@ class JobResult:
 
     spec: JobSpec
     digest: str
-    source: str  # "store" | "simulated" | "resimulated" | "journal" | "failed"
+    source: str  # "store" | "simulated" | "resimulated" | "failed"
     seconds: float
     artifacts: Optional[RunArtifacts] = None
     error: Optional[ReproError] = None
@@ -1046,8 +1046,6 @@ class EngineStats:
     #: checkpoint/resume counters (schema v4).
     checkpoints_written: int = 0
     resumed_from_checkpoint: int = 0
-    #: benchmarks loaded straight from the run journal (--resume).
-    journal_skips: int = 0
     #: quarantine files age-pruned to keep the directory bounded.
     quarantine_pruned: int = 0
     #: predictor-bank replays of a stored trace.
@@ -1087,8 +1085,6 @@ class EngineStats:
             )
         elif result.source == "store":
             self.store_hits += 1
-        elif result.source == "journal":
-            self.journal_skips += 1
         else:
             self.simulated += 1
         self.job_seconds[result.spec.name] = result.seconds
@@ -1108,7 +1104,6 @@ class EngineStats:
             "quarantined": self.quarantined,
             "checkpoints_written": self.checkpoints_written,
             "resumed_from_checkpoint": self.resumed_from_checkpoint,
-            "journal_skips": self.journal_skips,
             "quarantine_pruned": self.quarantine_pruned,
             "replayed_runs": self.replayed_runs,
             "shard": self.shard,
@@ -1150,7 +1145,6 @@ class EngineStats:
         lines.append(
             f"  resume: {self.checkpoints_written} checkpoint(s) written, "
             f"{self.resumed_from_checkpoint} resumed, "
-            f"{self.journal_skips} journal skip(s), "
             f"{self.quarantine_pruned} quarantine file(s) pruned"
         )
         for failure in self.failures:
@@ -1187,9 +1181,6 @@ class ExecutionEngine:
             this many new branch events have accumulated, so retried,
             timed-out or killed jobs resume mid-run instead of
             restarting (requires ``cache_dir``; None disables).
-        resume: consult the cache's run journal first and skip
-            benchmarks whose completion it records (requires
-            ``cache_dir``).
         backend: simulation backend name or instance
             (:mod:`repro.sim.api`); folded into every job spec, digest
             and journal record this engine produces.
@@ -1214,15 +1205,6 @@ class ExecutionEngine:
         cost_model: which shard cost model partitioned this engine's
             names (``"measured"``/``"fuel"``; observability only —
             partitioning happens at the selection/supervisor layer).
-        journal_strict: how ``resume`` treats a damaged run journal.
-            True (the default) validates structurally and raises
-            :class:`~repro.errors.JournalInvalid` on mid-file garbage.
-            Supervised shard workers pass False: N siblings share one
-            journal and any of them can be SIGKILLed mid-append, so a
-            restarted worker must tolerate a sibling's torn line (it is
-            skipped with a warning) instead of dying on it — which
-            would turn one injected kill into an unrecoverable restart
-            loop.
     """
 
     def __init__(
@@ -1235,14 +1217,12 @@ class ExecutionEngine:
         retries: int = 1,
         retry_backoff: float = 0.05,
         checkpoint_every_events: Optional[int] = None,
-        resume: bool = False,
         backend: Optional[object] = None,
         shard: Optional[object] = None,
         selection: Optional[str] = None,
         progress: Optional[Callable[[str, int], None]] = None,
         speculative: bool = False,
         cost_model: Optional[str] = None,
-        journal_strict: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1259,11 +1239,6 @@ class ExecutionEngine:
                     "checkpoint_every_events requires a cache_dir "
                     "(checkpoints live under the cache root)"
                 )
-        if resume and cache_dir is None:
-            raise ValueError(
-                "resume requires a cache_dir (the run journal lives "
-                "under the cache root)"
-            )
         if progress is not None and jobs > 1:
             raise ValueError(
                 "progress callbacks need in-process execution (jobs=1); "
@@ -1282,7 +1257,6 @@ class ExecutionEngine:
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.checkpoint_every_events = checkpoint_every_events
-        self.resume = resume
         self.progress = progress
         self.speculative = speculative
         self.store = (
@@ -1306,12 +1280,6 @@ class ExecutionEngine:
         self._digests: Dict[str, str] = {}
         #: set when a SIGTERM drain cut a prefetch pass short.
         self.interrupted = False
-        #: tolerated journal damage found at resume time (torn tail);
-        #: structural damage raises JournalInvalid here instead, naming
-        #: the journal path and the offending record.
-        self.journal_warnings: List[str] = []
-        if self.resume and self.journal is not None:
-            _, self.journal_warnings = self.journal.read(journal_strict)
 
     # -- job bookkeeping ----------------------------------------------------
 
@@ -1391,8 +1359,8 @@ class ExecutionEngine:
         Raises:
             SuiteInterrupted: when a SIGTERM drain stopped the pass
                 (see :mod:`repro.eval.interrupt`); completed work is
-                journaled, in-flight jobs checkpointed, and a
-                ``--resume`` rerun continues from here.
+                journaled, in-flight jobs checkpointed, and rerunning
+                the same pass continues from here.
         """
         # Sharding is applied by the selection layer (shard_subset at
         # the experiment/CLI call sites), exactly once — re-partitioning
@@ -1402,18 +1370,19 @@ class ExecutionEngine:
             n for n in wanted
             if n not in self._memo and n not in self.failures
         ]
-        # Replay the run journal first: benchmarks it records as
-        # completed load straight from the store (in-process — no worker
-        # spawn) and drop out of the pool pass.
-        completed = self._journal_completed() if missing else {}
-        for name in missing:
-            if name in completed:
-                self._absorb(self._journal_result(name, completed[name]))
-        missing = [n for n in missing if n not in completed]
-        if self.jobs > 1 and len(missing) > 1:
-            self._run_parallel(missing)
-        else:
+        if self.store is not None and self.jobs > 1 and len(missing) > 1:
+            # Finished work loads in-process first (memoised digest, one
+            # store read, never a build), so a warm rerun spawns no
+            # worker for it.
             for name in missing:
+                stored = self._stored(name)
+                if stored is not None:
+                    self._absorb(stored)
+        pending = [n for n in missing if n not in self._memo]
+        if self.jobs > 1 and len(pending) > 1:
+            self._run_parallel(pending)
+        else:
+            for name in pending:
                 if interrupt.drain_requested():
                     self.interrupted = True
                     break
@@ -1427,7 +1396,7 @@ class ExecutionEngine:
             raise SuiteInterrupted(
                 f"suite drained on SIGTERM: {len(completed)}/"
                 f"{len(wanted)} benchmark(s) completed; in-flight "
-                "progress is checkpointed — rerun with --resume to "
+                "progress is checkpointed — rerun the same command to "
                 "continue",
                 completed=completed,
                 remaining=remaining,
@@ -1463,36 +1432,31 @@ class ExecutionEngine:
         so the first retry — attempt 2 — waits one base interval)."""
         return self.retry_backoff * (2 ** (attempt - 2))
 
-    def _journal_completed(self) -> Dict[str, str]:
-        """benchmark -> journaled digest for this engine's job parameters.
+    def _stored(self, name: str) -> Optional[JobResult]:
+        """*name*'s job as a store hit, or None; never builds.
 
-        Empty unless resuming.  The one place the engine reads the run
-        journal's completions, so every lookup matches on scale, trace
-        limit *and* backend.
+        The digest comes from the digest memo only.  An entry the load
+        quarantines is counted in :attr:`stats` before the job runs.
         """
-        if not self.resume or self.journal is None:
-            return {}
-        return self.journal.completed(
-            self.scale, self.trace_limit, backend=self.backend
-        )
-
-    def _journal_result(self, name: str, digest: str) -> JobResult:
-        """A job the run journal records as completed under *digest*.
-
-        :meth:`_absorb` loads it straight from the store by that digest,
-        and falls back to a resimulation if the artifacts turn out to be
-        damaged.
-        """
+        spec = self.job(name)
+        digest = DigestMemo(self.cache_dir).get(spec)
+        if digest is None:
+            return None
+        store = self.store
+        started = time.perf_counter()
+        before, pruned = len(store.corrupt_events), store.pruned_entries
+        artifacts = store.load(spec, digest)
+        if artifacts is None:
+            self.stats.quarantined += len(store.corrupt_events) - before
+            self.stats.quarantine_pruned += store.pruned_entries - pruned
+            return None
         return JobResult(
-            spec=self.job(name), digest=digest, source="journal", seconds=0.0
+            spec, digest, "store", time.perf_counter() - started, artifacts
         )
 
     def _run_sequential_job(self, name: str) -> JobResult:
         """Run one job in-process with the retry policy, then absorb it."""
         spec = self.job(name)
-        journal_digest = self._journal_completed().get(name)
-        if journal_digest is not None:
-            return self._absorb(self._journal_result(name, journal_digest))
         payload = (spec, self._cache_root(), False, self.checkpoint_every_events)
         started = time.perf_counter()
         attempt = 0
@@ -1549,8 +1513,8 @@ class ExecutionEngine:
         are killed, never joined indefinitely.
 
         A SIGTERM drain (:mod:`repro.eval.interrupt`) stops launches,
-        clears the pending queue (those jobs were never journaled, so a
-        ``--resume`` rerun picks them up), forwards SIGTERM to every
+        clears the pending queue (those jobs never ran, so a rerun
+        picks them up), forwards SIGTERM to every
         running worker — which writes a final checkpoint and reports
         ``job_interrupted`` — and records those outcomes without
         retrying.  A worker that has not wound down within
@@ -1710,10 +1674,9 @@ class ExecutionEngine:
     def _journal_outcome(self, result: JobResult) -> None:
         """Append one finished job to the run journal (durable record).
 
-        Journal hits are not re-journaled (the completion is already on
-        record); journal writes never fail the job they describe.
+        Journal writes never fail the job they describe.
         """
-        if self.journal is None or result.source == "journal":
+        if self.journal is None:
             return
         # Shard identity is a journal/stats annotation only — folding it
         # into job digests would make shard stores diverge from an

@@ -139,7 +139,7 @@ def measured_costs(
     tolerantly.
     """
     samples: Dict[str, List[float]] = {}
-    records, _ = journal.read(strict=False)
+    records, _ = journal.read()
     for record in records:
         if record.get("status") != "completed":
             continue
@@ -329,9 +329,9 @@ def merge_shards(
 
     Partial shards merge, they do not abort: a source journal with a
     torn tail (the shard died mid-append) or mid-file garbage has the
-    damaged lines skipped with a warning naming ``path:line`` — the
-    same damage classes a strict :meth:`RunJournal.read` rejects —
-    and :attr:`MergeReport.journal_skipped` counts them.  The dead
+    damaged lines skipped with a warning naming ``path:line`` (see
+    :meth:`RunJournal.read`) and :attr:`MergeReport.journal_skipped`
+    counts them.  The dead
     shard's *completed* records still merge; only the torn ones are
     lost, and they were never durable to begin with.
 
@@ -379,7 +379,7 @@ def merge_shards(
                 stage.replace(target)
                 report.artifacts_copied += 1
         shard_journal = RunJournal(source)
-        records, journal_warnings = shard_journal.read(strict=False)
+        records, journal_warnings = shard_journal.read()
         report.warnings.extend(journal_warnings)
         report.journal_skipped += len(journal_warnings)
         if not same_store:

@@ -18,9 +18,10 @@ store, and babysits them to a merged, byte-verified result:
   durable: journal + content-addressed store + checkpoints), then the
   slot is restarted with exponential backoff up to ``max_restarts``
   times; an exhausted slot is retired and its survivors re-partitioned
-  across free slots.  Because workers run ``resume=True``, a restarted
-  shard skips everything already journaled and resumes the in-flight
-  benchmark from its last checkpoint.
+  across free slots.  A restarted shard finds everything a sibling
+  already finished in the shared store (digest memo + store hit, no
+  simulation) and resumes the in-flight benchmark from its last
+  checkpoint.
 * **Speculative re-execution** — once every benchmark is assigned and a
   slot is idle, tail stragglers' remaining benchmarks are re-executed
   speculatively.  Safety rides entirely on the store's ``.claim``
@@ -212,12 +213,12 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
     """Shard worker body, run in a :class:`WorkerProcess` (module-level).
 
     Runs one in-process :class:`ExecutionEngine` over this slot's
-    assigned benchmarks with ``resume=True`` against the shared store —
-    which is the entire recovery story: a restarted worker replays the
-    shared journal, skips everything any sibling already completed, and
-    resumes the in-flight benchmark from its latest checkpoint.  Returns
-    the failures and job sources the supervisor folds in; a drain
-    surfaces as the worker's ``suite_interrupted`` error outcome.
+    assigned benchmarks against the shared store — which is the entire
+    recovery story: a restarted worker takes everything any sibling
+    already completed as store hits and resumes the in-flight benchmark
+    from its latest checkpoint.  Returns the failures and job sources
+    the supervisor folds in; a drain surfaces as the worker's
+    ``suite_interrupted`` error outcome.
 
     The engine's progress callback doubles as the fault hook
     (``shard_kill`` fires here, deterministically in event time) and the
@@ -266,14 +267,12 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
         jobs=1,
         retries=retries,
         checkpoint_every_events=checkpoint_every,
-        resume=True,
         backend=backend,
         shard=shard,
         selection=selection,
         progress=heartbeat,
         speculative=speculative,
         cost_model=cost_model,
-        journal_strict=False,
     )
     engine.prefetch(list(names))
     return {
@@ -451,6 +450,12 @@ class ShardSupervisor:
             raise ValueError(
                 f"max_restarts must be >= 0, got {max_restarts}"
             )
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if lease_timeout <= 0:
+            raise ValueError(
+                f"lease_timeout must be > 0, got {lease_timeout}"
+            )
         self.names = list(dict.fromkeys(names))
         self.workers = workers
         self.store_root = Path(store_root)
@@ -572,7 +577,7 @@ class ShardSupervisor:
             ).items():
                 if source in ("simulated", "resimulated"):
                     self.stats.speculative_wins += 1
-                elif source in ("store", "journal"):
+                elif source == "store":
                     self.stats.speculative_losses += 1
 
     def _install_fault_state(self) -> Optional[str]:

@@ -32,11 +32,11 @@ Version history:
   ``--version`` flag reports ``{"version": ..., "schema_version": ...}``.
 * **4** — checkpoint/resume: the embedded ``engine`` stats gain
   ``checkpoints_written``/``resumed_from_checkpoint`` (simulations that
-  restored a mid-run checkpoint instead of cold-starting),
-  ``journal_skips`` (benchmarks satisfied from the run journal by
-  ``experiment --resume``) and ``quarantine_pruned`` (quarantine files
-  age-pruned to keep the directory bounded) counters; ``experiment``
-  params gain ``resume``/``checkpoint_every``.
+  restored a mid-run checkpoint instead of cold-starting), a
+  journal-skip counter (benchmarks satisfied from the run journal by
+  ``experiment --resume``; gone in v11) and ``quarantine_pruned``
+  (quarantine files age-pruned to keep the directory bounded)
+  counters; ``experiment`` params gain ``resume``/``checkpoint_every``.
 * **5** — static verification: ``lint`` gains ``--json`` and emits the
   envelope (``results`` = ``{reports: [{name, ok, clean, errors,
   warnings, diagnostics: [{severity, code, message, address}]}],
@@ -61,8 +61,8 @@ Version history:
   ``completed``/``shed``/``quota_rejected`` counts, ``jobs_per_second``,
   ``latency`` p50/p99, ``cache_hit_ratio``, ``shed_rate``); run-journal
   records gain a ``v`` format-version field (older records read as v0;
-  newer-than-supported journals fail ``experiment --resume`` with a
-  typed ``journal_invalid`` error naming the offending record); the
+  newer-than-supported journals failed ``experiment --resume`` with a
+  typed error naming the offending record, until v11); the
   engine's failure payloads may now carry the ``job_cancelled``/
   ``job_interrupted``/``suite_interrupted`` codes (SIGTERM drain and
   deadline cancellation).
@@ -101,6 +101,12 @@ Version history:
   stats drop ``fused_runs`` (the fused profile-and-predict path it
   counted is gone; every job simulates, stores and is replayed).
   Every other key is unchanged.
+* **11** — a rerun is a store hit: ``experiment --resume`` is gone, so
+  ``experiment`` params drop ``resume`` and the embedded ``engine``
+  stats drop the journal-skip counter (finished work now counts as
+  ``store_hits``); the ``journal_invalid`` failure code is gone with
+  the strict journal read that raised it.  Every other key is
+  unchanged.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def envelope(

@@ -34,6 +34,7 @@ Robustness model (see ``docs/SERVICE.md``):
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import signal
 import time
@@ -62,6 +63,7 @@ from ..eval.engine import (
 )
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
+from ..sim.api import backend_names
 from ..workloads.registry import resolve_benchmark
 from .admission import AdmissionController
 from .jobs import ServiceJob, ServiceJournal, build_predictor
@@ -80,6 +82,15 @@ _POLL_SECONDS = 0.02
 
 #: Subdirectory of the cache root holding the service journal.
 SERVICE_SUBDIR = "service"
+
+
+def _is_number(value: Any) -> bool:
+    """True for a finite JSON number (not a bool, NaN or infinity)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -181,18 +192,47 @@ class AnalysisService:
         # an unknown name raises UnknownBenchmark: a typed wire rejection
         # with a near-miss suggestion
         resolve_benchmark(benchmark)
-        predictors = tuple(frame.get("predictors") or ())
+
+        def field(name: str, default: Any, expected: str, valid) -> Any:
+            value = frame.get(name, default)
+            if not valid(value):
+                raise ReproError(
+                    f"submit field {name!r} must be {expected}, "
+                    f"got {value!r}",
+                    field=name,
+                )
+            return value
+
+        predictors = field(
+            "predictors", None, "a list of predictor specs",
+            lambda v: v is None
+            or (isinstance(v, list) and all(isinstance(t, str) for t in v)),
+        )
+        predictors = tuple(predictors or ())
         for spec_text in predictors:
             try:
                 build_predictor(spec_text)
             except (TypeError, ValueError) as exc:
                 raise ReproError(str(exc)) from exc
-        deadline_s = frame.get("deadline_s", self.config.default_deadline_s)
         spec = JobSpec(
             name=benchmark,
-            scale=float(frame.get("scale", 1.0)),
-            trace_limit=frame.get("trace_limit"),
-            backend=str(frame.get("backend", "interp")),
+            scale=float(
+                field("scale", 1.0, "a finite number > 0",
+                      lambda v: _is_number(v) and v > 0)
+            ),
+            trace_limit=field(
+                "trace_limit", None, "null or an integer >= 0",
+                lambda v: v is None or (type(v) is int and v >= 0),
+            ),
+            backend=field(
+                "backend", "interp", f"one of {backend_names()}",
+                lambda v: v in backend_names(),
+            ),
+        )
+        deadline_s = field(
+            "deadline_s", self.config.default_deadline_s,
+            "null or a finite number > 0",
+            lambda v: v is None or (_is_number(v) and v > 0),
         )
         return (
             job_id,
@@ -370,7 +410,7 @@ class AnalysisService:
         loop = asyncio.get_running_loop()
         try:
             predictions = await loop.run_in_executor(
-                None, self._run_predictors, job
+                None, self._run_predictors, job, result.digest
             )
         except Exception as exc:
             error = exc if isinstance(exc, ReproError) else ReproError(
@@ -381,14 +421,18 @@ class AnalysisService:
             return
         self._complete(job, result, predictions, self.clock())
 
-    def _run_predictors(self, job: ServiceJob) -> Dict[str, Any]:
-        artifacts = self.store.load(job.spec, job.digest)
+    def _run_predictors(
+        self, job: ServiceJob, digest: str
+    ) -> Dict[str, Any]:
+        """Replay *job*'s predictor bank over the entry the worker
+        stored under *digest*."""
+        artifacts = self.store.load(job.spec, digest)
         if artifacts is None:
             raise ReproError(
                 f"artifacts for {job.spec.name} vanished before the "
                 "predictor replay",
                 benchmark=job.spec.name,
-                digest=job.digest,
+                digest=digest,
             )
         bank = [
             PredictorConsumer(build_predictor(text), label=job.spec.name)
@@ -597,7 +641,10 @@ class AnalysisService:
         No new ``submitted`` record (the original is still on file); no
         admission/quota gate (the jobs were already admitted once); no
         waiters (their clients are gone — results land in the artifact
-        store and the ``done`` journal record).
+        store and the ``done`` journal record).  The digest is
+        recomputed from the current sources (normally a digest-memo
+        hit), never taken from the record, so a recovered job dedupes
+        with new submits of the same spec.
         """
         for record in self.journal.orphans():
             spec = JobSpec(
@@ -610,7 +657,7 @@ class AnalysisService:
                 resolve_benchmark(spec.name)
             except UnknownBenchmark:
                 continue  # journal from an older suite; nothing to resume
-            digest = str(record.get("digest", ""))
+            digest = compute_job_digest(spec, str(self.cache_dir))
             job = ServiceJob(
                 id=str(record["job"]),
                 tenant=str(record.get("tenant", "anonymous")),

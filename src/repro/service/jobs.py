@@ -162,7 +162,7 @@ class ServiceJournal(RunJournal):
         """
         submitted: Dict[str, Dict[str, Any]] = {}
         order: List[str] = []
-        records, _ = self.read(strict=False)
+        records, _ = self.read()
         for record in records:
             job_id = record.get("job")
             if not isinstance(job_id, str):

@@ -8,8 +8,9 @@ Three layers are exercised:
   boundary and resumed must produce artifacts byte-identical to an
   uninterrupted run (the property test draws the kill point);
 * the :class:`~repro.eval.engine.ExecutionEngine` — retries restore the
-  dead attempt's checkpoint, the run journal lets ``--resume`` skip
-  finished benchmarks, and both are visible in the engine stats.
+  dead attempt's checkpoint, a plain rerun takes finished benchmarks
+  from the store without building, and both are visible in the engine
+  stats.
 
 The simulation-heavy tests are marked ``faults`` alongside the rest of
 the injection suite; the store/journal unit tests run everywhere.
@@ -435,7 +436,7 @@ def test_restorable_but_stale_payload_quarantines(built_plot, tmp_path):
     assert outcome.result.instructions > 0
 
 
-# -- engine integration: retries resume, journal skips -----------------------
+# -- engine integration: retries resume, reruns are store hits --------------
 
 
 def make_engine(tmp_path, **kwargs):
@@ -458,8 +459,6 @@ def _artifact_bytes(cache_dir, name):
 def test_checkpoint_flags_require_cache():
     with pytest.raises(ValueError):
         ExecutionEngine(scale=SCALE, checkpoint_every_events=1_000)
-    with pytest.raises(ValueError):
-        ExecutionEngine(scale=SCALE, resume=True)
     with pytest.raises(ValueError):
         ExecutionEngine(
             scale=SCALE, cache_dir="/tmp/x", checkpoint_every_events=0,
@@ -498,31 +497,36 @@ def test_worker_kill_resumes_and_matches_baseline(tmp_path, jobs):
 
 @pytest.mark.faults
 def test_journal_resume_skips_completed_benchmarks(tmp_path):
+    """Rerunning a finished pass continues it: every benchmark is a
+    store hit, nothing simulates, and the journal is only appended."""
     first = make_engine(tmp_path)
     first.prefetch(["plot", "pgp"])
-    assert (tmp_path / "cache" / "journal.jsonl").exists()
+    journal = RunJournal(tmp_path / "cache")
+    assert len(journal.read()[0]) == 2
 
-    second = make_engine(tmp_path, resume=True)
+    second = make_engine(tmp_path)
     results = second.prefetch(["plot", "pgp"])
     assert set(results) == {"plot", "pgp"}
-    assert second.stats.journal_skips == 2
+    assert second.stats.store_hits == 2
     assert second.stats.simulated == 0
+    assert [r["source"] for r in journal.read()[0][2:]] == ["store"] * 2
 
 
 @pytest.mark.faults
 def test_journal_resume_survives_missing_artifacts(tmp_path):
+    """A journal that says done does not make a deleted entry a hit:
+    the rerun simulates it again."""
     first = make_engine(tmp_path)
     first.prefetch(["plot"])
     for stale in (tmp_path / "cache").glob("plot-*"):
         stale.unlink()
 
-    second = make_engine(tmp_path, resume=True)
+    second = make_engine(tmp_path)
     results = second.prefetch(["plot"])
     assert set(results) == {"plot"}
-    # journal said done, store said gone: the engine resimulates and the
-    # skip is re-counted as honest work, not a journal hit
-    assert second.stats.job_source["plot"] == "resimulated"
-    assert second.stats.journal_skips == 0
+    assert second.stats.job_source["plot"] == "simulated"
+    assert second.stats.simulated == 1
+    assert second.stats.store_hits == 0
     assert second.failures == {}
 
 
@@ -534,17 +538,15 @@ def test_journal_resume_survives_missing_artifacts(tmp_path):
 def test_resumed_artifacts_lookup_matches_the_engine_backend(
     tmp_path, monkeypatch, backends
 ):
-    """``artifacts()`` on a resumed engine finds its own backend's record.
+    """``artifacts()`` on a rerun engine finds its own backend's entry.
 
-    The per-job journal lookup must match on backend as well as scale
-    and trace limit.  Otherwise a superblock engine either misses its
-    own record and rebuilds (superblock-only store), or loads the
-    interpreter's digest, misses in the store and reruns a pure store
-    hit as ``resimulated`` (both backends stored)."""
+    The digest-memo lookup must match on backend as well as scale and
+    trace limit.  Otherwise a superblock engine either misses its own
+    record and rebuilds (superblock-only store), or takes the
+    interpreter's digest and misses in the store (both backends
+    stored)."""
     for backend in backends:
         make_engine(tmp_path, backend=backend).prefetch(["plot"])
-    journal = RunJournal(tmp_path / "cache")
-    records_before = len(journal.read(strict=True)[0])
     builds = []
     real_build = engine_module.build_workload
 
@@ -553,14 +555,15 @@ def test_resumed_artifacts_lookup_matches_the_engine_backend(
         return real_build(spec)
 
     monkeypatch.setattr(engine_module, "build_workload", counting_build)
-    engine = make_engine(tmp_path, backend="superblock", resume=True)
+    engine = make_engine(tmp_path, backend="superblock")
     engine.artifacts("plot")
-    assert engine.stats.job_source["plot"] == "journal"
-    assert engine.stats.journal_skips == 1
+    assert engine.stats.job_source["plot"] == "store"
+    assert engine.stats.store_hits == 1
     assert engine.stats.simulated == 0
     assert builds == []
-    # a journal hit is not re-journaled (no bogus "resimulated" record)
-    assert len(journal.read(strict=True)[0]) == records_before
+    # the hit is journaled under the engine's own backend
+    last = RunJournal(tmp_path / "cache").read()[0][-1]
+    assert (last["source"], last["backend"]) == ("store", "superblock")
 
 
 @pytest.mark.faults
@@ -576,12 +579,13 @@ def test_stats_surface_checkpoint_counters(tmp_path):
     payload = engine.stats.as_dict()
     for key in (
         "checkpoints_written", "resumed_from_checkpoint",
-        "journal_skips", "quarantine_pruned",
+        "quarantine_pruned",
     ):
         assert key in payload
+    assert "journal_skips" not in payload
     assert payload["resumed_from_checkpoint"] == 1
     rendered = engine.stats.render()
-    assert "resumed" in rendered and "journal skip" in rendered
+    assert "resumed" in rendered and "journal skip" not in rendered
 
 
 @pytest.mark.faults
@@ -596,23 +600,32 @@ def test_cli_experiment_checkpoint_resume(tmp_path, capsys):
     assert code == 0
     first = json.loads(capsys.readouterr().out)
     assert first["params"]["checkpoint_every"] == 50000
-    assert first["params"]["resume"] is False
+    assert "resume" not in first["params"]
 
+    # the same command again continues the run: all store hits
     code = main([
         "experiment", "table2", "--scale", str(SCALE), "--cache", cache,
-        "--resume", "--json",
+        "--json",
     ])
     assert code == 0
     second = json.loads(capsys.readouterr().out)
-    assert second["params"]["resume"] is True
-    assert second["results"]["engine"]["journal_skips"] > 0
+    engine = second["results"]["engine"]
+    assert engine["simulated"] == 0
+    assert engine["store_hits"] == first["results"]["engine"]["simulated"]
+    assert "journal_skips" not in engine
     assert second["results"]["output"] == first["results"]["output"]
 
 
 def test_cli_resume_without_cache_exits_2(capsys):
+    """``--resume`` is gone (a rerun continues a run), and checkpoints
+    still need a cache to live in: both are usage errors, exit 2."""
     from repro.__main__ import main
 
-    assert main(["experiment", "table2", "--resume"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "table2", "--resume"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err
+    assert main(["experiment", "table2", "--checkpoint-every", "100"]) == 2
     assert "--cache" in capsys.readouterr().err
 
 

@@ -1,11 +1,17 @@
 """CLI (`python -m repro`) tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.schema import SCHEMA_VERSION
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _json_out(capsys, command):
@@ -211,6 +217,42 @@ def test_unknown_benchmark_exits_with_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "unknown benchmark 'doom'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "table2", "--jobs", "0"],
+        ["experiment", "table2", "--retries", "-1"],
+        ["experiment", "table2", "--checkpoint-every", "-5"],
+        ["experiment", "table2", "--timeout", "-1"],
+        ["serve", "--socket", "s", "--cache", "c", "--workers", "0"],
+        ["serve", "--socket", "s", "--cache", "c", "--checkpoint-every", "0"],
+        ["serve", "--socket", "s", "--cache", "c", "--deadline", "-1"],
+        ["supervise", "--set", "smoke", "--cache", "c", "--retries", "-1"],
+        ["supervise", "--set", "smoke", "--cache", "c",
+         "--lease-timeout", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_out_of_range_numbers_exit_2_without_traceback(argv, tmp_path):
+    """Rejected when the arguments are parsed: a usage message and exit
+    2, never a traceback or a run that fails every job."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"argument {argv[-2]}: must be" in result.stderr
+
+
+def test_checkpoint_every_zero_stays_off(tmp_path, capsys):
+    assert main(["experiment", "table2", "--checkpoint-every", "0",
+                 "--scale", "0.05", "--benchmarks", "plot", "--json"]) == 0
+    params = _json_out(capsys, "experiment")["params"]
+    assert params["checkpoint_every"] is None
 
 
 def test_lint_json_envelope(capsys):

@@ -13,7 +13,6 @@ from repro.errors import (
     JobFailed,
     JobInterrupted,
     JobTimeout,
-    JournalInvalid,
     MemAccessError,
     QuotaExceeded,
     ReproError,
@@ -29,7 +28,7 @@ from repro.errors import (
 
 def test_taxonomy_roots():
     for cls in (ArtifactCorrupt, CheckpointCorrupt, JobFailed, JobTimeout,
-                JobCancelled, JobInterrupted, JournalInvalid,
+                JobCancelled, JobInterrupted,
                 ServiceOverloaded, QuotaExceeded, SuiteDegraded,
                 SuiteInterrupted, MemAccessError):
         assert issubclass(cls, ReproError)
@@ -93,7 +92,7 @@ def test_to_dict_carries_code_and_context():
 
 def test_error_codes_are_distinct():
     classes = (ReproError, ArtifactCorrupt, CheckpointCorrupt, JobFailed,
-               JobTimeout, JobCancelled, JobInterrupted, JournalInvalid,
+               JobTimeout, JobCancelled, JobInterrupted,
                ServiceOverloaded, QuotaExceeded, SuiteDegraded,
                SuiteInterrupted, MemAccessError)
     codes = {cls.code for cls in classes}
@@ -129,8 +128,6 @@ def test_all_error_payloads_round_trip_through_json():
         JobCancelled("deadline", benchmark="gcc", deadline_s=2.0),
         JobInterrupted("drained", benchmark="gcc", events=1000,
                        checkpoints_written=2),
-        JournalInvalid("garbage at line 3", path="journal.jsonl", line=3,
-                       record="{oops"),
         ServiceOverloaded("queue full", queue_depth=16, queue_limit=16),
         QuotaExceeded("slow down", tenant="t0", retry_after_s=0.5),
         SuiteDegraded("all failed", benchmarks=["a", "b"]),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.eval.engine as engine_module
 import repro.eval.experiments as experiments_mod
 from repro.eval.engine import (
     ArtifactStore,
@@ -181,6 +182,34 @@ def test_parallel_matches_sequential(tmp_path):
     table_seq = format_table2(run_table2(seq, SUBSET, threshold=5))
     table_par = format_table2(run_table2(par, SUBSET, threshold=5))
     assert table_seq == table_par
+
+
+def test_parallel_warm_rerun_spawns_no_worker(tmp_path, monkeypatch):
+    """A jobs=N rerun over a warm store takes every finished benchmark
+    in-process (memoised digest, one store read): no worker process,
+    no build, all store hits."""
+    ExecutionEngine(scale=SCALE, cache_dir=tmp_path, jobs=2).prefetch(SUBSET)
+    spawned, built = [], []
+    real_spawn = engine_module.WorkerProcess.__init__
+
+    def counting_spawn(self, target, payload):
+        spawned.append(payload)
+        real_spawn(self, target, payload)
+
+    monkeypatch.setattr(
+        engine_module.WorkerProcess, "__init__", counting_spawn
+    )
+    monkeypatch.setattr(
+        engine_module, "build_workload",
+        lambda spec: built.append(spec.name),
+    )
+    warm = ExecutionEngine(scale=SCALE, cache_dir=tmp_path, jobs=2)
+    assert set(warm.prefetch(SUBSET)) == set(SUBSET)
+    assert spawned == [] and built == []
+    assert warm.stats.store_hits == len(SUBSET)
+    assert warm.stats.simulated == 0
+    assert warm.stats.memo_hits == 0
+    assert set(warm.stats.job_source.values()) == {"store"}
 
 
 def test_parallel_without_store_ships_artifacts(tmp_path):

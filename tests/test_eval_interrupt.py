@@ -10,9 +10,10 @@ turns a terminated run from "lost progress" into "checkpointed pause":
   run's artifacts byte for byte;
 * ``ExecutionEngine.prefetch`` raising a typed
   :class:`~repro.errors.SuiteInterrupted` that names what completed and
-  what remains, with ``--resume`` continuing from there;
+  what remains, with a plain rerun continuing from there (finished work
+  from the store, in-flight work from its checkpoint);
 * the ``repro experiment`` process surviving a real SIGTERM with exit
-  code 1 and a resumable journal.
+  code 1, and the same command finishing the run.
 
 The simulation-heavy cases are marked ``faults``; the flag/handler unit
 tests run everywhere.
@@ -112,15 +113,14 @@ def test_prefetch_drained_before_start_raises_suite_interrupted(tmp_path):
     assert engine.interrupted is True
     assert info.value.context["completed"] == []
     assert info.value.context["remaining"] == ["plot"]
-    assert "--resume" in str(info.value)
-    # nothing ran, nothing was journaled as completed
+    assert "rerun the same command" in str(info.value)
+    # nothing ran: the rerun simulates from scratch
     interrupt.reset_drain()
-    fresh = ExecutionEngine(
-        cache_dir=tmp_path / "cache", scale=SCALE, resume=True
-    )
+    fresh = ExecutionEngine(cache_dir=tmp_path / "cache", scale=SCALE)
     results = fresh.prefetch(["plot"])
     assert set(results) == {"plot"}
     assert fresh.interrupted is False
+    assert fresh.stats.simulated == 1
 
 
 # -- sliced runner: stop_check drains with zero progress lost ----------------
@@ -169,8 +169,8 @@ def test_stop_check_writes_final_checkpoint_and_resume_is_identical(
 @pytest.mark.faults
 def test_parallel_prefetch_drains_mid_run_and_resumes(tmp_path):
     """SIGTERM (simulated via the flag) while two workers are busy:
-    prefetch raises SuiteInterrupted, and a ``--resume`` engine on the
-    same cache finishes the suite."""
+    prefetch raises SuiteInterrupted, and a fresh engine on the same
+    cache finishes the suite, restoring the drained jobs' checkpoints."""
     engine = ExecutionEngine(
         cache_dir=tmp_path / "cache",
         scale=0.3,
@@ -195,12 +195,12 @@ def test_parallel_prefetch_drains_mid_run_and_resumes(tmp_path):
         jobs=2,
         checkpoint_every_events=1_000,
         retry_backoff=0.01,
-        resume=True,
     )
     results = resumed.prefetch(["plot", "compress"])
     assert set(results) == {"plot", "compress"}
     assert resumed.failures == {}
     assert resumed.interrupted is False
+    assert resumed.stats.resumed_from_checkpoint >= 1
 
 
 # -- the CLI process under a real SIGTERM ------------------------------------
@@ -240,13 +240,17 @@ def test_cli_experiment_survives_sigterm_and_resumes(tmp_path):
     assert proc.returncode == 1
     text = stderr.decode()
     assert "suite_interrupted" in text
-    assert "--resume" in text
+    assert "rerun the same command" in text
 
-    # the drained run is resumable: completed work is skipped, the rest
-    # runs, and the experiment emits its envelope with exit code 0
+    # the same command finishes the run: completed work is a store hit,
+    # the rest runs (from any checkpoint a drained job wrote), and the
+    # experiment emits its envelope with exit code 0
     result = subprocess.run(
-        args + ["--resume"], env=env, capture_output=True, timeout=600,
+        args, env=env, capture_output=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr.decode()
     envelope = json.loads(result.stdout.decode())
     assert envelope["command"] == "experiment"
+    engine = envelope["results"]["engine"]
+    assert engine["store_hits"] >= 1
+    assert engine["store_hits"] + engine["simulated"] == len(engine["jobs"])

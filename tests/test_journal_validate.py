@@ -1,14 +1,12 @@
-"""The one journal reader, ``RunJournal.read(strict)``.
+"""The one journal reader, ``RunJournal.read()``.
 
-A tolerant read skips damage with a warning — a torn line is a skip,
-never a crash.  But a *resume* run stakes correctness on the journal's
-contents, so it reads strictly, which draws a sharp line: the one
-damage pattern a dying writer legitimately leaves (a single torn tail)
-becomes a warning naming the path and line; anything else — garbage
-mid-file, non-object records, records stamped by a newer format
-version — raises a typed :class:`~repro.errors.JournalInvalid` telling
-the operator exactly which line to fix (or to rerun without
-``--resume``).
+The journal is a log the engine only writes; its readers (the shard
+supervisor's recovery diff and cost model, ``merge-shards``, the
+service's crash recovery) all read tolerantly.  Every damage class — a
+torn tail, garbage mid-file, non-object records, records stamped by a
+newer format version, an unreadable file — is skipped with a warning
+naming ``path:line``, never raised, and a record from a newer writer is
+never returned.
 """
 
 import json
@@ -20,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.checkpoint.journal import JOURNAL_VERSION, RunJournal
-from repro.errors import JournalInvalid
 from repro.eval.engine import ExecutionEngine
 from repro.eval.shards import measured_costs
 
@@ -40,30 +37,31 @@ def append_raw(journal: RunJournal, data: bytes) -> None:
         fh.write(data)
 
 
-# -- strict read: tolerated damage -------------------------------------------
+# -- clean journals ---------------------------------------------------------
 
 
 def test_clean_journal_validates_with_no_warnings(tmp_path):
     journal = make_journal(tmp_path)
-    records, warnings = journal.read(strict=True)
+    records, warnings = journal.read()
     assert [r["benchmark"] for r in records] == ["plot", "compress"]
     assert warnings == []
 
 
 def test_missing_journal_validates_with_no_warnings(tmp_path):
-    assert RunJournal(tmp_path / "nowhere").read(strict=True) == ([], [])
+    assert RunJournal(tmp_path / "nowhere").read() == ([], [])
+
+
+# -- damage is skipped with a warning naming path:line -----------------------
 
 
 def test_single_torn_tail_is_a_warning_naming_path_and_line(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b'{"status": "completed", "benchm')  # no newline
-    records, warnings = journal.read(strict=True)
-    assert len(records) == 2
+    records, warnings = journal.read()
+    assert [r["benchmark"] for r in records] == ["plot", "compress"]
     assert len(warnings) == 1
     assert warnings[0].startswith(f"{journal.path}:3:")
     assert "torn tail" in warnings[0]
-    # the tolerant read agrees: the torn record is simply absent
-    assert journal.read(strict=False) == (records, warnings)
 
 
 def test_append_after_torn_tail_terminates_it_first(tmp_path):
@@ -72,70 +70,57 @@ def test_append_after_torn_tail_terminates_it_first(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b'{"torn')
     journal.record_completed("gcc", "c" * 16, SCALE, None)
-    records, _ = journal.read(strict=False)
+    records, warnings = journal.read()
     assert [r["benchmark"] for r in records] == ["plot", "compress", "gcc"]
-    # the torn line is now mid-file garbage: strict validation rejects it
-    with pytest.raises(JournalInvalid):
-        journal.read(strict=True)
-
-
-# -- strict read: structural damage ------------------------------------------
-
-
-def test_garbage_mid_file_raises_naming_the_line(tmp_path):
-    journal = make_journal(tmp_path)
-    append_raw(journal, b"{definitely not json}\n")
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
-    with pytest.raises(JournalInvalid) as info:
-        journal.read(strict=True)
-    message = str(info.value)
-    assert str(journal.path) in message
-    assert "line 3" in message
-    assert "--resume" in message
-    assert info.value.context["line"] == 3
-    assert "definitely not json" in info.value.context["record"]
-    # a tolerant read skips the line with a warning naming it instead
-    records, warnings = journal.read(strict=False)
-    assert [r["benchmark"] for r in records] == ["plot", "compress", "gcc"]
+    # the sealed torn line is now mid-file garbage: skipped, named
     assert len(warnings) == 1 and "unparsable" in warnings[0]
     assert warnings[0].startswith(f"{journal.path}:3:")
 
 
-def test_non_object_record_raises(tmp_path):
+def test_garbage_mid_file_is_skipped_naming_the_line(tmp_path):
+    journal = make_journal(tmp_path)
+    append_raw(journal, b"{definitely not json}\n")
+    journal.record_completed("gcc", "c" * 16, SCALE, None)
+    records, warnings = journal.read()
+    assert [r["benchmark"] for r in records] == ["plot", "compress", "gcc"]
+    assert len(warnings) == 1 and "unparsable" in warnings[0]
+    assert warnings[0].startswith(f"{journal.path}:3:")
+    assert "definitely not json" in warnings[0]
+
+
+def test_non_object_record_is_skipped(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b'["a", "list", "record"]\n')
-    with pytest.raises(JournalInvalid) as info:
-        journal.read(strict=True)
-    assert "non-object" in str(info.value)
-    assert info.value.context["line"] == 3
-    records, warnings = journal.read(strict=False)
-    assert len(records) == 2
+    records, warnings = journal.read()
+    assert [r["benchmark"] for r in records] == ["plot", "compress"]
     assert len(warnings) == 1 and "non-object" in warnings[0]
+    assert warnings[0].startswith(f"{journal.path}:3:")
 
 
-def test_newer_format_version_raises_with_versions_in_context(tmp_path):
+def test_newer_format_version_is_skipped_naming_both_versions(tmp_path):
     journal = make_journal(tmp_path)
     newer = {"status": "completed", "benchmark": "gcc",
              "digest": "c" * 16, "scale": SCALE, "trace_limit": None,
              "v": JOURNAL_VERSION + 1}
     append_raw(journal, json.dumps(newer).encode() + b"\n")
-    with pytest.raises(JournalInvalid) as info:
-        journal.read(strict=True)
-    assert "newer repro" in str(info.value)
-    assert info.value.context["version"] == JOURNAL_VERSION + 1
-    assert info.value.context["supported"] == JOURNAL_VERSION
-    assert info.value.code == "journal_invalid"
+    records, warnings = journal.read()
+    assert [r["benchmark"] for r in records] == ["plot", "compress"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{journal.path}:3:")
+    assert f"version {JOURNAL_VERSION + 1}" in warnings[0]
+    assert f"supported {JOURNAL_VERSION}" in warnings[0]
 
 
-def test_unreadable_journal_raises(tmp_path):
+def test_unreadable_journal_is_a_warning(tmp_path):
     if os.geteuid() == 0:
         pytest.skip("root ignores file permissions")
     journal = make_journal(tmp_path)
     journal.path.chmod(0o000)
     try:
-        with pytest.raises(JournalInvalid) as info:
-            journal.read(strict=True)
-        assert "unreadable" in str(info.value)
+        records, warnings = journal.read()
+        assert records == []
+        assert len(warnings) == 1 and "unreadable" in warnings[0]
+        assert str(journal.path) in warnings[0]
     finally:
         journal.path.chmod(0o644)
 
@@ -144,9 +129,10 @@ def test_snippet_is_bounded(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b"x" * 500 + b"\n")
     journal.record_completed("gcc", "c" * 16, SCALE, None)
-    with pytest.raises(JournalInvalid) as info:
-        journal.read(strict=True)
-    assert len(info.value.context["record"]) <= 123  # snippet + ellipsis
+    _, warnings = journal.read()
+    assert len(warnings) == 1
+    assert "x" * 120 + "..." in warnings[0]
+    assert "x" * 121 not in warnings[0]
 
 
 def test_newer_format_record_is_never_trusted(tmp_path):
@@ -159,46 +145,34 @@ def test_newer_format_record_is_never_trusted(tmp_path):
              "trace_limit": None, "source": "simulated", "seconds": 1.5}
     journal.root.mkdir(parents=True)
     append_raw(journal, json.dumps(newer).encode() + b"\n")
-    records, warnings = journal.read(strict=False)
+    records, warnings = journal.read()
     assert records == []
     assert len(warnings) == 1 and "skipped" in warnings[0]
     assert journal.completed(SCALE, None) == {}
     assert measured_costs(journal, SCALE) == {}
 
 
-# -- the engine and CLI surface validation ----------------------------------
-
-
-def test_engine_resume_surfaces_torn_tail_warning(tmp_path):
-    cache = tmp_path / "cache"
-    journal = RunJournal(cache)
-    journal.record_completed("plot", "a" * 16, SCALE, None)
-    append_raw(journal, b'{"torn')
-    engine = ExecutionEngine(cache_dir=cache, scale=SCALE, resume=True)
-    assert len(engine.journal_warnings) == 1
-    assert "torn tail" in engine.journal_warnings[0]
-
-
-def test_engine_resume_raises_on_structural_damage(tmp_path):
-    cache = tmp_path / "cache"
-    journal = RunJournal(cache)
-    journal.record_completed("plot", "a" * 16, SCALE, None)
-    append_raw(journal, b"garbage\n")
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
-    with pytest.raises(JournalInvalid):
-        ExecutionEngine(cache_dir=cache, scale=SCALE, resume=True)
+# -- the engine writes, the CLI readers warn ---------------------------------
 
 
 def test_engine_without_resume_never_validates(tmp_path):
+    """The engine never reads the journal: a damaged one neither stops
+    a run nor gets repaired, and the run's outcome is appended after
+    the damage."""
     cache = tmp_path / "cache"
     journal = RunJournal(cache)
     journal.root.mkdir(parents=True)
     append_raw(journal, b"garbage everywhere\n")
     engine = ExecutionEngine(cache_dir=cache, scale=SCALE)
-    assert engine.journal_warnings == []
+    engine.prefetch(["plot"])
+    assert engine.failures == {}
+    records, warnings = journal.read()
+    assert [r["benchmark"] for r in records] == ["plot"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{journal.path}:1:")
 
 
-def test_cli_resume_with_corrupt_journal_names_the_path(tmp_path):
+def test_cli_merge_with_corrupt_journal_names_the_path(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     cache = tmp_path / "cache"
@@ -207,12 +181,11 @@ def test_cli_resume_with_corrupt_journal_names_the_path(tmp_path):
     append_raw(journal, b"{broken}\n")
     journal.record_completed("gcc", "c" * 16, SCALE, None)
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "experiment", "table2",
-         "--scale", str(SCALE), "--cache", str(cache), "--resume"],
+        [sys.executable, "-m", "repro", "merge-shards", str(cache),
+         "--into", str(tmp_path / "merged")],
         env=env, capture_output=True, timeout=120,
     )
-    assert result.returncode == 1
+    assert result.returncode == 0, result.stderr.decode()
     stderr = result.stderr.decode()
-    assert "error: [journal_invalid]" in stderr
-    assert str(journal.path) in stderr
-    assert "line 2" in stderr
+    assert f"warning: {journal.path}:2: unparsable record" in stderr
+    assert "1 damaged line(s) skipped" in result.stdout.decode()

@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import QuotaExceeded, ReproError, ServiceOverloaded
 from repro.eval import interrupt
-from repro.eval.engine import ArtifactStore, JobSpec
+from repro.eval.engine import ArtifactStore, JobSpec, compute_job_digest
 from repro.schema import SCHEMA_VERSION
 from repro.service import (
     AdmissionController,
@@ -341,7 +341,7 @@ def test_journal_record_includes_resume_parameters(tmp_path):
     journal = ServiceJournal(tmp_path)
     job = make_job("job-a", predictors=("gshare:10",))
     journal.record_submitted(job)
-    (record,) = journal.read(strict=False)[0]
+    (record,) = journal.read()[0]
     for key in ("benchmark", "scale", "trace_limit", "backend",
                 "digest", "predictors", "tenant"):
         assert key in record
@@ -400,7 +400,7 @@ def test_submit_admits_journals_and_acks(tmp_path):
     assert ack["dedup"] is False
     assert len(ack["digest"]) == 64
     assert service.admission.depth() == 1
-    (record,) = service.journal.read(strict=False)[0]
+    (record,) = service.journal.read()[0]
     assert record["kind"] == "submitted"
     assert record["job"] == "job-1"
 
@@ -423,7 +423,7 @@ def test_submit_overload_is_shed_with_typed_rejection(tmp_path):
     assert frames[2]["error"]["code"] == "service_overloaded"
     assert frames[2]["error"]["queue_limit"] == 2
     # the shed job left no trace: no journal record, no job entry
-    assert len(service.journal.read(strict=False)[0]) == 2
+    assert len(service.journal.read()[0]) == 2
     assert "job-2" not in service.jobs
 
 
@@ -495,6 +495,39 @@ def test_submit_rejects_unknown_benchmark_and_predictor(tmp_path):
     assert service.admission.depth() == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", "abc"),
+        ("scale", 0),
+        ("scale", float("nan")),
+        ("trace_limit", "x"),
+        ("trace_limit", -1),
+        ("trace_limit", 1.5),
+        ("backend", "nope"),
+        ("deadline_s", "soon"),
+        ("deadline_s", 0),
+        ("predictors", "bimodal"),
+        ("predictors", [1]),
+    ],
+)
+def test_submit_rejects_malformed_fields(tmp_path, field, value):
+    """Every submit field is checked before admission: a typed
+    rejection naming the field, no ack, nothing journaled."""
+    from repro.service.app import Connection
+
+    service, _ = make_service(tmp_path)
+    conn = Connection()
+    service._dispatch(submit_frame("job-1", **{field: value}), conn)
+    (frame,) = drain_frames(conn)
+    assert frame["type"] == "rejected"
+    assert frame["id"] == "job-1"
+    assert frame["error"]["field"] == field
+    assert repr(field) in frame["error"]["message"]
+    assert service.admission.depth() == 0
+    assert service.journal.read() == ([], [])
+
+
 def test_submit_rejects_duplicate_live_job_id(tmp_path):
     from repro.service.app import Connection
 
@@ -533,7 +566,7 @@ def test_queued_deadline_expiry_cancels_without_launching(tmp_path):
     assert "deadline" in frame["error"]["message"]
     # the cancellation is terminal in the journal: no orphan to resume
     assert service.journal.orphans() == []
-    done = service.journal.read(strict=False)[0][-1]
+    done = service.journal.read()[0][-1]
     assert done == {
         "kind": "done",
         "job": "job-1",
@@ -575,6 +608,10 @@ def test_recover_reenqueues_journal_orphans(tmp_path):
     assert job.waiters == []  # its client died with the old daemon
     assert job.deadline_s is None
     assert job.predictors == ("gshare:10",)
+    # the digest is recomputed from the current sources, not trusted
+    # from the record, so the job dedupes with a fresh submit
+    assert job.digest == compute_job_digest(job.spec, str(tmp_path / "cache"))
+    assert job.stem == recovered.store.stem(job.spec, job.digest)
     assert recovered.inflight[job.stem] is job
 
 
@@ -801,6 +838,71 @@ def test_daemon_end_to_end_dedupe_and_store_hit():
     assert journal.orphans() == []
 
 
+def test_recovered_orphan_replays_predictors_from_the_stored_digest(
+    monkeypatch,
+):
+    """An orphan's journaled digest can be stale (the sources changed
+    between daemon runs).  The recovered job must replay its predictors
+    from the entry its worker actually stored, and complete with the
+    predictions a fresh submit of the same spec gets."""
+    root = short_socket_dir()
+    config = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        checkpoint_every=2000,
+    )
+    journal = ServiceJournal(Path(config.cache_dir) / "service")
+    journal.append(
+        {"kind": "submitted", "job": "job-orphan", "tenant": "t0",
+         "benchmark": "plot", "scale": SCALE, "trace_limit": None,
+         "backend": "interp", "digest": "0" * 64,
+         "predictors": ["bimodal"]}
+    )
+    predictions = {}
+    real_complete = AnalysisService._complete
+
+    def spy(self, job, result, bank, now):
+        predictions[job.id] = bank
+        real_complete(self, job, result, bank, now)
+
+    monkeypatch.setattr(AnalysisService, "_complete", spy)
+
+    async def scenario():
+        service, task = await boot_service(config)
+        try:
+            deadline = time.monotonic() + 120
+            while "job-orphan" in service.jobs:
+                assert time.monotonic() < deadline, "orphan never finished"
+                await asyncio.sleep(0.05)
+            reader, writer = await asyncio.open_unix_connection(
+                config.socket_path
+            )
+            writer.write(encode_frame({
+                "op": "submit", "id": "job-fresh", "tenant": "t0",
+                "benchmark": "plot", "scale": SCALE,
+                "predictors": ["bimodal"],
+            }))
+            await writer.drain()
+            frames = await collect_until(reader, terminal_for("job-fresh"))
+            writer.close()
+            return frames
+        finally:
+            await drain_service(task)
+
+    fresh = asyncio.run(scenario())[-1]
+    assert fresh["type"] == "completed"
+    assert fresh["source"] == "store"  # the recovered job stored it
+    (orphan_done,) = [
+        r for r in journal.read()[0]
+        if r.get("kind") == "done" and r["job"] == "job-orphan"
+    ]
+    assert orphan_done["status"] == "completed"
+    assert orphan_done["digest"] == fresh["digest"]
+    assert predictions["job-orphan"] == fresh["predictions"]
+    assert journal.orphans() == []
+
+
 def test_daemon_deadline_cancels_running_job():
     """A running job whose deadline expires is cancelled through the
     worker-timeout path: SIGTERM, checkpoint on the way down, a typed
@@ -848,6 +950,6 @@ def test_daemon_deadline_cancels_running_job():
     assert cancelled["error"]["code"] == "job_cancelled"
     assert "deadline" in cancelled["error"]["message"]
     journal = ServiceJournal(Path(config.cache_dir) / "service")
-    done = [r for r in journal.read(strict=False)[0] if r.get("kind") == "done"]
+    done = [r for r in journal.read()[0] if r.get("kind") == "done"]
     assert done[-1]["status"] == "cancelled"
     assert journal.orphans() == []  # cancellation is terminal

@@ -147,7 +147,7 @@ def artifact_bytes(cache_dir, name):
 def journal_statuses(cache_dir):
     journal = ServiceJournal(Path(cache_dir) / "service")
     done = {}
-    for record in journal.read(strict=False)[0]:
+    for record in journal.read()[0]:
         if record.get("kind") == "done":
             done[record["job"]] = record["status"]
     return done

@@ -407,7 +407,7 @@ def test_supervise_cli_emits_v9_envelope(tmp_path, capsys):
     )
     assert rc == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == 10
+    assert document["schema_version"] == 11
     assert document["command"] == "supervise"
     assert document["params"]["workers"] == 2
     results = document["results"]
@@ -433,3 +433,15 @@ def test_supervisor_rejects_bad_worker_counts(tmp_path):
         ShardSupervisor(
             ["plot"], workers=1, store_root=tmp_path, max_restarts=-1
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"retries": -1}, {"lease_timeout": 0.0}, {"lease_timeout": -1.0}],
+    ids=["negative-retries", "zero-lease", "negative-lease"],
+)
+def test_supervisor_rejects_bad_retry_and_lease_settings(tmp_path, bad):
+    """Settings that would fail every worker are rejected up front,
+    not discovered as a burned restart budget."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ShardSupervisor(["plot"], workers=1, store_root=tmp_path, **bad)
