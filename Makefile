@@ -5,6 +5,9 @@ export PYTHONPATH := src
 SMOKE_CACHE := .smoke-cache
 SMOKE_ARGS  := experiment table2 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
 SMOKE_JSON  := .smoke-envelope.json
+SUPERVISED_CACHE := $(SMOKE_CACHE)/supervised
+SUPERVISED_ARGS  := supervise --benchmarks plot --workers 1 --scale 0.05 \
+                    --cache $(SUPERVISED_CACHE)
 
 ## Assert engine counters of the last smoke leg's --json envelope:
 ## $(SMOKE_EXPECT) simulated=0 quarantined=1 ...
@@ -45,6 +48,10 @@ faults:
 ## one cache entry is damaged in place and the rerun must quarantine +
 ## resimulate exactly that one.  Every leg after the cold one reads its
 ## --json envelope and fails the target when the counters disagree.
+## Last, a supervised leg checks that finished means stored: plot runs
+## under `supervise`, its store entry is deleted (the journal still says
+## completed), and a rerun whose only worker is killed mid-simulation
+## must restart it once, report plot completed and leave its entry.
 smoke:
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 	@echo "== cold: simulating into $(SMOKE_CACHE) =="
@@ -67,6 +74,24 @@ smoke:
 	@echo "== recover: quarantine + resimulate the damaged entry =="
 	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
 	$(SMOKE_EXPECT) quarantined=1 simulated=1
+	@echo "== supervised: plot into $(SUPERVISED_CACHE) =="
+	$(PY) -m repro $(SUPERVISED_ARGS)
+	@echo "== supervised lost entry: delete plot's entry, kill the worker =="
+	$(PY) -c "import pathlib; \
+	entry = [p for p in pathlib.Path('$(SUPERVISED_CACHE)').glob('plot-*') \
+	         if p.name.endswith(('.trace.npz', '.meta.json'))]; \
+	assert len(entry) == 2, entry; [p.unlink() for p in entry]; \
+	print(f'deleted {len(entry)} file(s)')"
+	REPRO_FAULTS=shard_kill:1@1000 $(PY) -m repro $(SUPERVISED_ARGS) \
+		--json > $(SMOKE_JSON)
+	$(PY) -c "import json, pathlib, sys; \
+	results = json.load(open('$(SMOKE_JSON)'))['results']; \
+	metas = list(pathlib.Path('$(SUPERVISED_CACHE)').glob('plot-*.meta.json')); \
+	got = {'restarts': results['supervisor']['restarts'], \
+	       'completed': results['completed'], 'plot_metas': len(metas)}; \
+	want = {'restarts': 1, 'completed': ['plot'], 'plot_metas': 1}; \
+	print(f'supervised: {got}'); \
+	sys.exit(0 if got == want else f'smoke check failed: wanted {want}')"
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 
 bench:

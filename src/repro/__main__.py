@@ -45,7 +45,7 @@ Commands
 ``supervise``   — crash-safe supervised distributed run: one parent
                   orchestrator spawns ``--workers N`` shard engines
                   over a shared store, heartbeat-leases them, restarts
-                  dead shards (journal-diff recovery, bounded backoff),
+                  dead shards on what the store lacks (bounded backoff),
                   reassigns exhausted shards' work, speculatively
                   re-executes tail stragglers, and auto-merges to a
                   byte-verified result.  SIGTERM drains: workers
@@ -949,7 +949,7 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
           f"{report.artifacts_identical} already present (byte-verified)")
     print(f"  journal:   {sum(report.journal_records.values())} record(s) "
           f"unioned, {report.journal_skipped} damaged line(s) skipped")
-    print(f"  completed: {len(report.benchmarks)} benchmark(s): "
+    print(f"  stored:    {len(report.benchmarks)} benchmark(s): "
           + (", ".join(report.benchmarks) or "none"))
     return 0
 

@@ -6,12 +6,12 @@ artifacts, and outcome — flushed and fsynced per record, so the history
 survives the *driver* process dying, not just a worker.
 
 The engine only ever writes it.  It is a log, not an artifact index:
-a rerun finds finished work through the digest memo and the content-
-addressed store, which check the current sources, never through a
-digest the journal recorded.  Its readers are the shard supervisor's
-recovery diff and learned cost model (:func:`~repro.eval.shards.
-measured_costs`), ``merge-shards`` and the analysis service's crash
-recovery.
+finished work — for a rerun, a restarted shard, the supervisor's and
+``merge-shards``' censuses — is what the digest memo and the content-
+addressed store hold for the current sources, never a digest the
+journal recorded.  Its readers are the shard supervisor's learned cost
+model (:func:`~repro.eval.shards.measured_costs`), ``merge-shards``
+(which unions shard journals) and the analysis service's recovery.
 
 Every reader goes through :meth:`RunJournal.read`, which skips damage —
 a torn trailing line, garbage mid-file, records written by a newer
@@ -181,40 +181,6 @@ class RunJournal:
                 continue
             records.append(record)
         return records, warnings
-
-    def completed(
-        self,
-        scale: float,
-        trace_limit: Optional[int],
-        backend: str = "interp",
-    ) -> Dict[str, str]:
-        """benchmark -> artifact digest for finished work at these params.
-
-        The *latest* record per benchmark at these parameters wins, so a
-        later ``failed`` entry invalidates an earlier completion.
-        Records at other scales/limits/backends are ignored entirely
-        (they speak about different artifacts); records predating the
-        backend field count as interpreter runs.
-        """
-        latest: Dict[str, Optional[str]] = {}
-        records, _ = self.read()
-        for record in records:
-            benchmark = record.get("benchmark")
-            if not isinstance(benchmark, str):
-                continue
-            if (
-                record.get("scale") != scale
-                or record.get("trace_limit") != trace_limit
-                or record.get("backend", "interp") != backend
-            ):
-                continue
-            if record.get("status") == "completed" and isinstance(
-                record.get("digest"), str
-            ):
-                latest[benchmark] = record["digest"]
-            else:
-                latest[benchmark] = None
-        return {b: d for b, d in latest.items() if d is not None}
 
 
 __all__ = ["JOURNAL_VERSION", "RunJournal"]

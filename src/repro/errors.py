@@ -201,8 +201,8 @@ class ShardLost(ReproError):
     Raised — or recorded, when the supervisor can recover — by
     :mod:`repro.eval.supervisor` after the pid probe finds the worker
     process gone, or after its heartbeat lease expired and the wedged
-    process was killed.  The shard's completed work is durable (journal +
-    store); its incomplete benchmarks are restarted or reassigned.
+    process was killed.  Its finished work is durable in the store; the
+    benchmarks without a verified entry there are restarted or reassigned.
     """
 
     code = "shard_lost"

@@ -1055,11 +1055,6 @@ class EngineStats:
     #: both None for plain unsharded runs.
     shard: Optional[str] = None
     selection: Optional[str] = None
-    #: which shard cost model partitioned this engine's names (schema
-    #: v9): ``"measured"`` when journal wall-clock medians drove the LPT
-    #: partition, ``"fuel"`` for the static estimate, None when no
-    #: partitioning happened.
-    cost_model: Optional[str] = None
     #: aggregated per-consumer bus counters across every bus this engine
     #: ran (simulation jobs and bank replays alike).
     pipeline: PipelineStats = field(default_factory=PipelineStats)
@@ -1108,7 +1103,6 @@ class EngineStats:
             "replayed_runs": self.replayed_runs,
             "shard": self.shard,
             "selection": self.selection,
-            "cost_model": self.cost_model,
             "pipeline": self.pipeline.as_dict(),
             "jobs": [
                 {
@@ -1127,8 +1121,6 @@ class EngineStats:
         if self.shard is not None:
             selection = f" of {self.selection!r}" if self.selection else ""
             lines.append(f"  shard: {self.shard}{selection}")
-        if self.cost_model is not None:
-            lines.append(f"  cost model: {self.cost_model}")
         for name in sorted(self.job_seconds):
             lines.append(
                 f"  {name:12s} {self.job_seconds[name]:8.2f}s  "
@@ -1202,9 +1194,6 @@ class ExecutionEngine:
             re-execution — never wait on another writer's live store
             claim, race it and rely on the idempotent atomic put
             (first writer wins, byte-identical by construction).
-        cost_model: which shard cost model partitioned this engine's
-            names (``"measured"``/``"fuel"``; observability only —
-            partitioning happens at the selection/supervisor layer).
     """
 
     def __init__(
@@ -1222,7 +1211,6 @@ class ExecutionEngine:
         selection: Optional[str] = None,
         progress: Optional[Callable[[str, int], None]] = None,
         speculative: bool = False,
-        cost_model: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1272,7 +1260,6 @@ class ExecutionEngine:
         self.stats = EngineStats(
             shard=self.shard.tag if self.shard is not None else None,
             selection=selection,
-            cost_model=cost_model,
         )
         #: benchmarks that exhausted their retries, name -> typed error.
         self.failures: Dict[str, ReproError] = {}

@@ -24,7 +24,7 @@ faults the engine must survive:
 * ``shard_kill`` — a *supervised shard worker* (``repro supervise``)
   SIGKILLs itself once its current job's bus has seen a given number of
   branch events, exercising the supervisor's dead-shard detection,
-  journal-diff recovery and bounded restarts.  Keyed by the 1-based
+  store-census recovery and bounded restarts.  Keyed by the 1-based
   shard slot, fires once (marker under ``state_dir`` when present — the
   supervisor injects one — else once per process).
 * ``shard_hang`` — a supervised shard worker sleeps ``hang_seconds`` at

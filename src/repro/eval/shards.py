@@ -39,6 +39,7 @@ journals must agree on the partition without coordinating.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -274,7 +275,9 @@ class MergeReport:
             mid-file garbage) — each one is named in ``warnings``.
         warnings: human-readable ``path:line: ...`` messages for every
             tolerated journal defect.
-        benchmarks: union of benchmark names the merged journal completes.
+        benchmarks: the benchmarks with a committed entry in the
+            destination (the ``benchmark`` field of every ``.meta.json``
+            that parses).
     """
 
     destination: str
@@ -324,8 +327,10 @@ def merge_shards(
     Idempotent and conflict-checked: an artifact already present in the
     destination (or produced by several shards — overlap is legal, the
     store is content-addressed) is byte-compared, never overwritten.  A
-    source that *is* the destination (shared-store deployment) only
-    contributes its journal-completion census.
+    source that *is* the destination (shared-store deployment) copies
+    nothing; its journal is only read for damage warnings.  The census
+    (:attr:`MergeReport.benchmarks`) lists the destination's committed
+    entries, never the journal's records.
 
     Partial shards merge, they do not abort: a source journal with a
     torn tail (the shard died mid-append) or mid-file garbage has the
@@ -349,7 +354,6 @@ def merge_shards(
     destination.mkdir(parents=True, exist_ok=True)
     report = MergeReport(destination=str(destination))
     merged_journal = RunJournal(destination)
-    completed: set = set()
     for source in sources:
         source = Path(source)
         report.sources.append(str(source))
@@ -386,8 +390,22 @@ def merge_shards(
             for record in records:
                 merged_journal.append(dict(record))
         report.journal_records[str(source)] = len(records)
-        for record in records:
-            if record.get("status") == "completed":
-                completed.add(record.get("benchmark"))
-    report.benchmarks = sorted(b for b in completed if b)
+    report.benchmarks = _stored_benchmarks(destination)
     return report
+
+
+def _stored_benchmarks(root: Path) -> List[str]:
+    """Benchmarks named by *root*'s committed ``.meta.json`` files.
+
+    The meta is an entry's commit record (written last); one that does
+    not parse or names no benchmark is not counted.
+    """
+    names = set()
+    for meta in root.glob("[!.]*.meta.json"):
+        try:
+            name = json.loads(meta.read_text(encoding="utf-8"))["benchmark"]
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        if isinstance(name, str) and name:
+            names.add(name)
+    return sorted(names)

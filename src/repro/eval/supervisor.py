@@ -13,15 +13,15 @@ store, and babysits them to a merged, byte-verified result:
   :func:`classify_worker` pins the ordering: the pid probe is checked
   first, lease age only breaks the tie for live processes.
 * **Crash-safe recovery** — a dead shard's incomplete benchmarks are
-  recovered by diffing its assignment against the shared
-  :class:`~repro.checkpoint.journal.RunJournal` (completed work is
-  durable: journal + content-addressed store + checkpoints), then the
-  slot is restarted with exponential backoff up to ``max_restarts``
-  times; an exhausted slot is retired and its survivors re-partitioned
-  across free slots.  A restarted shard finds everything a sibling
-  already finished in the shared store (digest memo + store hit, no
-  simulation) and resumes the in-flight benchmark from its last
-  checkpoint.
+  the names of its assignment that have no verified entry in the
+  shared store for the current sources (digest memo + store verify;
+  the supervisor never builds, and the run journal is not consulted).
+  The slot is restarted with exponential backoff up to
+  ``max_restarts`` times; an exhausted slot is retired and its
+  survivors re-partitioned across free slots.  A restarted shard finds
+  everything a sibling already finished in the shared store (digest
+  memo + store hit, no simulation) and resumes the in-flight benchmark
+  from its last checkpoint.
 * **Speculative re-execution** — once every benchmark is assigned and a
   slot is idle, tail stragglers' remaining benchmarks are re-executed
   speculatively.  Safety rides entirely on the store's ``.claim``
@@ -58,7 +58,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..checkpoint import DEFAULT_CHECKPOINT_EVERY, RunJournal
 from ..errors import ShardLost, SuiteInterrupted, error_to_dict
 from . import faults, interrupt
-from .engine import DRAIN_KILL_GRACE, ExecutionEngine, WorkerProcess
+from .engine import (
+    DRAIN_KILL_GRACE,
+    ArtifactStore,
+    DigestMemo,
+    ExecutionEngine,
+    JobSpec,
+    WorkerProcess,
+)
 from .shards import (
     MergeReport,
     ShardSpec,
@@ -197,7 +204,7 @@ class LeaseWriter:
                 os.close(fd)
             os.replace(tmp, self.path)
         except OSError:
-            pass  # heartbeat is advisory; the journal is the durable record
+            pass  # heartbeat is advisory; the store is the durable record
 
 
 def read_lease(path: Path) -> Optional[Dict[str, object]]:
@@ -239,7 +246,6 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
         retries,
         speculative,
         selection,
-        cost_model,
         lease_interval,
     ) = payload
     plan = faults.active_plan()
@@ -272,7 +278,6 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
         selection=selection,
         progress=heartbeat,
         speculative=speculative,
-        cost_model=cost_model,
     )
     engine.prefetch(list(names))
     return {
@@ -472,7 +477,7 @@ class ShardSupervisor:
         )
         self.speculate = speculate
         self.selection = selection
-        self.journal = RunJournal(self.store_root)
+        self.store = ArtifactStore(self.store_root)
         self.stats = SupervisorStats(workers=workers)
         self.lease_dir = self.store_root / SUPERVISOR_SUBDIR
 
@@ -493,7 +498,6 @@ class ShardSupervisor:
             self.retries,
             speculative,
             self.selection,
-            self.stats.cost_model,
             self.lease_interval,
         )
 
@@ -523,18 +527,28 @@ class ShardSupervisor:
             )
         )
 
-    def _completed_now(self) -> Dict[str, str]:
-        return self.journal.completed(
-            self.scale, self.trace_limit, backend=self.backend
-        )
+    def _is_stored(self, name: str) -> bool:
+        """True when *name* has a verified store entry for the current sources.
+
+        The digest comes from the digest memo only: the supervisor never
+        builds.  A memo miss or a failed verify reads as unfinished,
+        which is safe — a restarted worker finds any real hit through
+        its own digest.
+        """
+        spec = JobSpec(name, self.scale, self.trace_limit, self.backend)
+        digest = DigestMemo(self.store_root).get(spec)
+        return digest is not None and self.store.verify(spec, digest)
 
     def _unfinished(self, names: Sequence[str]) -> List[str]:
-        completed = self._completed_now()
-        return [
-            n
-            for n in names
-            if n not in completed and n not in self._failed
-        ]
+        """The *names* neither stored nor failed.
+
+        A name found stored is remembered for the rest of the run, so
+        the per-tick speculation check verifies each entry once.
+        """
+        done = self._stored | self._failed.keys()
+        todo = [n for n in names if n not in done]
+        self._stored.update(n for n in todo if self._is_stored(n))
+        return [n for n in todo if n not in self._stored]
 
     def _handle_dead(self, shard: _ShardRun) -> None:
         """Recover a dead (or killed-wedged) worker's incomplete work."""
@@ -615,6 +629,7 @@ class ShardSupervisor:
         self._orphans: List[str] = []
         self._retired: set = set()
         self._failed: Dict[str, Dict[str, object]] = {}
+        self._stored: set = set()
         self._shard_events: List[Dict[str, object]] = []
         lost: List[str] = []
         speculated: set = set()
@@ -623,7 +638,7 @@ class ShardSupervisor:
         previous_env = self._install_fault_state()
 
         costs = measured_costs(
-            self.journal,
+            RunJournal(self.store_root),
             self.scale,
             self.trace_limit,
             backend=self.backend,
@@ -682,7 +697,7 @@ class ShardSupervisor:
                         if state == "straggler":
                             # live pid, expired lease: wedged.  Kill it
                             # and recover exactly like a crash — the
-                            # journal diff is the same either way.
+                            # store census is the same either way.
                             self.stats.lease_expiries += 1
                             shard.worker.kill()
                             shard.worker.reap()
@@ -774,17 +789,18 @@ class ShardSupervisor:
             if previous_env is not None:
                 os.environ[faults.ENV_VAR] = previous_env
 
-        # Auto-merge: with a shared store this is the census pass (the
-        # artifacts are already unioned by construction); it also proves
-        # every entry parses and journals the completion set.
+        # Auto-merge: with a shared store the artifacts are already
+        # unioned by construction, so this only reads the journal's
+        # damage warnings and lists the committed entries.  The report's
+        # own census verifies every name once more.
         merge = merge_shards([self.store_root], self.store_root)
-        completed = self._completed_now()
+        stored = {n for n in self.names if self._is_stored(n)}
         report = SupervisorReport(
-            completed=sorted(n for n in self.names if n in completed),
+            completed=sorted(stored),
             remaining=sorted(
                 n
                 for n in self.names
-                if n not in completed and n not in self._failed
+                if n not in stored and n not in self._failed
             ),
             failed=dict(self._failed),
             lost=lost,

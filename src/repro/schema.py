@@ -107,6 +107,10 @@ Version history:
   ``store_hits``); the ``journal_invalid`` failure code is gone with
   the strict journal read that raised it.  Every other key is
   unchanged.
+* **12** — the embedded ``engine`` stats drop ``cost_model``: it was
+  null in every CLI envelope, and a shard worker's engine stats never
+  leave the worker.  The ``supervise`` report's ``supervisor.cost_model``
+  is unchanged, and so is every other key.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 def envelope(

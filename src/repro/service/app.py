@@ -115,6 +115,12 @@ class ServiceConfig:
                 "checkpoint_every must be >= 1 (checkpoints are the "
                 f"preemption/recovery mechanism), got {self.checkpoint_every}"
             )
+        deadline = self.default_deadline_s
+        if deadline is not None and not (_is_number(deadline) and deadline > 0):
+            raise ValueError(
+                "default_deadline_s must be None or a finite number > 0, "
+                f"got {deadline!r}"
+            )
 
 
 @dataclass

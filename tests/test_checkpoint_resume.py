@@ -194,33 +194,23 @@ def test_slice_for_cadence_bounds():
 # -- run journal -------------------------------------------------------------
 
 
+def _digests(journal):
+    records, _ = journal.read()
+    return [(r["benchmark"], r["status"], r.get("digest")) for r in records]
+
+
 def test_journal_records_round_trip(tmp_path):
     journal = RunJournal(tmp_path)
     journal.record_completed("plot", "a" * 64, scale=0.05, trace_limit=0)
-    journal.record_completed("pgp", "b" * 64, scale=0.05, trace_limit=0)
-    assert journal.completed(scale=0.05, trace_limit=0) == {
-        "plot": "a" * 64, "pgp": "b" * 64,
-    }
-
-
-def test_journal_latest_record_wins(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record_completed("plot", "a" * 64, scale=0.05, trace_limit=0)
-    journal.record_failed("plot", scale=0.05, trace_limit=0,
+    journal.record_failed("pgp", scale=0.05, trace_limit=0,
                           error={"code": "job_failed"})
-    assert journal.completed(scale=0.05, trace_limit=0) == {}
-    journal.record_completed("plot", "c" * 64, scale=0.05, trace_limit=0)
-    assert journal.completed(scale=0.05, trace_limit=0) == {"plot": "c" * 64}
-
-
-def test_journal_ignores_other_parameters(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record_completed("plot", "a" * 64, scale=0.05, trace_limit=0)
-    journal.record_failed("plot", scale=0.30, trace_limit=0,
-                          error={"code": "job_failed"})
-    # the failure at another scale neither completes nor invalidates
-    assert journal.completed(scale=0.30, trace_limit=0) == {}
-    assert journal.completed(scale=0.05, trace_limit=0) == {"plot": "a" * 64}
+    records, warnings = journal.read()
+    assert warnings == []
+    assert _digests(journal) == [
+        ("plot", "completed", "a" * 64), ("pgp", "failed", None),
+    ]
+    assert records[0]["scale"] == 0.05 and records[0]["trace_limit"] == 0
+    assert records[1]["error"] == {"code": "job_failed"}
 
 
 def test_journal_tolerates_torn_lines(tmp_path):
@@ -229,9 +219,9 @@ def test_journal_tolerates_torn_lines(tmp_path):
     with journal.path.open("a") as handle:
         handle.write('{"benchmark": "pgp", "status": "comp')  # torn write
     journal.record_completed("compress", "b" * 64, scale=0.05, trace_limit=0)
-    assert journal.completed(scale=0.05, trace_limit=0) == {
-        "plot": "a" * 64, "compress": "b" * 64,
-    }
+    assert _digests(journal) == [
+        ("plot", "completed", "a" * 64), ("compress", "completed", "b" * 64),
+    ]
 
 
 # -- sliced runner: kill anywhere, resume bit-exactly ------------------------

@@ -1,8 +1,8 @@
 """The one journal reader, ``RunJournal.read()``.
 
 The journal is a log the engine only writes; its readers (the shard
-supervisor's recovery diff and cost model, ``merge-shards``, the
-service's crash recovery) all read tolerantly.  Every damage class — a
+supervisor's cost model, ``merge-shards``, the service's crash
+recovery) all read tolerantly.  Every damage class — a
 torn tail, garbage mid-file, non-object records, records stamped by a
 newer format version, an unreadable file — is skipped with a warning
 naming ``path:line``, never raised, and a record from a newer writer is
@@ -137,8 +137,8 @@ def test_snippet_is_bounded(tmp_path):
 
 def test_newer_format_record_is_never_trusted(tmp_path):
     """A record from a newer writer is skipped by every consumer, not
-    just reported: completion lookups and the shard cost model read
-    through the same reader as the warning."""
+    just reported: the shard cost model reads through the same reader
+    as the warning."""
     journal = RunJournal(tmp_path / "cache")
     newer = {"v": JOURNAL_VERSION + 1, "status": "completed",
              "benchmark": "plot", "digest": "a" * 16, "scale": SCALE,
@@ -148,7 +148,6 @@ def test_newer_format_record_is_never_trusted(tmp_path):
     records, warnings = journal.read()
     assert records == []
     assert len(warnings) == 1 and "skipped" in warnings[0]
-    assert journal.completed(SCALE, None) == {}
     assert measured_costs(journal, SCALE) == {}
 
 

@@ -3,7 +3,9 @@
 Finished work is found through the digest memo and the content-addressed
 store, both of which check the current sources.  After a kernel edit the
 same command must simulate the edited benchmark again and report the new
-numbers; once that is stored, the next rerun is all store hits.
+numbers; once that is stored, the next rerun is all store hits.  The
+shard supervisor asks the same question when a worker dies: a benchmark
+finished before the edit is unfinished after it.
 """
 
 import json
@@ -13,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -21,32 +25,16 @@ def _plot_row(output: str) -> str:
     return row
 
 
-def test_rerun_after_a_source_edit_resimulates_the_edited_benchmark(
-    tmp_path,
-):
+def _copy_sources(tmp_path: Path) -> Path:
     src = tmp_path / "src"
     shutil.copytree(
         REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__")
     )
-    cache = tmp_path / "cache"
-    command = [
-        sys.executable, "-m", "repro", "experiment", "table2",
-        "--benchmarks", "plot", "--scale", "0.05",
-        "--cache", str(cache), "--json",
-    ]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return src
 
-    def run():
-        result = subprocess.run(
-            command, env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert result.returncode == 0, result.stderr
-        return json.loads(result.stdout)["results"]
 
-    first = run()
-    assert first["engine"]["simulated"] == 1
-
-    # change one argument of plot's evaluate phase in the copied sources
+def _edit_plot(src: Path) -> None:
+    """Change one argument of plot's evaluate phase in the copied sources."""
     suite = src / "repro" / "workloads" / "suite.py"
     text = suite.read_text()
     head, plot = text.split("def _plot(", 1)
@@ -57,6 +45,36 @@ def test_rerun_after_a_source_edit_resimulates_the_edited_benchmark(
         + plot.replace(old, 'rep.take("sieve", 8, lambda i: (90 + 40 * i,))')
     )
 
+
+def _runner(src: Path, args, **env_extra):
+    """Run ``python -m repro`` on the copied sources; returns the results."""
+    env = dict(os.environ, PYTHONPATH=str(src), **env_extra)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_rerun_after_a_source_edit_resimulates_the_edited_benchmark(
+    tmp_path,
+):
+    src = _copy_sources(tmp_path)
+    cache = tmp_path / "cache"
+    command = [
+        "experiment", "table2", "--benchmarks", "plot", "--scale", "0.05",
+        "--cache", str(cache), "--json",
+    ]
+
+    def run():
+        return json.loads(_runner(src, command))["results"]
+
+    first = run()
+    assert first["engine"]["simulated"] == 1
+
+    _edit_plot(src)
+
     second = run()
     assert second["engine"]["simulated"] == 1
     assert second["engine"]["store_hits"] == 0
@@ -66,3 +84,55 @@ def test_rerun_after_a_source_edit_resimulates_the_edited_benchmark(
     assert third["engine"]["simulated"] == 0
     assert third["engine"]["store_hits"] == 1
     assert third["output"] == second["output"]
+
+
+@pytest.mark.slow
+@pytest.mark.faults
+def test_supervised_rerun_after_a_source_edit_restarts_the_lost_worker(
+    tmp_path,
+):
+    """plot is stored (and journaled complete) for the old sources only;
+    after the edit the rerun's only worker is killed mid-simulation.
+    The supervisor must restart it and end with an entry for the edited
+    sources beside the old one."""
+    src = _copy_sources(tmp_path)
+    cache = tmp_path / "cache"
+    command = [
+        "supervise", "--benchmarks", "plot", "--workers", "1",
+        "--scale", "0.05", "--cache", str(cache), "--json",
+    ]
+    _runner(src, command)
+    (before,) = sorted(cache.glob("plot-*.meta.json"))
+
+    _edit_plot(src)
+
+    results = json.loads(
+        _runner(src, command, REPRO_FAULTS="shard_kill:1@1000")
+    )["results"]
+    assert results["supervisor"]["restarts"] == 1
+    (event,) = results["shard_events"]
+    assert event["code"] == "shard_lost"
+    assert event["benchmarks"] == ["plot"]
+    assert results["completed"] == ["plot"]
+    after = sorted(cache.glob("plot-*.meta.json"))
+    assert len(after) == 2 and before in after
+    assert _verify_current(src, cache) == "True"
+
+
+def _verify_current(src: Path, cache: Path) -> str:
+    """Whether the store holds a verified plot entry for *src*'s sources."""
+    code = (
+        "import sys\n"
+        "from repro.eval.engine import ArtifactStore, JobSpec, "
+        "compute_job_digest\n"
+        "spec = JobSpec('plot', 0.05, None, 'interp')\n"
+        "print(ArtifactStore(sys.argv[1]).verify(spec, "
+        "compute_job_digest(spec)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(cache)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()

@@ -388,6 +388,28 @@ def test_service_config_validation(tmp_path):
         ServiceConfig(socket_path="s", cache_dir="c", checkpoint_every=0)
 
 
+@pytest.mark.parametrize(
+    "deadline",
+    [-1.0, 0, 0.0, float("nan"), float("inf"), True, "soon"],
+    ids=["negative", "zero-int", "zero", "nan", "inf", "bool", "string"],
+)
+def test_service_config_rejects_bad_default_deadline(deadline):
+    """A default deadline that would reject every deadline-less submit
+    is refused when the daemon is configured, not on each submit."""
+    with pytest.raises(ValueError, match="default_deadline_s"):
+        ServiceConfig(
+            socket_path="s", cache_dir="c", default_deadline_s=deadline
+        )
+
+
+@pytest.mark.parametrize("deadline", [None, 0.5, 30])
+def test_service_config_accepts_a_usable_default_deadline(deadline):
+    config = ServiceConfig(
+        socket_path="s", cache_dir="c", default_deadline_s=deadline
+    )
+    assert config.default_deadline_s == deadline
+
+
 def test_submit_admits_journals_and_acks(tmp_path):
     from repro.service.app import Connection
 

@@ -195,11 +195,18 @@ def _journal_line(benchmark):
     })
 
 
+def _meta(benchmark):
+    return json.dumps({"benchmark": benchmark}).encode()
+
+
 def test_merge_tolerates_torn_journal_tail(tmp_path):
     """A shard whose worker was SIGKILLed mid-append leaves a torn last
     line; the merge keeps the intact records and reports a warning
     instead of aborting the whole union."""
-    _fake_store(tmp_path / "s1", {"plot-aa.trace.npz": b"A"})
+    _fake_store(
+        tmp_path / "s1",
+        {"plot-aa.trace.npz": b"A", "plot-aa.meta.json": _meta("plot")},
+    )
     (tmp_path / "s1" / "journal.jsonl").write_text(
         _journal_line("plot") + "\n" + '{"v": 1, "status": "comp'
     )
@@ -218,7 +225,10 @@ def test_merge_tolerates_mid_file_garbage(tmp_path):
     terminated) is skipped with a warning; both neighbours survive."""
     _fake_store(
         tmp_path / "s1",
-        {"plot-aa.trace.npz": b"A", "pgp-bb.trace.npz": b"B"},
+        {
+            "plot-aa.trace.npz": b"A", "plot-aa.meta.json": _meta("plot"),
+            "pgp-bb.trace.npz": b"B", "pgp-bb.meta.json": _meta("pgp"),
+        },
     )
     (tmp_path / "s1" / "journal.jsonl").write_text(
         _journal_line("plot") + "\n"
@@ -229,6 +239,28 @@ def test_merge_tolerates_mid_file_garbage(tmp_path):
     assert sorted(report.benchmarks) == ["pgp", "plot"]
     assert report.journal_skipped == 1
     assert report.journal_records != {}
+
+
+def test_merge_census_lists_committed_entries_not_journal_records(
+    tmp_path,
+):
+    """The census is what the destination stores: a journaled benchmark
+    whose entry is gone is not counted, nor is a meta that does not
+    parse or names no benchmark; a stored one needs no journal record."""
+    _fake_store(
+        tmp_path / "s1",
+        {
+            "pgp-bb.trace.npz": b"B", "pgp-bb.meta.json": _meta("pgp"),
+            "gcc-cc.meta.json": b"{torn",
+            "li-dd.meta.json": b"[]",
+        },
+    )
+    (tmp_path / "s1" / "journal.jsonl").write_text(
+        _journal_line("plot") + "\n"
+    )
+    report = merge_shards([tmp_path / "s1"], tmp_path / "out")
+    assert report.benchmarks == ["pgp"]
+    assert report.journal_records == {str(tmp_path / "s1"): 1}
 
 
 # -- end-to-end acceptance: sharded == unsharded, byte for byte --------------

@@ -3,7 +3,8 @@
 The supervisor's promise is that worker death is an *operational* event,
 never a correctness event: kill any worker anywhere and the merged store
 is byte-identical to an unsharded run (the digests never see shard
-identity; the journal diff tells the restarted worker what is left).
+identity; what the store does not hold for the current sources is what
+the restarted worker has left).
 The units pin the decision logic — the pid-probe-before-lease-age
 ordering in ``classify_worker``, the capped exponential in
 ``restart_delay``, the fsynced throttled lease writes — and the
@@ -26,6 +27,7 @@ from repro.__main__ import main
 from repro.checkpoint.journal import RunJournal
 from repro.errors import ShardRestartsExhausted
 from repro.eval import interrupt
+from repro.eval.engine import ArtifactStore, JobSpec, compute_job_digest
 from repro.eval.faults import FaultPlan
 from repro.eval.shards import measured_costs, partition_selection
 from repro.eval.supervisor import (
@@ -232,7 +234,7 @@ def test_killed_shard_recovers_byte_identical(
     tmp_path, baseline_store
 ):
     """SIGKILL shard 1 mid-benchmark: the supervisor restarts it, the
-    journal diff scopes the rerun, and the merged store is
+    store census scopes the rerun, and the merged store is
     byte-identical to the unsharded baseline."""
     store = tmp_path / "store"
     plan = FaultPlan(
@@ -364,6 +366,44 @@ def test_exhausted_restart_budget_is_an_honest_failure(tmp_path):
     assert supervisor.stats.shards_lost == 2
 
 
+@pytest.mark.slow
+@pytest.mark.faults
+def test_lost_entry_is_rerun_not_reported_complete(
+    tmp_path, capsys, monkeypatch
+):
+    """Finished means stored.  plot runs once, its store entry is then
+    deleted (the journal still records it as completed), and the rerun
+    kills its only worker mid-simulation: the supervisor must see that
+    plot has no entry, restart the worker and end with an entry that
+    verifies for the current digest — not trust the journal."""
+    store = tmp_path / "store"
+    command = [
+        "supervise", "--benchmarks", "plot", "--workers", "1",
+        "--scale", "0.05", "--cache", str(store), "--json",
+    ]
+    assert main(command) == 0
+    capsys.readouterr()
+    entry = sorted(store.glob("plot-*.meta.json"))
+    assert len(entry) == 1
+    for path in store.glob("plot-*"):
+        if path.name.endswith((".trace.npz", ".meta.json")):
+            path.unlink()
+
+    monkeypatch.setenv("REPRO_FAULTS", "shard_kill:1@1000")
+    assert main(command) == 0
+    document = json.loads(capsys.readouterr().out)
+    results = document["results"]
+    assert results["supervisor"]["restarts"] == 1
+    (event,) = results["shard_events"]
+    assert event["code"] == "shard_lost"
+    assert event["benchmarks"] == ["plot"]
+    assert results["completed"] == ["plot"]
+    assert results["remaining"] == []
+    assert results["merge"]["benchmarks"] == ["plot"]
+    spec = JobSpec("plot", 0.05, None, document["params"]["backend"])
+    assert ArtifactStore(store).verify(spec, compute_job_digest(spec))
+
+
 # -- SIGTERM drain ----------------------------------------------------------
 
 
@@ -407,7 +447,7 @@ def test_supervise_cli_emits_v9_envelope(tmp_path, capsys):
     )
     assert rc == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == 11
+    assert document["schema_version"] == 12
     assert document["command"] == "supervise"
     assert document["params"]["workers"] == 2
     results = document["results"]
