@@ -48,10 +48,14 @@ faults:
 ## one cache entry is damaged in place and the rerun must quarantine +
 ## resimulate exactly that one.  Every leg after the cold one reads its
 ## --json envelope and fails the target when the counters disagree.
-## Last, a supervised leg checks that finished means stored: plot runs
+## Then a supervised leg checks that finished means stored: plot runs
 ## under `supervise`, its store entry is deleted (the journal still says
 ## completed), and a rerun whose only worker is killed mid-simulation
 ## must restart it once, report plot completed and leave its entry.
+## Last, `faults --kill plot` at the default cadence must kill plot's
+## worker past its first checkpoint (plot@0.05 runs ~46k branch events,
+## the default kill point is 1.5x the cadence) and the retry must
+## resume from it.
 smoke:
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 	@echo "== cold: simulating into $(SMOKE_CACHE) =="
@@ -92,6 +96,14 @@ smoke:
 	want = {'restarts': 1, 'completed': ['plot'], 'plot_metas': 1}; \
 	print(f'supervised: {got}'); \
 	sys.exit(0 if got == want else f'smoke check failed: wanted {want}')"
+	@echo "== faults: kill plot's worker past its first checkpoint =="
+	$(PY) -m repro faults --kill plot --benchmarks plot --scale 0.05 \
+		--json > $(SMOKE_JSON)
+	$(PY) -c "import json, sys; \
+	injected = json.load(open('$(SMOKE_JSON)'))['results']['injected']; \
+	got = injected['resumed_from_checkpoint']; \
+	print(f'faults: resumed_from_checkpoint={got}'); \
+	sys.exit(0 if got >= 1 else 'smoke check failed: no resume')"
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 
 bench:

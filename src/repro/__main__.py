@@ -753,15 +753,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
         # default demo: one worker dies hard, one cache entry is damaged
         crash = [names[0]]
         corrupt = [names[-1]]
-    kill = {}
-    if args.kill:
-        bench, _, events = args.kill.partition(":")
-        kill[bench] = int(events or 10_000)
     # worker_kill proves checkpoint/resume, which needs an artifact store
     # for the checkpoint directory and periodic snapshots to restore from
     checkpoint_every = args.checkpoint_every or (
-        DEFAULT_CHECKPOINT_EVERY if kill else None
+        DEFAULT_CHECKPOINT_EVERY if args.kill else None
     )
+    kill = {}
+    if args.kill:
+        # by default the kill lands half a cadence past the first
+        # checkpoint, so the retry has one to resume from
+        bench, _, events = args.kill.partition(":")
+        kill[bench] = int(events or checkpoint_every * 3 // 2)
     state_dir = tempfile.mkdtemp(prefix="repro-faults-")
     cache_dir = args.cache or None
     cache_is_temp = cache_dir is None and bool(corrupt or kill)
@@ -847,17 +849,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the analysis daemon until it drains (SIGTERM) or dies."""
     from .service import ServiceConfig, serve
 
-    config = ServiceConfig(
-        socket_path=args.socket,
-        cache_dir=args.cache,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        retries=args.retries,
-        quota_rate=args.quota_rate,
-        quota_burst=args.quota_burst,
-        checkpoint_every=args.checkpoint_every,
-        default_deadline_s=args.deadline or None,
-    )
+    try:
+        config = ServiceConfig(
+            socket_path=args.socket,
+            cache_dir=args.cache,
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            retries=args.retries,
+            quota_rate=args.quota_rate,
+            quota_burst=args.quota_burst,
+            checkpoint_every=args.checkpoint_every,
+            default_deadline_s=args.deadline or None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"repro serve: socket {args.socket}  cache {args.cache}  "
         f"workers {args.workers}  queue {args.queue_limit}",
@@ -1276,8 +1282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--kill", default="",
                           help="NAME[:EVENTS] — benchmark whose worker is "
                           "SIGKILLed once the bus has seen EVENTS branch "
-                          "events (default 10000); the retry resumes from "
-                          "the last checkpoint")
+                          "events (default 1.5x the checkpoint cadence); "
+                          "the retry resumes from the last checkpoint")
     p_faults.add_argument("--checkpoint-every", type=_bounded(int, 0),
                           default=0,
                           metavar="EVENTS",

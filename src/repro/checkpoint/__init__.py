@@ -12,9 +12,11 @@ rather than merely retryable:
   recency state, predictor tables, trace chunk buffers, streaming
   stats) via the consumer snapshot hooks;
 * :mod:`repro.checkpoint.store` — versioned, checksummed checkpoint
-  files written with the same atomic staged-commit discipline as the
-  artifact store; corrupt checkpoints are quarantined and readers fall
-  back to the previous sequence number (then to a cold start);
+  files of mutable state, written with the same atomic staged-commit
+  discipline as the artifact store, beside an append-only per-job log
+  that receives each sealed trace block once; corrupt checkpoints are
+  quarantined and readers fall back to the previous sequence number
+  (then to a cold start);
 * :mod:`repro.checkpoint.runner` — the sliced simulation loop that
   writes a checkpoint every ``checkpoint_every_events`` branch events
   and restores the latest valid one on restart, so a resumed run

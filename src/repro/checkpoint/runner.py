@@ -11,12 +11,15 @@ slices the simulation is exactly restorable.
 
 A checkpoint is written whenever at least ``every_events`` new branch
 events have accumulated since the last one (measured on the bus, which
-counts every dynamic conditional branch).  On start-up the latest valid
-checkpoint for the job's stem is restored — machine, memory,
-environment, executor counters, the bus's staged partial chunk, and all
-consumer state — so the resumed run replays **zero** events and its
-chunk boundaries, profiles and traces are byte-identical to an
-uninterrupted run's.
+counts every dynamic conditional branch).  Its cost is proportional to
+the work since the previous one: trace blocks sealed since then are
+appended to the job's block log, and the checkpoint file rewrites only
+the mutable state.  On start-up the latest valid checkpoint for the
+job's stem is restored — machine, memory, environment, executor
+counters, the bus's staged partial chunk, and all consumer state,
+sealed trace blocks read back from the log — so the resumed run replays
+**zero** events and its chunk boundaries, profiles and traces are
+byte-identical to an uninterrupted run's.
 
 Slicing is semantically free: ``Executor.run`` accumulates counters
 across calls and raises :class:`~repro.sim.executor.FuelExhausted`
@@ -35,15 +38,19 @@ from ..workloads.build import BuiltWorkload
 from .snapshot import (
     restore_bus,
     restore_simulator,
+    sealed_blocks,
     snapshot_bus,
     snapshot_simulator,
 )
 from .store import CheckpointStore
 
 #: Default checkpoint cadence in branch events for the daemon, the shard
-#: supervisor and ``repro faults --kill``: fine enough that a killed or
-#: preempted job loses little work.
-DEFAULT_CHECKPOINT_EVERY = 2_000
+#: supervisor and ``repro faults --kill``.  A killed or preempted job
+#: loses at most this much work — about 0.1 s of superblock simulation —
+#: and the cadence is coarse enough that ``slice_for_cadence`` keeps
+#: full-size slices (any value >= 16,384 does).  Drain and deadline
+#: stops checkpoint regardless of cadence.
+DEFAULT_CHECKPOINT_EVERY = 20_000
 
 #: Default instructions per executor slice.  Small enough that the
 #: event-count checkpoint trigger and fault hooks are checked with fine
@@ -178,20 +185,25 @@ def run_simulation(
     last_checkpoint_events = 0
 
     if config is not None:
+        log = config.store.log(config.stem)
         loaded = config.store.load_latest(config.stem)
         outcome.corrupt_checkpoints = len(config.store.corrupt_events)
         if loaded is not None:
             header, payload = loaded
+            fresh = snapshot_bus(bus)
             try:
+                sealed = log.restore(header)
                 restore_simulator(sim, payload["sim"])
-                restore_bus(bus, payload["bus"])
+                restore_bus(bus, payload["bus"], sealed)
             except Exception as exc:
-                # Verified container but unrestorable content (e.g. the
-                # bus consumer set changed): quarantine and cold-start.
-                config.store.quarantine(
+                # Verified container but unrestorable state (a damaged
+                # block log, a changed bus consumer set): quarantine
+                # the job's log and checkpoints, and cold-start.
+                restore_bus(bus, fresh)
+                config.store.quarantine_job(
                     config.stem,
-                    int(header["seq"]),
-                    f"restore failed: {type(exc).__name__}: {exc}",
+                    f"restore of seq {header['seq']} failed: "
+                    f"{type(exc).__name__}: {exc}",
                 )
                 outcome.corrupt_checkpoints += 1
                 sim = Simulator(
@@ -207,6 +219,8 @@ def run_simulation(
                 outcome.resumed_instructions = sim.executor.instruction_count
                 next_seq = int(header["seq"]) + 1
                 last_checkpoint_events = bus.stats.events
+        if not outcome.resumed_from_checkpoint:
+            log.reset()  # a cold run rewrites the log from block zero
 
     slice_budget = (
         config.slice_instructions if config is not None else fuel
@@ -238,6 +252,10 @@ def run_simulation(
                 >= config.every_events
             )
         ):
+            # the log append is durable before the checkpoint naming
+            # its new length commits; a kill in between leaves a tail
+            # the next restore truncates
+            log.append(sealed_blocks(bus, log.blocks))
             payload = {
                 "sim": snapshot_simulator(sim),
                 "bus": snapshot_bus(bus),
@@ -246,6 +264,7 @@ def run_simulation(
                 "benchmark": benchmark,
                 "events": bus.stats.events,
                 "instructions": sim.executor.instruction_count,
+                **log.position(),
             }
             config.store.put(config.stem, next_seq, payload, meta)
             next_seq += 1

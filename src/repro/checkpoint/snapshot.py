@@ -25,11 +25,21 @@ InterleaveConsumer`, ``PredictorConsumer``, ``TraceBuilder``,
 ``TraceStatsConsumer``) implement it.  A consumer without the hooks
 falls back to snapshotting its instance ``__dict__`` wholesale, which is
 correct for any consumer whose state is picklable attributes.
+
+A consumer whose state is mostly sealed, never-changing blocks (the
+``TraceBuilder``) keeps them out of its snapshot and adds a third
+hook, ``sealed_blocks(start) -> [columns, ...]``; its restore hook then
+takes the blocks back as ``restore_state(state, sealed)``.  The runner
+encodes new sealed blocks with :func:`sealed_blocks` into the job's
+append-only block log, so each block is written once however many
+checkpoints follow.  A bus carries at most one such consumer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import CheckpointCorrupt
 from ..pipeline.bus import BranchEventBus
@@ -39,6 +49,14 @@ from ..sim.machine import Simulator
 _VARS_TAG = "__vars__"
 #: tag for hook-based consumer snapshots.
 _HOOK_TAG = "__hook__"
+
+#: column dtypes of one sealed block (pcs, targets, taken, timestamps),
+#: in their order in an encoded block.
+_BLOCK_DTYPES = (
+    np.dtype(np.uint64), np.dtype(np.uint64), np.dtype(bool),
+    np.dtype(np.uint64),
+)
+_EVENT_BYTES = sum(dtype.itemsize for dtype in _BLOCK_DTYPES)
 
 
 # -- simulator ---------------------------------------------------------------
@@ -110,13 +128,55 @@ def _snapshot_consumer(consumer: object) -> tuple:
     return (_VARS_TAG, dict(vars(consumer)))
 
 
-def _restore_consumer(consumer: object, tagged: tuple) -> None:
+def _restore_consumer(
+    consumer: object, tagged: tuple, sealed: Optional[list]
+) -> None:
     tag, state = tagged
-    if tag == _HOOK_TAG:
+    if tag == _HOOK_TAG and sealed is not None:
+        consumer.restore_state(state, sealed)  # type: ignore[attr-defined]
+    elif tag == _HOOK_TAG:
         consumer.restore_state(state)  # type: ignore[attr-defined]
     else:
         vars(consumer).clear()
         vars(consumer).update(state)
+
+
+def _block_logger(bus: BranchEventBus) -> Optional[Any]:
+    """The bus's one consumer with a ``sealed_blocks`` hook, if any."""
+    found = [c for _, c in bus._consumers if hasattr(c, "sealed_blocks")]
+    if len(found) > 1:
+        raise ValueError(
+            f"at most one block-logging consumer per bus, got {len(found)}"
+        )
+    return found[0] if found else None
+
+
+def _encode_block(columns: Sequence[np.ndarray]) -> bytes:
+    """One sealed block's columns as log payload bytes."""
+    return b"".join(
+        np.ascontiguousarray(col, dtype=dtype).tobytes()
+        for col, dtype in zip(columns, _BLOCK_DTYPES)
+    )
+
+
+def _decode_block(payload: Any) -> tuple:
+    """Inverse of :func:`_encode_block` (read-only views of *payload*)."""
+    n, rest = divmod(len(payload), _EVENT_BYTES)
+    if rest:
+        raise ValueError(f"block payload of {len(payload)} bytes is torn")
+    columns, at = [], 0
+    for dtype in _BLOCK_DTYPES:
+        columns.append(np.frombuffer(payload, dtype, n, at))
+        at += n * dtype.itemsize
+    return tuple(columns)
+
+
+def sealed_blocks(bus: BranchEventBus, start: int) -> List[bytes]:
+    """Encoded sealed blocks from index *start* on, for the block log."""
+    logger = _block_logger(bus)
+    if logger is None:
+        return []
+    return [_encode_block(cols) for cols in logger.sealed_blocks(start)]
 
 
 def snapshot_bus(bus: BranchEventBus) -> Dict[str, Any]:
@@ -154,10 +214,16 @@ def snapshot_bus(bus: BranchEventBus) -> Dict[str, Any]:
     }
 
 
-def restore_bus(bus: BranchEventBus, snap: Dict[str, Any]) -> None:
+def restore_bus(
+    bus: BranchEventBus,
+    snap: Dict[str, Any],
+    sealed: Sequence[Any] = (),
+) -> None:
     """Overwrite a freshly-constructed bus with snapshot state.
 
-    The bus must carry the same consumer set (by name) the snapshot was
+    *sealed* are the block-log payloads the snapshot's sealed blocks
+    were written to; they go back to the block-logging consumer.  The
+    bus must carry the same consumer set (by name) the snapshot was
     taken from; a mismatch raises :class:`~repro.errors.CheckpointCorrupt`
     *before* touching any state, so the caller can quarantine the file
     and cold-start cleanly.
@@ -170,6 +236,8 @@ def restore_bus(bus: BranchEventBus, snap: Dict[str, Any]) -> None:
             expected=sorted(names),
             found=sorted(snapped),
         )
+    logger = _block_logger(bus)
+    blocks = [_decode_block(payload) for payload in sealed]
     pcs, targets, taken, timestamps = snap["staged"]
     bus._pcs = list(pcs)
     bus._targets = list(targets)
@@ -188,12 +256,17 @@ def restore_bus(bus: BranchEventBus, snap: Dict[str, Any]) -> None:
         counters.events = events
         counters.seconds = seconds
     for name, consumer in bus._consumers:
-        _restore_consumer(consumer, snap["consumers"][name])
+        _restore_consumer(
+            consumer,
+            snap["consumers"][name],
+            blocks if consumer is logger else None,
+        )
 
 
 __all__ = [
     "restore_bus",
     "restore_simulator",
+    "sealed_blocks",
     "snapshot_bus",
     "snapshot_simulator",
 ]

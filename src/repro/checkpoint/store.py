@@ -1,27 +1,40 @@
-"""Versioned, checksummed, crash-safe checkpoint files.
+"""Versioned, checksummed, crash-safe checkpoint files and block logs.
 
-One checkpoint file holds the complete mid-run state of one simulation
-job (machine, environment, bus, consumers) at a quiesced point.  The
-on-disk format is a self-describing container::
+A job's mid-run state is split by how it changes.  Sealed trace blocks
+never change once written, so they go to an append-only per-job log,
+``<stem>.blocks``, exactly once.  Everything else — machine,
+environment, the bus's staged partial chunk and counters, consumer
+state — is rewritten whole by each checkpoint file, which is therefore
+small and does not grow with the run.  A checkpoint file is a
+self-describing container::
 
     RPROCKPT\\n                         magic (8 bytes + newline)
-    {"version": 1, "seq": 3, ...}\\n    JSON header line
+    {"version": 2, "seq": 3, ...}\\n    JSON header line
     <pickle payload>                   the snapshot object
 
 The header carries the format version, the job stem, the sequence
-number, provenance counters (events/instructions) and the SHA-256 and
-length of the payload, so a reader can reject a truncated, torn or
-bit-flipped file before unpickling a single byte.
+number, provenance counters (events/instructions), the SHA-256 and
+length of the payload and, for a simulation checkpoint, the block-log
+prefix it depends on (``log_blocks``, ``log_bytes``, ``log_sha256``),
+so a reader can reject a truncated, torn or bit-flipped file before
+unpickling a single byte.  Each log record is the payload length
+(8 bytes, little-endian), the payload's SHA-256 (32 bytes) and the
+payload.
 
 Robustness mirrors :class:`~repro.eval.engine.ArtifactStore`:
 
-* writes stage to a private temp file, fsync, then commit with one
-  ``os.replace`` — a killed writer can never leave a torn checkpoint
-  under the final name;
+* a checkpoint stages to a private temp file, fsyncs, then commits
+  with one ``os.replace`` — a killed writer can never leave a torn
+  checkpoint under the final name; the log is appended and fsynced
+  *before* the checkpoint that names its new length is committed;
 * reads verify magic, version, stem, length and checksum; *any* defect
   moves the file to ``<root>/quarantine/`` (bounded — old entries are
   pruned) and the loader falls back to the previous sequence number,
   then to a cold start;
+* restoring re-reads only the log prefix the checkpoint names, checks
+  its digest and every record's, and truncates whatever a killed
+  writer appended past it; a log that fails the check is quarantined
+  together with the job's checkpoints and the run cold-starts;
 * retention keeps only the newest ``keep`` sequence numbers per job, so
   long runs cannot fill the disk with history.
 """
@@ -32,8 +45,9 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CheckpointCorrupt
 
@@ -43,10 +57,13 @@ CHECKPOINT_MAGIC = b"RPROCKPT\n"
 #: Bump on any backwards-incompatible change to the container or to the
 #: snapshot payload layout.  Old-version files read as corrupt (they are
 #: quarantined and the run cold-starts) rather than mis-restoring.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol for payloads (stable, supports large numpy buffers).
 _PICKLE_PROTOCOL = 4
+
+#: Block-log record head: payload length, payload SHA-256.
+_RECORD = struct.Struct("<Q32s")
 
 
 def prune_directory(root: Path, keep: int) -> int:
@@ -74,6 +91,110 @@ def prune_directory(root: Path, keep: int) -> int:
     return removed
 
 
+class BlockLog:
+    """The append-only log of one job's sealed blocks, ``<stem>.blocks``.
+
+    The log object is a cursor: ``blocks`` records and ``offset`` bytes
+    written so far, plus a running SHA-256 of those bytes, so appending
+    costs only the new records and :meth:`position` is free.  A
+    checkpoint stores :meth:`position`; :meth:`restore` moves the cursor
+    back to a stored position and returns the payloads before it.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        self.blocks = 0
+        self.offset = 0
+        self._digest = hashlib.sha256()
+
+    def position(self) -> Dict[str, object]:
+        """The cursor as checkpoint header fields."""
+        return {
+            "log_blocks": self.blocks,
+            "log_bytes": self.offset,
+            "log_sha256": self._digest.hexdigest(),
+        }
+
+    def append(self, payloads: Sequence[bytes]) -> None:
+        """Write *payloads* at the cursor, durably, and advance it.
+
+        Anything past the cursor (a tail a killed writer left behind)
+        is overwritten or truncated away.
+        """
+        if not payloads:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        mode = "r+b" if self.path.exists() else "wb"
+        with open(self.path, mode) as fh:
+            fh.seek(self.offset)
+            for payload in payloads:
+                head = _RECORD.pack(
+                    len(payload), hashlib.sha256(payload).digest()
+                )
+                fh.write(head)
+                fh.write(payload)
+                self._digest.update(head)
+                self._digest.update(payload)
+                self.offset += len(head) + len(payload)
+            fh.truncate()
+            fh.flush()
+            os.fsync(fh.fileno())
+        self.blocks += len(payloads)
+
+    def restore(self, position: Mapping[str, object]) -> List[memoryview]:
+        """The payloads of the prefix *position* names, verified.
+
+        Checks the prefix's length and SHA-256 and every record's own
+        checksum, truncates the log to the prefix and leaves the cursor
+        at its end.  Raises ``ValueError`` (or ``OSError``/``KeyError``)
+        on any defect, without moving the cursor.
+        """
+        blocks = int(position["log_blocks"])
+        offset = int(position["log_bytes"])
+        digest = hashlib.sha256()
+        payloads: List[memoryview] = []
+        if offset:
+            with open(self.path, "rb") as fh:
+                prefix = memoryview(fh.read(offset))
+            if len(prefix) != offset:
+                raise ValueError(
+                    f"block log holds {len(prefix)} bytes, checkpoint "
+                    f"needs {offset}"
+                )
+            digest.update(prefix)
+            if digest.hexdigest() != position["log_sha256"]:
+                raise ValueError("block log prefix checksum mismatch")
+            at = 0
+            while at < offset:
+                length, sha = _RECORD.unpack_from(prefix, at)
+                at += _RECORD.size
+                payload = prefix[at:at + length]
+                at += length
+                if hashlib.sha256(payload).digest() != sha:
+                    raise ValueError(
+                        f"block {len(payloads)} checksum mismatch"
+                    )
+                payloads.append(payload)
+        if len(payloads) != blocks:
+            raise ValueError(
+                f"block log prefix holds {len(payloads)} blocks, "
+                f"checkpoint names {blocks}"
+            )
+        if self.path.exists():
+            os.truncate(self.path, offset)
+        self.blocks, self.offset, self._digest = blocks, offset, digest
+        return payloads
+
+    def reset(self) -> None:
+        """Drop the log: a cold start rewrites it from block zero."""
+        try:
+            self.path.unlink()
+        except FileNotFoundError:
+            pass
+        self.blocks, self.offset = 0, 0
+        self._digest = hashlib.sha256()
+
+
 class CheckpointStore:
     """Sequence-numbered checkpoint files for simulation jobs.
 
@@ -85,6 +206,9 @@ class CheckpointStore:
     """
 
     SUFFIX = ".ckpt"
+
+    #: suffix of the per-job append-only block log.
+    LOG_SUFFIX = ".blocks"
 
     #: checkpoints kept per job (the newest one plus a fallback).
     KEEP = 2
@@ -105,6 +229,10 @@ class CheckpointStore:
 
     def path(self, stem: str, seq: int) -> Path:
         return self.root / f"{stem}.{seq:08d}{self.SUFFIX}"
+
+    def log(self, stem: str) -> BlockLog:
+        """A cursor at the start of *stem*'s block log."""
+        return BlockLog(self.root / f"{stem}{self.LOG_SUFFIX}")
 
     def sequences(self, stem: str) -> List[int]:
         """Existing sequence numbers for *stem*, ascending."""
@@ -198,17 +326,43 @@ class CheckpointStore:
     def quarantine(self, stem: str, seq: int, reason: str) -> None:
         """Move one bad checkpoint aside and record the event."""
         path = self.path(stem, seq)
+        self._quarantine([path], path.name, stem, seq, reason)
+
+    def quarantine_job(self, stem: str, reason: str) -> None:
+        """Move *stem*'s block log and every checkpoint aside.
+
+        For state that does not restore as a whole (a log that fails
+        its checksums, a payload that does not fit the bus): no older
+        checkpoint is trusted, and the run cold-starts.
+        """
+        paths = [self.path(stem, seq) for seq in self.sequences(stem)]
+        self._quarantine(
+            [self.log(stem).path, *paths], f"state of {stem}", stem, None,
+            reason,
+        )
+
+    def _quarantine(
+        self,
+        paths: List[Path],
+        what: str,
+        stem: str,
+        seq: Optional[int],
+        reason: str,
+    ) -> None:
         quarantine_root = self.root / self.QUARANTINE_DIR
         moved = []
-        if path.exists():
+        for path in paths:
+            if not path.exists():
+                continue
             quarantine_root.mkdir(parents=True, exist_ok=True)
             target = quarantine_root / path.name
             os.replace(path, target)
             moved.append(str(target))
+        if moved:
             prune_directory(quarantine_root, self.QUARANTINE_KEEP)
         self.corrupt_events.append(
             CheckpointCorrupt(
-                f"corrupt checkpoint {path.name}: {reason}",
+                f"corrupt checkpoint {what}: {reason}",
                 stem=stem,
                 seq=seq,
                 quarantined=moved,
@@ -234,15 +388,18 @@ class CheckpointStore:
         return None
 
     def clear(self, stem: str) -> None:
-        """Drop every checkpoint for *stem* (the job completed)."""
-        for seq in self.sequences(stem):
+        """Drop every checkpoint and the block log for *stem* (the job
+        completed)."""
+        paths = [self.path(stem, seq) for seq in self.sequences(stem)]
+        for path in [*paths, self.log(stem).path]:
             try:
-                self.path(stem, seq).unlink()
+                path.unlink()
             except OSError:
                 continue
 
 
 __all__ = [
+    "BlockLog",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "CheckpointStore",

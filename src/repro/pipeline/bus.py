@@ -57,7 +57,10 @@ class EventConsumer(Protocol):
     pair ``snapshot_state() -> object`` / ``restore_state(state)`` so
     mid-run state survives a worker kill (see
     :mod:`repro.checkpoint.snapshot`); consumers without the hooks are
-    snapshotted via their instance ``__dict__``.
+    snapshotted via their instance ``__dict__``.  A consumer holding
+    sealed, never-changing blocks adds ``sealed_blocks(start)`` and
+    takes them back as ``restore_state(state, sealed)``, so checkpoints
+    write each block once.
     """
 
     def on_chunk(self, chunk: "EventChunk") -> None:

@@ -24,7 +24,7 @@ Each consumer implements the two-method bus contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,23 +215,40 @@ class TraceBuilder:
         return self.result
 
     # -- checkpoint hooks (see repro.checkpoint.snapshot) --------------------
+    # Sealed blocks never change, so a snapshot carries only their count;
+    # the checkpoint runner writes each block to the job's append-only
+    # block log once (``sealed_blocks``) and hands the log back on
+    # restore.
 
     def snapshot_state(self) -> object:
-        # Column arrays, not EventChunk objects: the chunk is a lazy
-        # dual-representation cache, the arrays are the actual state.
         return {
             "label": self.label,
             "events": self._events,
-            "columns": [block.arrays() for block in self._blocks],
+            "blocks": len(self._blocks),
         }
 
-    def restore_state(self, state: object) -> None:
-        self.label = state["label"]  # type: ignore[index]
-        self._events = state["events"]  # type: ignore[index]
-        self._blocks = [
-            EventChunk.from_arrays(*cols)
-            for cols in state["columns"]  # type: ignore[index]
-        ]
+    def sealed_blocks(
+        self, start: int
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Column arrays of the sealed blocks from index *start* on."""
+        return [block.arrays() for block in self._blocks[start:]]
+
+    def restore_state(
+        self,
+        state: dict,
+        sealed: Sequence[Tuple[np.ndarray, ...]],
+    ) -> None:
+        blocks = [EventChunk.from_arrays(*cols) for cols in sealed]
+        events = sum(len(block) for block in blocks)
+        if (len(blocks), events) != (state["blocks"], state["events"]):
+            raise ValueError(
+                f"trace snapshot names {state['blocks']} blocks of "
+                f"{state['events']} events, the block log holds "
+                f"{len(blocks)} of {events}"
+            )
+        self.label = state["label"]
+        self._events = events
+        self._blocks = blocks
         self.result = None
 
 

@@ -67,7 +67,7 @@ from ..sim.api import backend_names
 from ..workloads.registry import resolve_benchmark
 from .admission import AdmissionController
 from .jobs import ServiceJob, ServiceJournal, build_predictor
-from .quotas import QuotaManager
+from .quotas import QuotaManager, check_quota
 from .wire import (
     MAX_FRAME_BYTES,
     WireError,
@@ -110,6 +110,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        check_quota(self.quota_rate, self.quota_burst)
         if self.checkpoint_every < 1:
             raise ValueError(
                 "checkpoint_every must be >= 1 (checkpoints are the "

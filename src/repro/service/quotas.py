@@ -20,6 +20,7 @@ skewed share of the pool is visible in one snapshot.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict
@@ -79,13 +80,34 @@ class TenantUsage:
         }
 
 
+def check_quota(rate: float, burst: float) -> None:
+    """Reject a quota that could never admit anything.
+
+    *rate* must be a number (NaN compares false everywhere and would
+    enable limiting at an undefined rate).  With limiting on
+    (``rate > 0``), *burst* must be at least 1: a bucket that can never
+    hold one whole token rejects every submit forever.
+
+    Raises:
+        ValueError: naming the bad field.
+    """
+    if math.isnan(rate):
+        raise ValueError("quota_rate must be a number, got nan")
+    if rate > 0 and not burst >= 1:
+        raise ValueError(
+            f"quota_burst must be >= 1 when quota_rate > 0 (a bucket "
+            f"that holds less than one token admits nothing), got {burst}"
+        )
+
+
 @dataclass
 class QuotaManager:
     """One token bucket + usage record per tenant.
 
     ``rate <= 0`` disables rate limiting entirely (every admit
-    succeeds); usage is accounted either way.  *clock* must be a
-    monotonic-seconds callable.
+    succeeds); usage is accounted either way.  With ``rate > 0``,
+    ``burst`` must be at least 1 (:func:`check_quota`).  *clock* must
+    be a monotonic-seconds callable.
     """
 
     rate: float = 0.0
@@ -93,6 +115,9 @@ class QuotaManager:
     clock: Callable[[], float] = time.monotonic
     buckets: Dict[str, TokenBucket] = field(default_factory=dict)
     usage: Dict[str, TenantUsage] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_quota(self.rate, self.burst)
 
     def usage_for(self, tenant: str) -> TenantUsage:
         record = self.usage.get(tenant)
@@ -155,4 +180,4 @@ class QuotaManager:
         }
 
 
-__all__ = ["QuotaManager", "TenantUsage", "TokenBucket"]
+__all__ = ["QuotaManager", "TenantUsage", "TokenBucket", "check_quota"]

@@ -18,6 +18,7 @@ the injection suite; the store/journal unit tests run everywhere.
 
 import json
 import pickle
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,7 @@ from repro.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointConfig,
     CheckpointStore,
+    DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_SLICE_INSTRUCTIONS,
     MIN_SLICE_INSTRUCTIONS,
     RunJournal,
@@ -180,10 +182,67 @@ def test_quarantine_is_bounded(tmp_path):
     assert len(list(quarantine.iterdir())) <= store.QUARANTINE_KEEP
 
 
+def test_clear_removes_the_block_log(tmp_path):
+    store = make_store(tmp_path)
+    log = store.log("a")
+    log.append([b"block"])
+    store.put("a", 1, {"x": 1}, meta=log.position())
+    store.clear("a")
+    assert not log.path.exists()
+    assert store.sequences("a") == []
+
+
+def test_version_1_checkpoint_reads_as_corrupt(tmp_path):
+    """A file in the old whole-trace format is quarantined, not restored."""
+    store = make_store(tmp_path)
+    store.put("stem", 1, {"x": 1})
+    path = store.path("stem", 1)
+    head, blob = path.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
+    header = json.loads(head)
+    header["version"] = 1
+    path.write_bytes(
+        CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + blob
+    )
+    assert store.load_latest("stem") is None
+    assert len(store.corrupt_events) == 1
+    assert store.sequences("stem") == []
+
+
+def test_block_log_restore_truncates_tail_and_checks_prefix(tmp_path):
+    store = make_store(tmp_path)
+    log = store.log("stem")
+    log.append([b"first", b"second"])
+    position = log.position()
+    log.append([b"unnamed"])  # appended, but no checkpoint names it
+    with log.path.open("ab") as fh:
+        fh.write(b"\x01\x02\x03")  # a torn record
+
+    reader = store.log("stem")
+    assert [bytes(p) for p in reader.restore(position)] == [
+        b"first", b"second",
+    ]
+    assert log.path.stat().st_size == position["log_bytes"]
+    assert reader.position() == position
+    reader.append([b"third"])  # continues exactly where the prefix ended
+    assert [bytes(p) for p in store.log("stem").restore(reader.position())
+            ] == [b"first", b"second", b"third"]
+
+    raw = bytearray(log.path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    log.path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        store.log("stem").restore(reader.position())
+
+
 def test_slice_for_cadence_bounds():
     assert slice_for_cadence(1) == MIN_SLICE_INSTRUCTIONS
     assert slice_for_cadence(2000) == 8000
     assert slice_for_cadence(10**9) == DEFAULT_SLICE_INSTRUCTIONS
+    # the default cadence keeps full-size slices
+    assert (
+        slice_for_cadence(DEFAULT_CHECKPOINT_EVERY)
+        == DEFAULT_SLICE_INSTRUCTIONS
+    )
     config = CheckpointConfig(
         store=CheckpointStore.__new__(CheckpointStore), stem="s",
         every_events=2000,
@@ -254,13 +313,15 @@ def _fingerprint(tmp_path, tag, profiler, builder, bus):
 
 
 def _run_to_completion(
-    built, config=None, fault_plan=None, benchmark="", backend=None
+    built, config=None, fault_plan=None, benchmark="", backend=None,
+    chunk_events=None,
 ):
     # fixed labels: the fingerprint embeds them, and fault plans key on
     # the *benchmark* argument independently of the display label
     profiler = InterleaveConsumer(label="plot")
     builder = TraceBuilder(label="plot")
-    bus = BranchEventBus([profiler, builder])
+    kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}
+    bus = BranchEventBus([profiler, builder], **kwargs)
     outcome = run_simulation(
         built, bus, config=config, fault_plan=fault_plan,
         benchmark=benchmark, backend=backend,
@@ -424,6 +485,163 @@ def test_restorable_but_stale_payload_quarantines(built_plot, tmp_path):
     assert not outcome.resumed_from_checkpoint
     assert outcome.corrupt_checkpoints > 0
     assert outcome.result.instructions > 0
+
+
+# -- block log: each sealed block written once, damage cold-starts ----------
+
+#: Bus chunk size for the block-log tests: small enough that plot seals
+#: dozens of blocks, so the log, not the checkpoint file, holds the trace.
+LOG_CHUNK = 1_024
+
+_RECORD = struct.Struct("<Q32s")
+
+
+def _header(path):
+    raw = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+    return json.loads(raw.split(b"\n", 1)[0])
+
+
+def _log_payloads(path):
+    """Every record payload in a block log, parsed independently."""
+    raw, payloads, at = path.read_bytes(), [], 0
+    while at < len(raw):
+        length, _ = _RECORD.unpack_from(raw, at)
+        at += _RECORD.size
+        payloads.append(raw[at:at + length])
+        at += length
+    return payloads
+
+
+@pytest.fixture(scope="module")
+def plot_log_baseline(built_plot, tmp_path_factory):
+    """Uninterrupted plot over LOG_CHUNK-event chunks."""
+    tmp = tmp_path_factory.mktemp("log-baseline")
+    _, profiler, builder, bus = _run_to_completion(
+        built_plot, chunk_events=LOG_CHUNK,
+    )
+    return (
+        _fingerprint(tmp, "base", profiler, builder, bus),
+        bus.stats.events,
+    )
+
+
+def _killed_halfway(built, tmp_path, total_events):
+    """Checkpoint every 1,000 events, kill at half the run."""
+    config = CheckpointConfig(
+        store=make_store(tmp_path), stem="plot-stem", every_events=1_000,
+    )
+    plan = FaultPlan(
+        worker_kill={"plot": total_events // 2},
+        state_dir=str(tmp_path / "state"),
+    )
+    with pytest.raises(InjectedFault):
+        _run_to_completion(
+            built, config=config, fault_plan=plan, benchmark="plot",
+            chunk_events=LOG_CHUNK,
+        )
+    return config, plan
+
+
+@pytest.mark.faults
+def test_log_blocks_past_newest_checkpoint_resume_byte_identical(
+    built_plot, plot_log_baseline, tmp_path
+):
+    """A kill between the log append and the checkpoint commit leaves
+    blocks no checkpoint names (and maybe a torn record); the resume
+    truncates them and continues byte-identically."""
+    baseline, total_events = plot_log_baseline
+    config, plan = _killed_halfway(built_plot, tmp_path, total_events)
+    store = config.store
+    newest = _header(store.path("plot-stem", store.sequences("plot-stem")[-1]))
+    log_path = store.log("plot-stem").path
+    assert log_path.stat().st_size == newest["log_bytes"] > 0
+    with log_path.open("ab") as fh:
+        first = _log_payloads(log_path)[0]
+        fh.write(_RECORD.pack(len(first), b"\x00" * 32) + first)
+        fh.write(b"\x05" * 20)
+
+    outcome, profiler, builder, bus = _run_to_completion(
+        built_plot, config=config, fault_plan=plan, benchmark="plot",
+        chunk_events=LOG_CHUNK,
+    )
+    assert outcome.resumed_from_checkpoint
+    assert outcome.resumed_events == newest["events"]
+    assert outcome.corrupt_checkpoints == 0
+    assert _fingerprint(tmp_path, "tail", profiler, builder, bus) == baseline
+
+
+@pytest.mark.faults
+def test_flipped_log_byte_quarantines_and_cold_starts(
+    built_plot, plot_log_baseline, tmp_path
+):
+    """A bit flip inside the logged prefix: the log and every checkpoint
+    of the job are quarantined and the run cold-starts, bit-exact."""
+    baseline, total_events = plot_log_baseline
+    config, plan = _killed_halfway(built_plot, tmp_path, total_events)
+    store = config.store
+    names = {store.path("plot-stem", seq).name
+             for seq in store.sequences("plot-stem")}
+    log_path = store.log("plot-stem").path
+    raw = bytearray(log_path.read_bytes())
+    # records here are equal-sized, so the middle can be a record head;
+    # step past one to flip a payload (trace) byte
+    raw[len(raw) // 2 + _RECORD.size + 1] ^= 0xFF
+    log_path.write_bytes(bytes(raw))
+
+    outcome, profiler, builder, bus = _run_to_completion(
+        built_plot, config=config, fault_plan=plan, benchmark="plot",
+        chunk_events=LOG_CHUNK,
+    )
+    assert not outcome.resumed_from_checkpoint
+    assert outcome.corrupt_checkpoints == 1
+    quarantined = {
+        p.name for p in (store.root / store.QUARANTINE_DIR).iterdir()
+    }
+    assert quarantined == names | {log_path.name}
+    assert _fingerprint(tmp_path, "flip", profiler, builder, bus) == baseline
+
+
+@pytest.mark.faults
+def test_each_sealed_block_is_logged_once(built_plot, tmp_path, monkeypatch):
+    """Across one run the log holds exactly the final trace's column
+    bytes up to the newest checkpoint, block by block, and checkpoint
+    files do not grow with the trace."""
+    store = make_store(tmp_path)
+    sizes = []
+    real_put = store.put
+
+    def sized_put(*args, **kwargs):
+        path = real_put(*args, **kwargs)
+        sizes.append(path.stat().st_size)
+        return path
+
+    monkeypatch.setattr(store, "put", sized_put)
+    config = CheckpointConfig(
+        store=store, stem="plot-stem", every_events=1_000,
+    )
+    _, _, builder, _ = _run_to_completion(
+        built_plot, config=config, chunk_events=LOG_CHUNK,
+    )
+    newest = _header(store.path("plot-stem", store.sequences("plot-stem")[-1]))
+    log_path = store.log("plot-stem").path
+    assert log_path.stat().st_size == newest["log_bytes"]
+    payloads = _log_payloads(log_path)
+    assert len(payloads) == newest["log_blocks"] > 10
+    trace = builder.result
+    columns = (trace.pcs, trace.targets, trace.taken, trace.timestamps)
+    expected = [
+        b"".join(
+            col[i * LOG_CHUNK:(i + 1) * LOG_CHUNK].tobytes()
+            for col in columns
+        )
+        for i in range(len(payloads))
+    ]
+    assert payloads == expected
+    # A whole-trace checkpoint would grow by every logged byte.  These
+    # grow only with the touched memory pages and the interleave pair
+    # table, both bounded by the program, not by the run's length.
+    assert len(sizes) > 20
+    assert max(sizes) - sizes[0] < newest["log_bytes"] // 4
 
 
 # -- engine integration: retries resume, reruns are store hits --------------

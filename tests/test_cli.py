@@ -248,6 +248,31 @@ def test_out_of_range_numbers_exit_2_without_traceback(argv, tmp_path):
     assert f"argument {argv[-2]}: must be" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--quota-rate", "1", "--quota-burst", "0.5"], "quota_burst"),
+        (["--quota-rate", "2", "--quota-burst", "0"], "quota_burst"),
+        (["--quota-rate", "nan"], "quota_rate"),
+        (["--retries", "-1"], "--retries"),
+    ],
+    ids=["burst-half", "burst-zero", "rate-nan", "retries-negative"],
+)
+def test_serve_refuses_quotas_that_admit_nothing(argv, field, tmp_path):
+    """A quota no submit could pass, or a negative retry budget, stops
+    ``serve`` before it binds a socket: exit 2, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--socket", "s",
+         "--cache", "c", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert field in result.stderr
+    assert not (tmp_path / "s").exists()
+
+
 def test_checkpoint_every_zero_stays_off(tmp_path, capsys):
     assert main(["experiment", "table2", "--checkpoint-every", "0",
                  "--scale", "0.05", "--benchmarks", "plot", "--json"]) == 0

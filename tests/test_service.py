@@ -183,6 +183,20 @@ def test_quota_manager_zero_rate_is_unlimited():
     assert quotas.usage_for("t0").admitted == 100
 
 
+@pytest.mark.parametrize("burst", [0.5, 0.0, -1.0, float("nan")])
+def test_quota_manager_rejects_a_burst_below_one_token(burst):
+    """A bucket that can never hold a whole token would reject every
+    submit forever; it is refused at construction instead."""
+    with pytest.raises(ValueError, match="quota_burst"):
+        QuotaManager(rate=1.0, burst=burst, clock=FakeClock())
+    QuotaManager(rate=0.0, burst=burst, clock=FakeClock())  # limiting off
+
+
+def test_quota_manager_rejects_a_nan_rate():
+    with pytest.raises(ValueError, match="quota_rate"):
+        QuotaManager(rate=float("nan"), clock=FakeClock())
+
+
 def test_quota_manager_fairness_snapshot():
     clock = FakeClock()
     quotas = QuotaManager(rate=1.0, burst=1.0, clock=clock)
@@ -386,6 +400,14 @@ def test_service_config_validation(tmp_path):
         ServiceConfig(socket_path="s", cache_dir="c", workers=0)
     with pytest.raises(ValueError, match="checkpoint_every"):
         ServiceConfig(socket_path="s", cache_dir="c", checkpoint_every=0)
+    with pytest.raises(ValueError, match="retries"):
+        ServiceConfig(socket_path="s", cache_dir="c", retries=-1)
+    with pytest.raises(ValueError, match="quota_burst"):
+        ServiceConfig(
+            socket_path="s", cache_dir="c", quota_rate=1.0, quota_burst=0.5,
+        )
+    with pytest.raises(ValueError, match="quota_rate"):
+        ServiceConfig(socket_path="s", cache_dir="c", quota_rate=float("nan"))
 
 
 @pytest.mark.parametrize(
