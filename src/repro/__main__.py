@@ -93,7 +93,7 @@ from .analysis import working_set_metrics
 from .checkpoint import DEFAULT_CHECKPOINT_EVERY
 from .errors import SuiteDegraded
 from .eval import interrupt
-from .eval.engine import ExecutionEngine, shard_subset, surviving_benchmarks
+from .eval.engine import ExecutionEngine, shard_subset
 from .eval.experiments import EXPERIMENTS, run_experiment
 from .eval.shards import ShardSpec
 from .schema import SCHEMA_VERSION, dump, envelope
@@ -552,8 +552,7 @@ def _materialise_selection(engine: ExecutionEngine, selection) -> str:
             f"(shard {engine.shard} owns no benchmarks of "
             f"{selection.expression!r}; nothing to do on this host)"
         )
-    engine.prefetch(local)
-    survivors = surviving_benchmarks(engine, local)
+    survivors = list(engine.prefetch(local))
     if not survivors:
         raise SuiteDegraded(
             f"every benchmark of selection {selection.expression!r} "

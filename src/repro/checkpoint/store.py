@@ -21,7 +21,7 @@ unpickling a single byte.  Each log record is the payload length
 (8 bytes, little-endian), the payload's SHA-256 (32 bytes) and the
 payload.
 
-Robustness mirrors :class:`~repro.eval.engine.ArtifactStore`:
+Robustness mirrors :class:`~repro.eval.store.ArtifactStore`:
 
 * a checkpoint stages to a private temp file, fsyncs, then commits
   with one ``os.replace`` — a killed writer can never leave a torn

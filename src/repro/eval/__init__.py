@@ -11,15 +11,11 @@ _EXPORTS: Dict[str, str] = {
     "run_input_sensitivity": ".ablations",
     "run_predictor_family": ".ablations",
     "run_threshold_ablation": ".ablations",
-    "ArtifactStore": ".engine",
+    "JobSpec": ".digest",
+    "artifact_digest": ".digest",
+    "compute_job_digest": ".digest",
     "EngineStats": ".engine",
     "ExecutionEngine": ".engine",
-    "JobResult": ".engine",
-    "JobSpec": ".engine",
-    "RunArtifacts": ".engine",
-    "artifact_digest": ".engine",
-    "compute_job_digest": ".engine",
-    "surviving_benchmarks": ".engine",
     "EXPERIMENTS": ".experiments",
     "Experiment": ".experiments",
     "format_failure_report": ".experiments",
@@ -36,6 +32,8 @@ _EXPORTS: Dict[str, str] = {
     "render_table": ".report",
     "to_csv": ".report",
     "write_csv": ".report",
+    "ArtifactStore": ".store",
+    "RunArtifacts": ".store",
     "ShardSupervisor": ".supervisor",
     "SupervisorReport": ".supervisor",
     "SupervisorStats": ".supervisor",
@@ -52,6 +50,7 @@ _EXPORTS: Dict[str, str] = {
     "run_table2": ".tables",
     "run_table3": ".tables",
     "run_table4": ".tables",
+    "JobResult": ".worker",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import ReproError, SuiteDegraded
 from ..workloads.registry import members
 from . import ablations, figures, tables
-from .engine import ExecutionEngine, shard_subset, surviving_benchmarks
+from .engine import ExecutionEngine, shard_subset
 
 #: Curated experiment-specific benchmark lists (not registry sets: each
 #: is a hand-picked subset sized for one ablation's runtime budget).
@@ -302,8 +302,7 @@ def run_experiment(
             f"(shard {engine.shard} owns no benchmarks of {experiment_id}; "
             "nothing to do on this host)"
         )
-    engine.prefetch(local)
-    survivors = surviving_benchmarks(engine, local)
+    survivors = list(engine.prefetch(local))
     failed = _relevant_failures(engine, local)
     if local and not survivors:
         raise SuiteDegraded(
@@ -338,8 +337,7 @@ def run_all_experiments(engine: ExecutionEngine) -> List[str]:
         for exp in EXPERIMENTS.values()
         for name in shard_subset(engine, exp.benchmarks)
     ]
-    engine.prefetch(every)
-    if not surviving_benchmarks(engine, every):
+    if not engine.prefetch(every):
         raise SuiteDegraded(
             "every benchmark in the suite failed",
             failures=[

@@ -30,7 +30,6 @@ from ..predictors.indexing import PCModuloIndex, StaticIndexMap
 from ..predictors.simulator import simulate_predictor
 from ..predictors.twolevel import PAgPredictor
 from ..profiling.profile import InterleaveProfile
-from ..trace.events import BranchTrace
 from .engine import ExecutionEngine
 from .report import render_table
 

@@ -50,7 +50,7 @@ from ..static_analysis.heuristics import predict_branches
 from ..workloads.build import build_workload
 from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
-from .engine import ExecutionEngine, shard_subset, surviving_benchmarks
+from .engine import ExecutionEngine, shard_subset
 from .report import render_table
 
 #: Benchmarks covered by default (the acceptance floor is six).
@@ -121,9 +121,8 @@ def run_static_compare(
         edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
     else:
         edge_threshold = threshold
-    engine.prefetch(benchmarks)
     rows: List[StaticCompareRow] = []
-    for name in surviving_benchmarks(engine, benchmarks):
+    for name in engine.prefetch(benchmarks):
         # the static path: build only, never simulate
         built = build_workload(get_benchmark(name, scale=engine.scale))
         static_graph = estimate_conflict_graph(
@@ -354,9 +353,8 @@ def run_verify_static(
         edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
     else:
         edge_threshold = threshold
-    engine.prefetch(benchmarks)
     rows: List[VerifyStaticRow] = []
-    for name in surviving_benchmarks(engine, benchmarks):
+    for name in engine.prefetch(benchmarks):
         built = build_workload(get_benchmark(name, scale=engine.scale))
         estimate = StaticConflictEstimator(
             threshold=edge_threshold

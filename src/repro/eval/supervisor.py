@@ -31,7 +31,7 @@ store, and babysits them to a merged, byte-verified result:
 * **Cascading SIGTERM drain** — SIGTERM to the supervisor forwards to
   every worker (which checkpoints via :mod:`repro.eval.interrupt` and
   reports what it finished), stops restarts and speculation, escalates
-  to SIGKILL after :data:`~repro.eval.engine.DRAIN_KILL_GRACE` seconds,
+  to SIGKILL after :data:`~repro.eval.worker.DRAIN_KILL_GRACE` seconds,
   then still runs the merge census and reports completed/remaining
   honestly.
 
@@ -58,14 +58,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..checkpoint import DEFAULT_CHECKPOINT_EVERY, RunJournal
 from ..errors import ShardLost, SuiteInterrupted, error_to_dict
 from . import faults, interrupt
-from .engine import (
-    DRAIN_KILL_GRACE,
-    ArtifactStore,
-    DigestMemo,
-    ExecutionEngine,
-    JobSpec,
-    WorkerProcess,
-)
+from .digest import DigestMemo, JobSpec
+from .engine import ExecutionEngine
 from .shards import (
     MergeReport,
     ShardSpec,
@@ -73,6 +67,8 @@ from .shards import (
     merge_shards,
     partition_selection,
 )
+from .store import ArtifactStore
+from .worker import DRAIN_KILL_GRACE, WorkerProcess
 
 __all__ = [
     "DEFAULT_MAX_RESTARTS",

@@ -1,7 +1,7 @@
 """The analysis-as-a-service daemon (``repro serve``).
 
 An asyncio daemon that wraps the evaluation engine's worker machinery
-(:class:`~repro.eval.engine.WorkerHandle`) behind a unix-socket NDJSON
+(:class:`~repro.eval.worker.WorkerHandle`) behind a unix-socket NDJSON
 API (:mod:`repro.service.wire`).  Clients submit benchmark + predictor
 jobs; the daemon digests each job to its content address, dedupes
 in-flight work by that digest (backend-keyed, so superblock and interp
@@ -41,7 +41,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..checkpoint import DEFAULT_CHECKPOINT_EVERY
 from ..errors import (
@@ -52,13 +52,12 @@ from ..errors import (
     error_to_dict,
 )
 from ..eval import interrupt
-from ..eval.engine import (
+from ..eval.digest import JobSpec, compute_job_digest
+from ..eval.store import ArtifactStore
+from ..eval.worker import (
     DRAIN_KILL_GRACE,
-    ArtifactStore,
     JobResult,
-    JobSpec,
     WorkerHandle,
-    compute_job_digest,
     worker_error,
 )
 from ..pipeline.bus import BranchEventBus

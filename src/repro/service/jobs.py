@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..checkpoint.journal import RunJournal
 from ..errors import ReproError
-from ..eval.engine import JobSpec
+from ..eval.digest import JobSpec
 from ..predictors import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,

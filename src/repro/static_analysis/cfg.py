@@ -90,10 +90,6 @@ class ControlFlowGraph:
         """The block containing the instruction at byte *address*."""
         return self.block_at(self.program.index_of(address))
 
-    def instructions_in(self, block: BasicBlock) -> List[Instruction]:
-        """The instructions of *block*, in order."""
-        return self.program.instructions[block.start : block.end]
-
     def terminator(self, block: BasicBlock) -> Instruction:
         """The last instruction of *block*."""
         return self.program.instructions[block.end - 1]
@@ -123,17 +119,6 @@ class ControlFlowGraph:
             seen.add(block_id)
             frontier.extend(self.blocks[block_id].successors)
         return seen
-
-    def owning_function(self, block_id: int) -> int:
-        """The function entry a block belongs to (nearest entry at or
-        before it in address order — the symbol-extent attribution used
-        throughout the toolchain)."""
-        best = self.entry
-        for entry in self.function_entries:
-            if entry <= block_id and entry > best:
-                best = entry
-        # blocks before the first entry belong to the program entry
-        return best if best <= block_id else self.entry
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All (source block id, destination block id) edges."""

@@ -55,10 +55,6 @@ class LoopForest:
     loops: List[NaturalLoop]
     by_block: Dict[int, List[int]] = field(default_factory=dict)
 
-    @property
-    def loop_count(self) -> int:
-        return len(self.loops)
-
     def innermost(self, block_id: int) -> Optional[NaturalLoop]:
         """The innermost loop containing *block_id*, if any."""
         ids = self.by_block.get(block_id)

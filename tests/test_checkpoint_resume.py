@@ -37,8 +37,10 @@ from repro.checkpoint import (
     slice_for_cadence,
 )
 from repro.errors import CheckpointCorrupt
-from repro.eval import engine as engine_module
-from repro.eval.engine import CHECKPOINT_SUBDIR, ExecutionEngine
+from repro.eval import digest as digest_module
+from repro.eval import worker as worker_module
+from repro.eval.engine import ExecutionEngine
+from repro.eval.worker import CHECKPOINT_SUBDIR
 from repro.eval.faults import FaultPlan, InjectedFault
 from repro.pipeline.bus import BranchEventBus
 from repro.pipeline.consumers import InterleaveConsumer, TraceBuilder
@@ -756,13 +758,14 @@ def test_resumed_artifacts_lookup_matches_the_engine_backend(
     for backend in backends:
         make_engine(tmp_path, backend=backend).prefetch(["plot"])
     builds = []
-    real_build = engine_module.build_workload
+    real_build = digest_module.build_workload
 
     def counting_build(spec):
         builds.append(spec.name)
         return real_build(spec)
 
-    monkeypatch.setattr(engine_module, "build_workload", counting_build)
+    for module in (digest_module, worker_module):
+        monkeypatch.setattr(module, "build_workload", counting_build)
     engine = make_engine(tmp_path, backend="superblock")
     engine.artifacts("plot")
     assert engine.stats.job_source["plot"] == "store"

@@ -14,32 +14,34 @@ from pathlib import Path
 
 import pytest
 
-import repro.eval.engine as engine_mod
-from repro.eval.engine import (
+import repro.eval.digest as digest_mod
+import repro.eval.worker as worker_mod
+from repro.eval.digest import (
     DIGEST_SUBDIR,
     DigestMemo,
-    ExecutionEngine,
     JobSpec,
     compute_job_digest,
     digest_source_key,
     digest_sources,
 )
+from repro.eval.engine import ExecutionEngine
 
 SCALE = 0.05
-SRC = Path(engine_mod.__file__).resolve().parents[2]
+SRC = Path(digest_mod.__file__).resolve().parents[2]
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count calls of the engine's ``build_workload``."""
+    """Count calls of ``build_workload`` by the digest and the worker."""
     calls = []
-    real = engine_mod.build_workload
+    real = digest_mod.build_workload
 
     def counting(spec):
         calls.append(spec.name)
         return real(spec)
 
-    monkeypatch.setattr(engine_mod, "build_workload", counting)
+    for module in (digest_mod, worker_mod):
+        monkeypatch.setattr(module, "build_workload", counting)
     return calls
 
 
@@ -100,7 +102,7 @@ def test_bad_memo_file_is_a_miss_never_a_wrong_hit(tmp_path, builds, damage):
 def test_source_key_change_invalidates(tmp_path, builds, monkeypatch):
     spec = JobSpec("plot", scale=SCALE)
     truth = compute_job_digest(spec, str(tmp_path))
-    monkeypatch.setattr(engine_mod, "digest_source_key", lambda: "1" * 64)
+    monkeypatch.setattr(digest_mod, "digest_source_key", lambda: "1" * 64)
     builds.clear()
     assert compute_job_digest(spec, str(tmp_path)) == truth
     assert builds == ["plot"]
@@ -116,11 +118,12 @@ def test_unwritable_memo_is_ignored(tmp_path, builds):
 
 
 def test_memo_hashes_every_module_the_build_imports():
-    """Every ``repro`` module a workload build can load is hashed."""
+    """Every ``repro`` module a workload build or a digest can load is
+    hashed, and the store, the workers and the scheduler are not."""
     probe = (
         "import json, sys\n"
         "import repro.workloads.build, repro.workloads.suite\n"
-        "import repro.isa.program\n"
+        "import repro.isa.program, repro.eval.digest\n"
         "print(json.dumps(sorted(m.__file__ for n, m in sys.modules.items()"
         " if n == 'repro' or n.startswith('repro.'))))\n"
     )
@@ -132,31 +135,95 @@ def test_memo_hashes_every_module_the_build_imports():
     loaded = {Path(f).resolve() for f in json.loads(out)}
     hashed = set(digest_sources())
     assert loaded - hashed == set()
-    assert Path(engine_mod.__file__).resolve() in hashed
+    eval_dir = Path(digest_mod.__file__).resolve().parent
+    assert eval_dir / "digest.py" in hashed
+    for name in ("engine.py", "store.py", "worker.py"):
+        assert eval_dir / name not in hashed
 
 
-def test_kernel_edit_changes_the_source_key(tmp_path):
-    """Editing a kernel (even a comment) invalidates every memo record."""
+def _copy_tree(tmp_path: Path) -> Path:
     tree = tmp_path / "src"
     shutil.copytree(SRC / "repro", tree / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    probe = (
-        "from repro.eval.engine import digest_source_key\n"
-        "print(digest_source_key())\n"
-    )
+    return tree
 
-    def key() -> str:
-        return subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": str(tree), "PATH": "/usr/bin:/bin"},
-        ).stdout.strip()
 
-    before = key()
+def _run_in(tree: Path, code: str, *args: str) -> str:
+    """Run *code* on the copied sources; its stdout."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True, timeout=600,
+        env={"PYTHONPATH": str(tree), "PATH": "/usr/bin:/bin"},
+    ).stdout
+
+
+def _source_key(tree: Path) -> str:
+    return _run_in(
+        tree,
+        "from repro.eval.digest import digest_source_key\n"
+        "print(digest_source_key())\n",
+    ).strip()
+
+
+def _append_comment(tree: Path, *parts: str) -> None:
+    path = tree.joinpath("repro", *parts)
+    path.write_text(path.read_text() + "\n# edited\n")
+
+
+def test_kernel_edit_changes_the_source_key(tmp_path):
+    """Editing a kernel or the digest module (even a comment) invalidates
+    every memo record."""
+    tree = _copy_tree(tmp_path)
+    before = _source_key(tree)
     assert before == digest_source_key.__wrapped__()
-    kernel = tree / "repro" / "workloads" / "kernels" / "sieve.py"
-    kernel.write_text(kernel.read_text() + "\n# edited\n")
-    assert key() != before
+    _append_comment(tree, "workloads", "kernels", "sieve.py")
+    kernel_edited = _source_key(tree)
+    assert kernel_edited != before
+    _append_comment(tree, "eval", "digest.py")
+    assert _source_key(tree) not in (before, kernel_edited)
+
+
+#: ``experiment table2 --json`` on the copied sources, with every
+#: ``build_workload`` binding logging to the file named by ``argv[2]``
+#: (appends, so builds in forked workers are logged too).
+_COUNTED_TABLE2 = """\
+import sys
+import repro.workloads.build as build
+real = build.build_workload
+def counting(spec):
+    with open(sys.argv[2], "a") as log:
+        log.write(spec.name + "\\n")
+    return real(spec)
+for name, module in list(sys.modules.items()):
+    if name.startswith("repro") and vars(module).get("build_workload") is real:
+        module.build_workload = counting
+from repro.__main__ import main
+sys.exit(main(["experiment", "table2", "--scale", "0.05", "--jobs", "2",
+               "--cache", sys.argv[1], "--json"]))
+"""
+
+
+def test_engine_store_worker_edits_keep_the_memo(tmp_path):
+    """Editing the scheduler, the store or the workers keeps every memo
+    record: the warm rerun is all store hits and builds nothing."""
+    tree = _copy_tree(tmp_path)
+    cache, builds = str(tmp_path / "cache"), tmp_path / "builds.log"
+
+    def table2() -> dict:
+        builds.write_text("")
+        out = _run_in(tree, _COUNTED_TABLE2, cache, str(builds))
+        return json.loads(out)["results"]["engine"]
+
+    before = _source_key(tree)
+    assert table2()["simulated"] > 0
+    assert builds.read_text()  # the log sees the cold run's builds
+    for name in ("engine.py", "store.py", "worker.py"):
+        _append_comment(tree, "eval", name)
+    assert _source_key(tree) == before
+    warm = table2()
+    assert warm["simulated"] == 0
+    assert warm["store_hits"] > 0
+    assert builds.read_text() == ""
 
 
 def test_warm_engine_job_builds_nothing(tmp_path, builds):

@@ -5,14 +5,12 @@ import json
 import numpy as np
 import pytest
 
-import repro.eval.engine as engine_module
+import repro.eval.digest as digest_module
 import repro.eval.experiments as experiments_mod
-from repro.eval.engine import (
-    ArtifactStore,
-    ExecutionEngine,
-    JobSpec,
-    compute_job_digest,
-)
+import repro.eval.worker as worker_module
+from repro.eval.digest import JobSpec, compute_job_digest
+from repro.eval.engine import ExecutionEngine
+from repro.eval.store import ArtifactStore
 from repro.eval.experiments import run_experiment
 from repro.eval.tables import format_table2, run_table2
 from repro.trace.io import read_trace_meta
@@ -49,9 +47,9 @@ def test_digest_tracks_content():
 def test_cache_paths_fold_digest(tmp_path):
     """The legacy name-sSCALE scheme now carries the content digest, so a
     kernel edit (different digest) can never resurrect a stale artifact."""
-    engine = ExecutionEngine(scale=SCALE, cache_dir=tmp_path)
-    trace_path, meta_path = engine.cache_paths("plot")
-    digest = engine.digest("plot")
+    spec = JobSpec("plot", scale=SCALE)
+    digest = compute_job_digest(spec, str(tmp_path))
+    trace_path, meta_path = ArtifactStore(tmp_path).paths(spec, digest)
     assert digest[: ArtifactStore.DIGEST_CHARS] in trace_path.name
     assert digest[: ArtifactStore.DIGEST_CHARS] in meta_path.name
     assert trace_path.name.startswith(f"plot-s{SCALE:g}-")
@@ -190,19 +188,19 @@ def test_parallel_warm_rerun_spawns_no_worker(tmp_path, monkeypatch):
     no build, all store hits."""
     ExecutionEngine(scale=SCALE, cache_dir=tmp_path, jobs=2).prefetch(SUBSET)
     spawned, built = [], []
-    real_spawn = engine_module.WorkerProcess.__init__
+    real_spawn = worker_module.WorkerProcess.__init__
 
     def counting_spawn(self, target, payload):
         spawned.append(payload)
         real_spawn(self, target, payload)
 
     monkeypatch.setattr(
-        engine_module.WorkerProcess, "__init__", counting_spawn
+        worker_module.WorkerProcess, "__init__", counting_spawn
     )
-    monkeypatch.setattr(
-        engine_module, "build_workload",
-        lambda spec: built.append(spec.name),
-    )
+    for module in (digest_module, worker_module):
+        monkeypatch.setattr(
+            module, "build_workload", lambda spec: built.append(spec.name)
+        )
     warm = ExecutionEngine(scale=SCALE, cache_dir=tmp_path, jobs=2)
     assert set(warm.prefetch(SUBSET)) == set(SUBSET)
     assert spawned == [] and built == []

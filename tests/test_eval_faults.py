@@ -18,7 +18,10 @@ from repro.errors import (
     ReproError,
     SuiteDegraded,
 )
-from repro.eval.engine import ArtifactStore, ExecutionEngine, JobResult, JobSpec
+from repro.eval.digest import JobSpec
+from repro.eval.engine import ExecutionEngine
+from repro.eval.store import ArtifactStore
+from repro.eval.worker import JobResult
 from repro.eval.experiments import (
     EXPERIMENTS,
     Experiment,

@@ -123,8 +123,8 @@ def _verify_current(src: Path, cache: Path) -> str:
     """Whether the store holds a verified plot entry for *src*'s sources."""
     code = (
         "import sys\n"
-        "from repro.eval.engine import ArtifactStore, JobSpec, "
-        "compute_job_digest\n"
+        "from repro.eval.digest import JobSpec, compute_job_digest\n"
+        "from repro.eval.store import ArtifactStore\n"
         "spec = JobSpec('plot', 0.05, None, 'interp')\n"
         "print(ArtifactStore(sys.argv[1]).verify(spec, "
         "compute_job_digest(spec)))\n"

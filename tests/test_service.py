@@ -22,7 +22,8 @@ import pytest
 
 from repro.errors import QuotaExceeded, ReproError, ServiceOverloaded
 from repro.eval import interrupt
-from repro.eval.engine import ArtifactStore, JobSpec, compute_job_digest
+from repro.eval.digest import JobSpec, compute_job_digest
+from repro.eval.store import ArtifactStore
 from repro.schema import SCHEMA_VERSION
 from repro.service import (
     AdmissionController,

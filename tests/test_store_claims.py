@@ -26,7 +26,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.eval.engine import ArtifactStore, JobSpec, _execute_job
+from repro.eval.digest import JobSpec
+from repro.eval.store import ArtifactStore
+from repro.eval.worker import _execute_job
 
 SCALE = 0.05
 
@@ -159,11 +161,7 @@ def test_live_holders_old_claim_is_never_broken_on_age(tmp_path):
 def test_progress_refreshes_claim_mtime(tmp_path, monkeypatch):
     """The slice-progress path touches the claim so observers see a
     recent mtime while a long simulation is live."""
-    from repro.eval import engine as engine_mod
-
-    monkeypatch.setattr(
-        engine_mod.ArtifactStore, "CLAIM_REFRESH_SECONDS", 0.0
-    )
+    monkeypatch.setattr(ArtifactStore, "CLAIM_REFRESH_SECONDS", 0.0)
     cache = tmp_path / "cache"
     spec = JobSpec(name="plot", scale=SCALE)
     payload = (spec, str(cache), False, 500)

@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore
-from repro.eval.engine import (
-    CHECKPOINT_SUBDIR,
-    ArtifactStore,
-    ExecutionEngine,
-    JobSpec,
-)
+from repro.eval.digest import JobSpec
+from repro.eval.engine import ExecutionEngine
+from repro.eval.store import ArtifactStore
+from repro.eval.worker import CHECKPOINT_SUBDIR
 from repro.profiling.profile import (
     PROFILE_COLUMNS,
     BranchStats,

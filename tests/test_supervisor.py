@@ -27,7 +27,8 @@ from repro.__main__ import main
 from repro.checkpoint.journal import RunJournal
 from repro.errors import ShardRestartsExhausted
 from repro.eval import interrupt
-from repro.eval.engine import ArtifactStore, JobSpec, compute_job_digest
+from repro.eval.digest import JobSpec, compute_job_digest
+from repro.eval.store import ArtifactStore
 from repro.eval.faults import FaultPlan
 from repro.eval.shards import measured_costs, partition_selection
 from repro.eval.supervisor import (

@@ -1,6 +1,6 @@
 """The one worker-process lifecycle behind the engine, daemon and supervisor.
 
-:class:`~repro.eval.engine.WorkerProcess` is driven here with tiny
+:class:`~repro.eval.worker.WorkerProcess` is driven here with tiny
 module-level targets instead of simulations, so every outcome — ok,
 error, crash, deadline, SIGKILL escalation — is exercised in well under
 a second.  The last test pins that the engine and the daemon turn the
@@ -16,12 +16,10 @@ import pytest
 
 from repro.errors import JobInterrupted, error_to_dict
 from repro.eval import engine as engine_module
-from repro.eval.engine import (
-    ExecutionEngine,
-    JobSpec,
-    WorkerHandle,
-    WorkerProcess,
-)
+from repro.eval import worker as worker_module
+from repro.eval.digest import JobSpec
+from repro.eval.engine import ExecutionEngine
+from repro.eval.worker import WorkerHandle, WorkerProcess
 from repro.service.app import (
     AnalysisService,
     Connection,
@@ -78,7 +76,7 @@ def _crash(tmp_path, monkeypatch):
 
 
 def _deadline(tmp_path, monkeypatch):
-    monkeypatch.setattr(engine_module, "_execute_job", _hang)
+    monkeypatch.setattr(worker_module, "_execute_job", _hang)
     return WorkerHandle(JobSpec("plot"), None, timeout=0.2)
 
 
@@ -149,7 +147,7 @@ class _LateReceiver:
 
 
 def test_outcome_sent_just_before_exit_is_not_a_crash(monkeypatch):
-    monkeypatch.setattr(engine_module, "_execute_job", _raise)
+    monkeypatch.setattr(worker_module, "_execute_job", _raise)
     handle = WorkerHandle(JobSpec("plot"), None)
     handle.process.join(timeout=20.0)
     assert handle.process.exitcode == 0
