@@ -9,13 +9,19 @@ from .classified import (
     ClassifiedBranchAllocator,
 )
 from .coloring import ColoringResult, color_graph, verify_coloring
-from .conflict_cost import conflict_cost, conflicting_pairs, conventional_cost
+from .conflict_cost import (
+    BASELINE_BHT,
+    conflict_cost,
+    conflicting_pairs,
+    conventional_cost,
+)
 from .sizing import SizingResult, cost_sweep, required_bht_size
 
 __all__ = [
     "AlignmentResult",
     "AllocationResult",
     "align_workload",
+    "BASELINE_BHT",
     "BranchAllocator",
     "ClassifiedBranchAllocator",
     "ColoringResult",

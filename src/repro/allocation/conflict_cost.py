@@ -46,8 +46,13 @@ def conflict_cost(graph: ConflictGraph, mapping: Mapping) -> int:
     return cost
 
 
+#: Entries of the conventional PC-indexed BHT every allocation is
+#: measured against (Table 3's baseline, Figures 3-4's conventional PAg).
+BASELINE_BHT = 1024
+
+
 def conventional_cost(
-    graph: ConflictGraph, bht_size: int = 1024
+    graph: ConflictGraph, bht_size: int = BASELINE_BHT
 ) -> int:
     """Conflict cost of conventional PC-modulo indexing (the baseline)."""
     return conflict_cost(graph, PCModuloIndex(bht_size))

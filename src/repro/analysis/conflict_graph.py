@@ -20,6 +20,12 @@ from ..profiling.profile import InterleaveProfile, pair_key
 DEFAULT_THRESHOLD = 100
 
 
+def auto_threshold(scale: float) -> int:
+    """The edge threshold for a run at *scale*: DEFAULT_THRESHOLD at full
+    scale, 10 for the shorter traces of downscaled runs."""
+    return DEFAULT_THRESHOLD if scale >= 0.9 else 10
+
+
 class ConflictGraph:
     """Weighted undirected graph over static branch PCs."""
 

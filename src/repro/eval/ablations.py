@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..allocation.allocator import BranchAllocator
-from ..allocation.conflict_cost import conflict_cost, conventional_cost
+from ..allocation.conflict_cost import (
+    BASELINE_BHT,
+    conflict_cost,
+    conventional_cost,
+)
 from ..allocation.sizing import required_bht_size
 from ..analysis.metrics import working_set_metrics
 from ..predictors.agree import AgreePredictor
@@ -108,7 +112,7 @@ class InputSensitivityRow:
 def run_input_sensitivity(
     engine: ExecutionEngine,
     pairs: Sequence[str] = ("perl", "ss"),
-    baseline_bht: int = 1024,
+    baseline_bht: int = BASELINE_BHT,
 ) -> List[InputSensitivityRow]:
     """The §5.2 experiment: per-input required size + cumulative merge."""
     engine.prefetch([f"{base}_{v}" for base in pairs for v in ("a", "b")])
@@ -198,7 +202,7 @@ def run_predictor_family(
         profile = engine.profile(name)
         built = build_workload(get_benchmark(name, scale=engine.scale))
         predictors = [
-            PAgPredictor.conventional(1024, history_bits),
+            PAgPredictor.conventional(BASELINE_BHT, history_bits),
             GAgPredictor(history_bits),
             GSharePredictor(history_bits),
             BimodalPredictor(2048),
@@ -207,7 +211,7 @@ def run_predictor_family(
             ),
             AgreePredictor(history_bits, profile=profile),
             BiasFilteredPredictor(
-                PAgPredictor.conventional(1024, history_bits), profile
+                PAgPredictor.conventional(BASELINE_BHT, history_bits), profile
             ),
             StaticHeuristicPredictor.from_program(built.program),
         ]

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator
+from ..allocation.conflict_cost import BASELINE_BHT
 from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
@@ -28,7 +29,6 @@ from .report import render_table
 
 HISTORY_BITS = 12        # 4096-entry PHT
 ALLOCATED_SIZES = (16, 128, 1024)
-BASELINE_BHT = 1024
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..allocation.allocator import BranchAllocator
 from ..allocation.conflict_cost import conflict_cost
 from ..analysis.conflict_graph import (
-    DEFAULT_THRESHOLD,
     ConflictGraph,
+    auto_threshold,
     build_conflict_graph,
 )
 from ..analysis.working_sets import partition_working_sets
@@ -111,34 +111,32 @@ def run_static_compare(
             restricted to a sharded engine's slice).
         bht_size: BHT entries both allocations must fit into.
         threshold: edge-pruning threshold for both graphs.  Defaults to
-            the pipeline's DEFAULT_THRESHOLD at full scale, dropping to
-            10 for downscaled runs (matching the CLI's auto rule) so
-            the comparison stays meaningful on short traces.
+            :func:`~repro.analysis.conflict_graph.auto_threshold` of the
+            engine's scale, so the comparison stays meaningful on the
+            short traces of downscaled runs.
     """
     if benchmarks is None:
         benchmarks = shard_subset(engine, DEFAULT_BENCHMARKS)
     if threshold is None:
-        edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
-    else:
-        edge_threshold = threshold
+        threshold = auto_threshold(engine.scale)
     rows: List[StaticCompareRow] = []
     for name in engine.prefetch(benchmarks):
         # the static path: build only, never simulate
         built = build_workload(get_benchmark(name, scale=engine.scale))
         static_graph = estimate_conflict_graph(
-            built.program, threshold=edge_threshold
+            built.program, threshold=threshold
         )
         static_allocation = BranchAllocator.from_graph(
-            static_graph, threshold=edge_threshold
+            static_graph, threshold=threshold
         ).allocate(bht_size)
 
         # the profiled path: the existing pipeline, same threshold
         profile = engine.profile(name)
         profiled_graph = build_conflict_graph(
-            profile, threshold=edge_threshold
+            profile, threshold=threshold
         )
         profiled_allocation = BranchAllocator(
-            profile, threshold=edge_threshold
+            profile, threshold=threshold
         ).allocate(bht_size)
 
         # score every assignment on the profiled graph (the ground truth);
@@ -345,19 +343,17 @@ def run_verify_static(
         engine: supplies the profiled ground truth.
         benchmarks: analogs to cover (None = the registry's ``all`` set).
         threshold: edge threshold for both graphs (None = the
-            static-compare auto rule for the engine's scale).
+            ``auto_threshold`` of the engine's scale).
     """
     if benchmarks is None:
         benchmarks = shard_subset(engine, members("all"))
     if threshold is None:
-        edge_threshold = DEFAULT_THRESHOLD if engine.scale >= 0.9 else 10
-    else:
-        edge_threshold = threshold
+        threshold = auto_threshold(engine.scale)
     rows: List[VerifyStaticRow] = []
     for name in engine.prefetch(benchmarks):
         built = build_workload(get_benchmark(name, scale=engine.scale))
         estimate = StaticConflictEstimator(
-            threshold=edge_threshold
+            threshold=threshold
         ).estimate(built.program)
         predictions = predict_branches(estimate.cfg)
         profile = engine.profile(name)
@@ -384,7 +380,7 @@ def run_verify_static(
             bucket[2] += stats.executions * agreement
 
         measured_graph = build_conflict_graph(
-            profile, threshold=edge_threshold
+            profile, threshold=threshold
         )
         predicted_partition = partition_working_sets(estimate.graph)
         measured_partition = partition_working_sets(measured_graph)
@@ -394,7 +390,7 @@ def run_verify_static(
         rows.append(
             VerifyStaticRow(
                 benchmark=name,
-                threshold=edge_threshold,
+                threshold=threshold,
                 static_branches=len(predictions),
                 profiled_branches=sum(
                     1 for s in profile.branches.values() if s.executions

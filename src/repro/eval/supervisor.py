@@ -1,9 +1,9 @@
 """Crash-safe shard supervisor for distributed suite runs.
 
-``repro supervise --workers N`` (and ``repro experiment --workers N``)
-runs one *parent orchestrator* that computes the cost-balanced LPT
-partition, spawns N engine worker processes over a **shared** artifact
-store, and babysits them to a merged, byte-verified result:
+``repro supervise --workers N`` runs one *parent orchestrator* that
+computes the cost-balanced LPT partition, spawns N engine worker
+processes over a **shared** artifact store, and babysits them to a
+merged, byte-verified result:
 
 * **Heartbeat leases** — every worker fsyncs a small per-slot lease file
   (pid + timestamp + current benchmark/event count) from its engine's

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator, RESERVED_ENTRIES
-from ..allocation.conflict_cost import conventional_cost
+from ..allocation.conflict_cost import BASELINE_BHT, conventional_cost
 from ..allocation.sizing import required_bht_size
 from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..analysis.metrics import working_set_metrics
@@ -21,9 +21,6 @@ from ..trace.stats import summarize_trace
 from ..workloads.suite import benchmark_suite
 from .engine import ExecutionEngine, experiment_benchmarks
 from .report import render_table
-
-#: Conventional reference BHT size used throughout §5.
-BASELINE_BHT = 1024
 
 
 # --------------------------------------------------------------------------- #

@@ -82,8 +82,8 @@ Version history:
   ``unknown_benchmark``/``unknown_set``/``invalid_selection`` codes and
   a near-miss ``suggestion``.
 * **9** — crash-safe shard supervisor: the new ``supervise`` command
-  (also reachable as ``experiment --workers N``) emits ``results`` =
-  ``{completed, remaining, failed, lost, interrupted, exhausted,
+  (also reachable as ``experiment --workers N`` until v13) emits
+  ``results`` = ``{completed, remaining, failed, lost, interrupted, exhausted,
   seconds, supervisor, merge, shard_events}`` where ``supervisor``
   carries the recovery counters (``workers``, ``restarts``,
   ``reassigned_benchmarks``, ``speculative_runs``/``wins``/``losses``,
@@ -111,6 +111,14 @@ Version history:
   null in every CLI envelope, and a shard worker's engine stats never
   leave the worker.  The ``supervise`` report's ``supervisor.cost_model``
   is unchanged, and so is every other key.
+* **13** — one supervised path: ``experiment --workers`` is gone
+  (``supervise`` is the supervised run), so ``experiment`` params drop
+  ``workers`` and its results drop ``supervisor``; ``list`` results'
+  ``sets[]`` entries drop ``default_trace_limit``, a set option no set
+  declared and no command read.  ``verify-static`` params' ``scale`` is
+  now the selected set's declared scale when no ``--scale`` is given
+  (0.05 for ``--set smoke``), as for ``experiment``, ``faults`` and
+  ``supervise``.  Every other key is unchanged.
 """
 
 from __future__ import annotations
@@ -119,7 +127,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 
 def envelope(

@@ -32,7 +32,7 @@ deduplicated.  Unknown names raise the typed
 errors carrying a near-miss ``suggestion``, which the CLI renders as an
 exit-2 diagnostic.
 
-Per-set metadata (``default_scale``, ``default_trace_limit``) gives
+Per-set metadata (``default_scale``) gives
 callers a sensible run configuration when the user did not pick one,
 and :func:`estimated_cost` exposes the suite's fuel budgets so the
 shard partitioner (:mod:`repro.eval.shards`) can balance work across
@@ -74,15 +74,12 @@ class BenchmarkSet:
         description: one-line summary for ``repro list``.
         default_scale: the scale a run of this set uses when the caller
             does not pick one.
-        default_trace_limit: per-run captured-event cap default (None =
-            unbounded).
     """
 
     name: str
     members: Tuple[str, ...]
     description: str
     default_scale: float = 1.0
-    default_trace_limit: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,12 @@ class Selection:
             order (empty for pure name/glob selections).
         default_scale: the referenced sets' agreed default scale, or
             None when no set was referenced / the sets disagree.
-        default_trace_limit: likewise for the trace limit.
     """
 
     expression: str
     names: Tuple[str, ...]
     sets: Tuple[str, ...] = ()
     default_scale: Optional[float] = None
-    default_trace_limit: Optional[int] = None
 
 
 #: Order used by Table 2 (paper §4.2).
@@ -295,13 +290,11 @@ def resolve_selection(
     rank = {name: index for index, name in enumerate(known_benchmarks())}
     ordered = tuple(sorted(included, key=rank.__getitem__))
     scale = _agreed(referenced_sets, "default_scale")
-    limit = _agreed(referenced_sets, "default_trace_limit")
     return Selection(
         expression=expression,
         names=ordered,
         sets=tuple(dict.fromkeys(referenced_sets)),
         default_scale=scale,
-        default_trace_limit=limit,
     )
 
 

@@ -1,5 +1,6 @@
 """CLI (`python -m repro`) tests."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -201,6 +202,70 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+#: Every subcommand's options (first option string, or a positional's
+#: name) and their parsed defaults.  verify-static's --scale defaults to
+#: None because the selected set's declared scale applies before 1.0.
+OPTION_SURFACE = {
+    "list": {"--json": False},
+    "run": {"benchmark": None, "--scale": 1.0, "--backend": "interp",
+            "--json": False},
+    "profile": {"benchmark": None, "--scale": 1.0, "--cache": "",
+                "--json": False, "--threshold": 0, "--backend": "interp"},
+    "allocate": {"benchmark": None, "--scale": 1.0, "--cache": "",
+                 "--json": False, "--threshold": 0, "--static": False,
+                 "--bht": 128},
+    "cfg": {"benchmark": None, "--scale": 1.0, "--loops": False},
+    "lint": {"benchmark": "", "--all": False, "--scale": 1.0,
+             "--strict": False, "--waive": [], "--json": False},
+    "verify-static": {"benchmarks": None, "--set": "", "--shard": "",
+                      "--scale": None, "--cache": "", "--jobs": 1,
+                      "--threshold": 0, "--json": False},
+    "experiment": {"id": None, "--set": "", "--benchmarks": "",
+                   "--shard": "", "--scale": None, "--cache": "",
+                   "--jobs": 1, "--timeout": 0.0, "--retries": 1,
+                   "--checkpoint-every": 0, "--backend": "interp",
+                   "--json": False},
+    "faults": {"--benchmarks": "", "--set": "", "--scale": None,
+               "--jobs": 4, "--cache": "", "--crash": "", "--hang": "",
+               "--flaky": "", "--corrupt": "", "--kill": "",
+               "--checkpoint-every": 0, "--timeout": 0.0, "--retries": 1,
+               "--json": False},
+    "serve": {"--socket": None, "--cache": None, "--workers": 2,
+              "--queue-limit": 16, "--retries": 1, "--quota-rate": 0.0,
+              "--quota-burst": 8.0, "--checkpoint-every": 20000,
+              "--deadline": 0.0},
+    "loadgen": {"--socket": None, "--rate": 10.0, "--jobs": 20,
+                "--benchmarks": "", "--set": "", "--tenants": 1,
+                "--scale": 0.05, "--predictors": "", "--deadline": 0.0,
+                "--slow-client": 0, "--conn-drop": 0,
+                "--backend": "interp", "--json": False},
+    "merge-shards": {"sources": None, "--into": None, "--json": False},
+    "supervise": {"--set": "", "--benchmarks": "", "--workers": 2,
+                  "--scale": None, "--cache": None, "--retries": 1,
+                  "--checkpoint-every": 20000, "--max-restarts": None,
+                  "--lease-timeout": None, "--no-speculate": False,
+                  "--backend": "interp", "--json": False},
+    "disasm": {"benchmark": None, "--scale": 1.0, "--head": 0},
+}
+
+
+def test_option_surface_is_unchanged():
+    """No subcommand gains, loses or renames a flag, or changes a default."""
+    [subparsers] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        command: {
+            (action.option_strings or [action.dest])[0]: action.default
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    assert surface == OPTION_SURFACE
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -232,6 +297,18 @@ def test_unknown_benchmark_exits_with_error(argv, capsys):
         ["supervise", "--set", "smoke", "--cache", "c", "--retries", "-1"],
         ["supervise", "--set", "smoke", "--cache", "c",
          "--lease-timeout", "-1"],
+        ["supervise", "--set", "smoke", "--cache", "c", "--scale", "nan"],
+        ["run", "plot", "--scale", "nan"],
+        ["run", "plot", "--scale", "0"],
+        ["experiment", "table2", "--benchmarks", "plot", "--scale", "0"],
+        ["profile", "plot", "--threshold", "-5"],
+        ["allocate", "plot", "--static", "--bht", "0"],
+        ["disasm", "plot", "--head", "-3"],
+        ["loadgen", "--socket", "s", "--rate", "0"],
+        ["loadgen", "--socket", "s", "--jobs", "0"],
+        ["loadgen", "--socket", "s", "--tenants", "0"],
+        ["loadgen", "--socket", "s", "--slow-client", "-1"],
+        ["loadgen", "--socket", "s", "--conn-drop", "-1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -342,6 +419,16 @@ def test_verify_static_json_envelope(capsys):
     suite = document["results"]["suite"]
     assert suite["executions"] > 0
     assert suite["hit_rate"] == row["hit_rate"]
+
+
+def test_verify_static_runs_at_the_sets_scale(capsys):
+    """With no --scale, the selected set's declared scale applies."""
+    assert main(["verify-static", "--set", "smoke", "--json"]) == 0
+    document = _json_out(capsys, "verify-static")
+    assert document["params"]["scale"] == 0.05
+    assert [row["benchmark"] for row in document["results"]["rows"]] == [
+        "compress", "pgp", "plot",
+    ]
 
 
 def test_verify_static_unknown_benchmark(capsys):
