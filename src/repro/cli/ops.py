@@ -226,7 +226,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"cache-hit {report['cache_hit_ratio']:.2f}  "
             f"shed-rate {report['shed_rate']:.2f}"
         )
-    return 1 if report["failed"] else 0
+    # a run in which no request reached the daemon measured nothing
+    unreached = (
+        report["completed"] + report["rejected"] + report["failed"] == 0
+        and report["client_errors"] > 0
+    )
+    return 1 if report["failed"] or unreached else 0
 
 
 def cmd_merge_shards(args: argparse.Namespace) -> int:

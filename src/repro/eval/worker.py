@@ -19,6 +19,7 @@ from ..checkpoint import CheckpointConfig, CheckpointStore, run_simulation
 from ..errors import JobFailed, JobInterrupted, ReproError, error_to_dict
 from ..pipeline.bus import BranchEventBus, PipelineStats
 from ..pipeline.consumers import InterleaveConsumer, TraceBuilder
+from ..sim.api import SuperblockBackend
 from ..workloads.build import BuiltWorkload, build_workload
 from ..workloads.suite import get_benchmark
 from . import faults, interrupt
@@ -27,6 +28,8 @@ from .store import ArtifactStore, RunArtifacts
 
 #: subdirectory of the cache root holding simulation checkpoints.
 CHECKPOINT_SUBDIR = "checkpoints"
+#: subdirectory of the cache root holding superblock code packs.
+CODE_SUBDIR = "code"
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,22 @@ class JobResult:
 
 
 def _execute_job(
-    payload: Tuple[JobSpec, Optional[str], bool, Optional[int]],
+    payload: Tuple,
     progress: Optional[Callable[[str, int], None]] = None,
     speculative: bool = False,
 ) -> JobResult:
     """Run one job end to end (pool worker; must stay module-level).
 
+    *payload* is ``(spec, cache_root, in_worker, checkpoint_every)``,
+    optionally followed by the :class:`BuiltWorkload` the caller already
+    built for *spec* (the daemon builds a never-seen job to digest it),
+    which a simulation then uses instead of building again.
+
     Digests (through the store's digest memo, which skips the build on a
     hit), then either takes the artifacts from the store or builds,
-    simulates and stores.  A worker process only verifies a stored entry
+    simulates and stores.  A superblock simulation with a store keeps
+    its compiled code under ``<cache_root>/code/`` for later jobs of the
+    same program image.  A worker process only verifies a stored entry
     and returns no arrays — the parent loads them by digest — so the
     pickle pipe stays small; an in-process store hit returns the
     artifacts of its one full read.
@@ -103,7 +113,7 @@ def _execute_job(
     from the simulation runner's slice loop, corruption faults right
     after the artifacts are stored.
     """
-    spec, cache_root, in_worker, checkpoint_every = payload
+    spec, cache_root, in_worker, checkpoint_every, *given = payload
     started = time.perf_counter()
     plan = faults.active_plan()
     if plan is not None:
@@ -155,11 +165,15 @@ def _execute_job(
             return store_hit()
         claimed = store.try_claim(spec, digest)
 
-    built = (
-        built_here[0]
-        if built_here
-        else build_workload(get_benchmark(spec.name, scale=spec.scale))
-    )
+    if built_here:
+        built = built_here[0]
+    elif given and given[0] is not None:
+        built = given[0]
+    else:
+        built = build_workload(get_benchmark(spec.name, scale=spec.scale))
+    backend = spec.backend
+    if backend == SuperblockBackend.name and cache_root:
+        backend = SuperblockBackend(code_dir=Path(cache_root) / CODE_SUBDIR)
     last_refresh = [time.monotonic()]
 
     def _slice_progress(events: int) -> None:
@@ -187,7 +201,7 @@ def _execute_job(
             fault_plan=plan,
             benchmark=spec.name,
             in_worker=in_worker,
-            backend=spec.backend,
+            backend=backend,
             stop_check=interrupt.drain_requested,
             progress=_slice_progress,
         )
@@ -349,7 +363,8 @@ class WorkerHandle(WorkerProcess):
     Adds the job's *spec* and an optional wall-clock deadline: past it,
     ``poll`` SIGTERMs the worker (it checkpoints if a cadence is
     configured) and returns ``("timeout", None)``; the caller should
-    then :meth:`reap` it.
+    then :meth:`reap` it.  *built*, the workload the caller already
+    built for *spec*, spares the worker a second build.
     """
 
     def __init__(
@@ -358,10 +373,11 @@ class WorkerHandle(WorkerProcess):
         cache_root: Optional[str],
         checkpoint_every: Optional[int] = None,
         timeout: Optional[float] = None,
+        built: Optional[BuiltWorkload] = None,
     ) -> None:
         self.spec = spec
         super().__init__(
-            _execute_job, (spec, cache_root, True, checkpoint_every)
+            _execute_job, (spec, cache_root, True, checkpoint_every, built)
         )
         self.deadline = (
             self.started + timeout if timeout is not None else None

@@ -6,7 +6,9 @@ API (:mod:`repro.service.wire`).  Clients submit benchmark + predictor
 jobs; the daemon digests each job to its content address, dedupes
 in-flight work by that digest (backend-keyed, so superblock and interp
 jobs never alias), fans admitted jobs out over a bounded worker pool,
-and streams typed result frames back.
+and streams typed result frames back.  A job whose entry is already
+stored spawns no worker: the daemon loads it and replays the predictors
+off the event loop.
 
 Robustness model (see ``docs/SERVICE.md``):
 
@@ -41,9 +43,9 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..checkpoint import DEFAULT_CHECKPOINT_EVERY
+from ..checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
 from ..errors import (
     JobCancelled,
     JobInterrupted,
@@ -55,6 +57,7 @@ from ..eval import interrupt
 from ..eval.digest import JobSpec, compute_job_digest
 from ..eval.store import ArtifactStore
 from ..eval.worker import (
+    CHECKPOINT_SUBDIR,
     DRAIN_KILL_GRACE,
     JobResult,
     WorkerHandle,
@@ -63,6 +66,7 @@ from ..eval.worker import (
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
 from ..sim.api import backend_names
+from ..workloads.build import BuiltWorkload
 from ..workloads.registry import resolve_benchmark
 from .admission import AdmissionController
 from .jobs import ServiceJob, ServiceJournal, build_predictor
@@ -150,6 +154,7 @@ class AnalysisService:
         self.cache_dir = Path(config.cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.store = ArtifactStore(self.cache_dir)
+        self.checkpoints = CheckpointStore(self.cache_dir / CHECKPOINT_SUBDIR)
         self.journal = ServiceJournal(self.cache_dir / SERVICE_SUBDIR)
         self.admission: AdmissionController = AdmissionController(
             config.queue_limit
@@ -261,7 +266,12 @@ class AnalysisService:
             )
         self.counters["submitted"] += 1
         self.quotas.admit(tenant)  # may raise QuotaExceeded
-        digest = compute_job_digest(spec, str(self.cache_dir))
+        # a never-seen spec is built to digest it; its worker reuses
+        # that build instead of making a second one
+        built: List[BuiltWorkload] = []
+        digest = compute_job_digest(
+            spec, str(self.cache_dir), on_build=built.append
+        )
         stem = self.store.stem(spec, digest)
         primary = self.inflight.get(stem)
         if primary is not None:
@@ -291,6 +301,7 @@ class AnalysisService:
             deadline_s=deadline_s,
             submitted_at=self.clock(),
             waiters=[(conn, job_id)],
+            built=built[0] if built else None,
         )
         self.admission.admit(job)  # may raise ServiceOverloaded
         self.journal.record_submitted(job)
@@ -309,7 +320,11 @@ class AnalysisService:
     # -- scheduling ---------------------------------------------------------
 
     def _launch(self, now: float) -> None:
-        """Cancel expired queued jobs, then fill free worker slots."""
+        """Cancel expired queued jobs, then fill free worker slots.
+
+        A job whose entry is already stored takes no slot and spawns no
+        worker: it is served off-loop (:meth:`_serve_stored`).
+        """
         self._expire_queued(now)
         while len(self.running) < self.config.workers:
             job = self.admission.pop()
@@ -318,13 +333,26 @@ class AnalysisService:
             job.state = "running"
             job.started_at = now
             job.attempts += 1
+            built, job.built = job.built, None
+            if not job.needs_worker and self.store.contains(
+                job.spec, job.digest
+            ):
+                self._spawn_task(self._serve_stored(job))
+                continue
             handle = WorkerHandle(
                 job.spec,
                 str(self.cache_dir),
                 checkpoint_every=self.config.checkpoint_every,
                 timeout=job.deadline_remaining(now),
+                built=built,
             )
             self.running[job.id] = (job, handle)
+
+    def _spawn_task(self, coro) -> None:
+        """Run *coro* on the loop; the drain waits for it."""
+        task = asyncio.get_running_loop().create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def _expire_queued(self, now: float) -> None:
         """Cancel queued jobs whose deadline passed before a worker freed."""
@@ -403,13 +431,61 @@ class AnalysisService:
         key = "store_hits" if result.source == "store" else "simulated"
         self.counters[key] += 1
         if job.predictors:
-            task = asyncio.get_running_loop().create_task(
-                self._predict_then_complete(job, result)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._spawn_task(self._predict_then_complete(job, result))
             return
         self._complete(job, result, None, now)
+
+    async def _serve_stored(self, job: ServiceJob) -> None:
+        """Complete a stored job off-loop; requeue it for a worker when
+        its entry turns out to be gone."""
+        loop = asyncio.get_running_loop()
+        try:
+            served = await loop.run_in_executor(
+                None, self._serve_from_store, job
+            )
+        except Exception as exc:
+            self._finalize(job, "failed", self._replay_error(job, exc),
+                           self.clock())
+            return
+        if served is None:
+            # vanished or quarantined since the check: not a failed
+            # attempt, and a worker resimulates it
+            job.attempts -= 1
+            job.needs_worker = True
+            if self.draining:
+                self._interrupt_queued(job)
+            else:
+                job.state = "queued"
+                self.admission.requeue(job)
+            return
+        self.counters["store_hits"] += 1
+        self._complete(job, *served, self.clock())
+
+    def _serve_from_store(
+        self, job: ServiceJob
+    ) -> Optional[Tuple[JobResult, Optional[Dict[str, Any]]]]:
+        """(result, predictions) of a stored job, or None when its entry
+        is gone: a full load and replay, or ``verify`` when there are
+        no predictors."""
+        started = time.perf_counter()
+        predictions = None
+        if job.predictors:
+            artifacts = self.store.load(job.spec, job.digest)
+            if artifacts is None:
+                return None
+            predictions = self._predict(job, artifacts)
+        elif not self.store.verify(job.spec, job.digest):
+            return None
+        # the artifacts are the durable state: drop a stale checkpoint,
+        # exactly as a worker's store hit does
+        self.checkpoints.clear(job.stem)
+        result = JobResult(
+            spec=job.spec,
+            digest=job.digest,
+            source="store",
+            seconds=time.perf_counter() - started,
+        )
+        return result, predictions
 
     async def _predict_then_complete(
         self, job: ServiceJob, result: JobResult
@@ -421,13 +497,19 @@ class AnalysisService:
                 None, self._run_predictors, job, result.digest
             )
         except Exception as exc:
-            error = exc if isinstance(exc, ReproError) else ReproError(
-                f"predictor replay for {job.spec.name} failed: {exc}",
-                benchmark=job.spec.name,
-            )
-            self._finalize(job, "failed", error, self.clock())
+            self._finalize(job, "failed", self._replay_error(job, exc),
+                           self.clock())
             return
         self._complete(job, result, predictions, self.clock())
+
+    @staticmethod
+    def _replay_error(job: ServiceJob, exc: Exception) -> ReproError:
+        if isinstance(exc, ReproError):
+            return exc
+        return ReproError(
+            f"predictor replay for {job.spec.name} failed: {exc}",
+            benchmark=job.spec.name,
+        )
 
     def _run_predictors(
         self, job: ServiceJob, digest: str
@@ -442,6 +524,11 @@ class AnalysisService:
                 benchmark=job.spec.name,
                 digest=digest,
             )
+        return self._predict(job, artifacts)
+
+    @staticmethod
+    def _predict(job: ServiceJob, artifacts) -> Dict[str, Any]:
+        """Replay *job*'s predictor bank over *artifacts*' trace."""
         bank = [
             PredictorConsumer(build_predictor(text), label=job.spec.name)
             for text in job.predictors
@@ -713,22 +800,26 @@ class AnalysisService:
             job = self.admission.pop()
             if job is None:
                 break
-            job.state = "interrupted"
-            self.counters["interrupted"] += 1
-            self._notify(
-                job,
-                "interrupted",
-                {
-                    "error": error_to_dict(
-                        JobInterrupted(
-                            f"{job.spec.name} was queued when the "
-                            "daemon drained; it resumes on restart",
-                            benchmark=job.spec.name,
-                        )
-                    ),
-                    "resumable": True,
-                },
-            )
+            self._interrupt_queued(job)
+
+    def _interrupt_queued(self, job: ServiceJob) -> None:
+        """A job the drain caught before it ran: it resumes on restart."""
+        job.state = "interrupted"
+        self.counters["interrupted"] += 1
+        self._notify(
+            job,
+            "interrupted",
+            {
+                "error": error_to_dict(
+                    JobInterrupted(
+                        f"{job.spec.name} was queued when the "
+                        "daemon drained; it resumes on restart",
+                        benchmark=job.spec.name,
+                    )
+                ),
+                "resumable": True,
+            },
+        )
 
     async def run(self) -> int:
         """Boot, serve until drained, exit 0."""

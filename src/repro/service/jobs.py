@@ -98,6 +98,12 @@ class ServiceJob:
     #: (outbox, client job id) pairs to stream result frames to;
     #: deduped submits attach here with their own id.
     waiters: List[Tuple[Any, str]] = field(default_factory=list)
+    #: the workload built to digest a never-seen submit; handed to the
+    #: job's worker and dropped at launch (never journaled).
+    built: Optional[Any] = None
+    #: True once a stored entry could not be served in the daemon (it
+    #: vanished or was quarantined): the next launch spawns a worker.
+    needs_worker: bool = False
 
     def deadline_remaining(self, now: float) -> Optional[float]:
         """Seconds left on the deadline at *now* (None = unbounded)."""

@@ -21,6 +21,7 @@ different backends never alias in the content-addressed store.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from ..isa.program import Program
@@ -69,9 +70,17 @@ class InterpBackend:
 
 
 class SuperblockBackend:
-    """Superblock-compiled traces with interpreter fallback."""
+    """Superblock-compiled traces with interpreter fallback.
+
+    *code_dir*, when given, is where executors keep compiled code packs
+    for later processes (:class:`~repro.sim.compile.CodePack`); the
+    registered instance has none and compiles in memory only.
+    """
 
     name = "superblock"
+
+    def __init__(self, code_dir: Optional[Path] = None) -> None:
+        self.code_dir = code_dir
 
     def create_executor(
         self,
@@ -80,7 +89,9 @@ class SuperblockBackend:
         environment: Environment,
         branch_hook: Optional[BranchHook] = None,
     ) -> Executor:
-        return SuperblockExecutor(program, state, environment, branch_hook)
+        return SuperblockExecutor(
+            program, state, environment, branch_hook, code_dir=self.code_dir
+        )
 
 
 DEFAULT_BACKEND = "interp"

@@ -48,9 +48,25 @@ region exist, selected by the hook attached to the run:
   calls ``on_branch`` per event, exactly like the interpreter.
 * ``none`` — no hook: no event code is emitted at all.
 
-Compiled tables are cached per ``(program image, mode)`` in a small
-module-level LRU keyed by the sha256 of the program image, so engine
-workers and repeated runs of the same workload compile once.
+Nothing is generated up front.  :func:`compile_program` forms the CFG
+and the cover and records the entry addresses; an entry's source (and
+its worst case) is generated the first time execution reaches it, and
+compiled right then.  Most entries of a large program never run, so a
+run pays only for the code it executes.  Tables are cached per
+``(program image, mode)`` in a small module-level LRU keyed by the
+sha256 of the program image, so repeated runs in one process generate
+and compile each entry once.
+
+Across processes, an executor given a ``code_dir`` keeps compiled code
+in one :class:`CodePack` file per ``(program image, mode)``.  Inside a
+pack, code is looked up by the sha256 of the freshly generated source,
+so a code-generator edit can never run stale code: the new source
+misses and compiles.  A pack starts with the interpreter's bytecode
+``MAGIC_NUMBER`` and a sha256 of its body; a pack that fails either
+check (or does not unmarshal) reads as empty and is rewritten.  The
+executor reads its pack once, when it first generates an entry, and
+writes it back (temporary file + ``os.replace``) only after a ``run``
+call that compiled something new.
 
 Deliberate non-goal, matching the interpreter's behaviour: an exception
 escaping mid-region (memory fault, syscall error) leaves the executor's
@@ -62,7 +78,13 @@ unrecoverable and no artifact is persisted from them.
 from __future__ import annotations
 
 import hashlib
+import marshal
+import os
+import threading
 from collections import OrderedDict
+from importlib.util import MAGIC_NUMBER
+from pathlib import Path
+from types import CodeType
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa.instructions import Instruction, Opcode
@@ -514,15 +536,47 @@ def _emit_entry(program, positions_of, head_of, name, region_index, offset,
         return emitter.source(), emitter.emitted
 
 
-#: entry byte address -> [function or None, worst-case instructions,
-#: source text, function name] — the function slot is filled lazily by
-#: :func:`_materialize` the first time the entry executes
-TraceTable = Dict[int, List]
+class TraceTable(dict):
+    """Entry byte address -> ``[function or None, worst-case instructions,
+    region index, offset]``.
+
+    :func:`compile_program` records every entry with no function and a
+    worst case of 0; :meth:`generate` emits an entry's source on its
+    first execution, and the executor fills both slots from it.  *key*
+    is the program image's sha256 (:func:`compiled_table` sets it), the
+    name of the entry's :class:`CodePack`.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        mode: str,
+        positions_of: Dict[int, List[Tuple[int, Instruction]]],
+        head_of: Dict[int, int],
+    ) -> None:
+        super().__init__()
+        self.program = program
+        self.mode = mode
+        self.positions_of = positions_of
+        self.head_of = head_of
+        self.key = ""
+
+    def generate(self, entry: List) -> Tuple[str, str, int]:
+        """(function name, source, worst case) of one entry."""
+        region_index, offset = entry[2], entry[3]
+        name = f"_trace_{region_index}_{offset}"
+        source, worst = _emit_entry(
+            self.program, self.positions_of, self.head_of, name,
+            region_index, offset, self.mode,
+        )
+        return name, source, worst
 
 
 def compile_program(program: Program, mode: str) -> TraceTable:
-    """Specialize every superblock of *program* for hook *mode*.
+    """Record every compiled entry point of *program* for hook *mode*.
 
+    Only the CFG, the superblock cover and the entry addresses are
+    computed here; each entry's code is generated on first execution.
     Returns an empty table when the CFG or cover cannot be formed; the
     executor then runs entirely on the interpreter fallback.
     """
@@ -532,7 +586,7 @@ def compile_program(program: Program, mode: str) -> TraceTable:
         cfg = build_cfg(program)
         cover = form_superblocks(cfg)
     except Exception:
-        return {}
+        return TraceTable(program, mode, {}, {})
     positions_of: Dict[int, List[Tuple[int, Instruction]]] = {}
     head_of: Dict[int, int] = {}
     for region in cover.superblocks:
@@ -548,7 +602,7 @@ def compile_program(program: Program, mode: str) -> TraceTable:
         positions_of[region.index] = positions
         head_of[program.address_of(positions[0][0])] = region.index
 
-    entries: List[Tuple[int, str, int, str]] = []
+    table = TraceTable(program, mode, positions_of, head_of)
     for region_index, positions in positions_of.items():
         # dynamic entry offsets: the trace head, plus every post-call
         # point — a call's return lands at call+4, which is mid-trace
@@ -558,31 +612,86 @@ def compile_program(program: Program, mode: str) -> TraceTable:
             if positions[p - 1][1].is_call
         ]
         for offset in offsets:
-            name = f"_trace_{region_index}_{offset}"
-            source, worst = _emit_entry(
-                program, positions_of, head_of, name, region_index, offset,
-                mode,
-            )
-            entries.append(
-                (program.address_of(positions[offset][0]), name, worst,
-                 source)
-            )
-    # entries hold source only; bytecode is materialized on first hit
-    # (most entries are never executed, and compiling them all up front
-    # costs seconds on large programs)
-    return {
-        address: [None, worst, source, name]
-        for address, name, worst, source in entries
-    }
+            address = program.address_of(positions[offset][0])
+            table[address] = [None, 0, region_index, offset]
+    return table
 
 
-def _materialize(entry: List, mode: str):
-    """Compile one entry's source on its first execution."""
-    namespace: Dict[str, object] = {}
-    code = compile(entry[2], f"<superblock:{mode}>", "exec")
-    exec(code, namespace)  # noqa: S102 - our own generated source
-    fn = entry[0] = namespace[entry[3]]
-    return fn
+def _compile_source(source: str, mode: str) -> CodeType:
+    """Bytecode for one entry's generated source."""
+    return compile(source, f"<superblock:{mode}>", "exec")
+
+
+class CodePack:
+    """The compiled code of one ``(program image, mode)``, on disk.
+
+    The file is ``MAGIC_NUMBER``, the sha256 of the body, then the body:
+    a marshalled dict from each entry source's sha256 to its code
+    object.  A missing, damaged or foreign file reads as empty.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        self.codes = self._read(self.path)
+        #: True once code was compiled that the file does not hold yet.
+        self.dirty = False
+
+    @staticmethod
+    def _read(path: Path) -> Dict[str, CodeType]:
+        try:
+            blob = path.read_bytes()
+        except OSError:
+            return {}
+        head = len(MAGIC_NUMBER) + hashlib.sha256().digest_size
+        body = blob[head:]
+        if (
+            blob[: len(MAGIC_NUMBER)] != MAGIC_NUMBER
+            or hashlib.sha256(body).digest() != blob[len(MAGIC_NUMBER):head]
+        ):
+            return {}
+        try:
+            codes = marshal.loads(body)
+        except (EOFError, ValueError, TypeError):
+            return {}
+        if not isinstance(codes, dict) or not all(
+            type(key) is str and type(code) is CodeType
+            for key, code in codes.items()
+        ):
+            return {}
+        return codes
+
+    def code(self, source: str, mode: str) -> CodeType:
+        """The code object for *source*: from the pack, else compiled."""
+        key = hashlib.sha256(source.encode()).hexdigest()
+        code = self.codes.get(key)
+        if code is None:
+            code = self.codes[key] = _compile_source(source, mode)
+            self.dirty = True
+        return code
+
+    def flush(self) -> None:
+        """Write the pack back if it gained code (atomic replace).
+
+        A pack is only a cache: a directory that cannot be written
+        leaves the run unaffected.
+        """
+        if not self.dirty:
+            return
+        self.dirty = False
+        body = marshal.dumps(self.codes)
+        blob = MAGIC_NUMBER + hashlib.sha256(body).digest() + body
+        tmp = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(blob)
+            os.replace(tmp, self.path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
 
 _code_cache: "OrderedDict[Tuple[str, str], TraceTable]" = OrderedDict()
@@ -598,11 +707,12 @@ def _image_key(program: Program) -> str:
 
 
 def compiled_table(program: Program, mode: str) -> TraceTable:
-    """The (cached) specialized trace table for *program* and *mode*."""
+    """The (cached) trace table for *program* and *mode*."""
     key = (_image_key(program), mode)
     table = _code_cache.get(key)
     if table is None:
         table = compile_program(program, mode)
+        table.key = key[0]
         _code_cache[key] = table
         while len(_code_cache) > _CACHE_CAPACITY:
             _code_cache.popitem(last=False)
@@ -619,6 +729,9 @@ class SuperblockExecutor(Executor):
     dispatches whole compiled regions when the PC sits on a compiled
     entry and the remaining budget covers the region's worst case, and
     single-steps the inherited interpreter otherwise.
+
+    With a *code_dir*, compiled code is shared with other processes
+    through one :class:`CodePack` per ``(program image, mode)`` there.
     """
 
     def __init__(
@@ -627,15 +740,36 @@ class SuperblockExecutor(Executor):
         state: MachineState,
         environment: Environment,
         branch_hook: Optional[BranchHook] = None,
+        code_dir: Optional[Path] = None,
     ) -> None:
         super().__init__(program, state, environment, branch_hook)
+        self.code_dir = code_dir
         self._tables: Dict[str, TraceTable] = {}
+        self._packs: Dict[str, CodePack] = {}
 
     def _table(self, mode: str) -> TraceTable:
         table = self._tables.get(mode)
         if table is None:
             table = self._tables[mode] = compiled_table(self.program, mode)
         return table
+
+    def _materialize(self, table: TraceTable, entry: List) -> None:
+        """Generate one entry's code and fill its function and worst case."""
+        name, source, worst = table.generate(entry)
+        mode = table.mode
+        if self.code_dir is None:
+            code = _compile_source(source, mode)
+        else:
+            pack = self._packs.get(mode)
+            if pack is None:
+                pack = self._packs[mode] = CodePack(
+                    self.code_dir / f"{table.key}-{mode}.pack"
+                )
+            code = pack.code(source, mode)
+        namespace: Dict[str, object] = {}
+        exec(code, namespace)  # noqa: S102 - our own generated source
+        entry[1] = worst
+        entry[0] = namespace[name]
 
     def run(self, max_instructions: int = 10_000_000) -> int:
         state = self.state
@@ -665,7 +799,10 @@ class SuperblockExecutor(Executor):
                 if entry is not None and budget >= entry[1]:
                     fn = entry[0]
                     if fn is None:
-                        fn = _materialize(entry, mode)
+                        # first execution: generate, then dispatch again
+                        # against the entry's real worst case
+                        self._materialize(table, entry)
+                        continue
                     pc, executed, dcond, dtaken = fn(
                         regs, memory, env, state, aux, count, budget
                     )
@@ -701,6 +838,9 @@ class SuperblockExecutor(Executor):
                 # compiled regions append events without touching the
                 # bus counter; the interpreter fallback counts its own
                 aux.stats.events += fast_events
+            pack = self._packs.get(mode)
+            if pack is not None:
+                pack.flush()
         if not state.halted and budget == 0:
             raise FuelExhausted(
                 f"budget of {max_instructions} instructions exhausted"
@@ -709,9 +849,11 @@ class SuperblockExecutor(Executor):
 
 
 __all__ = [
+    "CodePack",
     "FALLBACK_STEP",
     "MAX_FN_INSTRUCTIONS",
     "SuperblockExecutor",
+    "TraceTable",
     "compile_program",
     "compiled_table",
 ]

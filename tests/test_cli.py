@@ -434,3 +434,14 @@ def test_verify_static_runs_at_the_sets_scale(capsys):
 def test_verify_static_unknown_benchmark(capsys):
     assert main(["verify-static", "doom", "--scale", "0.05"]) == 2
     assert "unknown benchmark 'doom'" in capsys.readouterr().err
+
+
+def test_loadgen_fails_when_no_request_reaches_the_daemon(tmp_path, capsys):
+    """A missing socket is a failed run, not an empty success."""
+    code = main(["loadgen", "--socket", str(tmp_path / "missing.sock"),
+                 "--jobs", "3", "--rate", "100", "--json"])
+    results = _json_out(capsys, "loadgen")["results"]
+    assert code == 1
+    assert results["client_errors"] == 3
+    assert results["completed"] == results["rejected"] == 0
+    assert results["failed"] == 0

@@ -621,6 +621,59 @@ def test_queued_deadline_expiry_cancels_without_launching(tmp_path):
     }
 
 
+def test_cold_submit_hands_its_build_to_the_worker(tmp_path, monkeypatch):
+    """The build a never-seen submit needs for its digest rides into
+    the worker's payload, and the daemon drops it at launch."""
+    from repro.service import app
+    from repro.service.app import Connection
+
+    handed = []
+
+    class RecordingHandle:
+        def __init__(self, spec, cache_root, checkpoint_every=None,
+                     timeout=None, built=None):
+            handed.append(built)
+
+    monkeypatch.setattr(app, "WorkerHandle", RecordingHandle)
+    service, clock = make_service(tmp_path)
+    service._dispatch(submit_frame("job-1"), Connection())
+    job = service.jobs["job-1"]
+    built = job.built
+    assert built is not None and built.spec.name == "plot"
+    service._launch(clock())
+    assert handed == [built]
+    assert job.built is None  # the queue, not the daemon, holds builds
+
+    # a second daemon digests the same spec through the memo: no build
+    other, _ = make_service(tmp_path)
+    other._dispatch(submit_frame("job-2"), Connection())
+    assert other.jobs["job-2"].built is None
+
+
+def test_execute_job_simulates_the_given_build(tmp_path, monkeypatch):
+    from collections import OrderedDict
+
+    from repro.eval import worker
+    from repro.sim import compile as compile_mod
+
+    # compile as a fresh worker process would, with no in-memory tables
+    monkeypatch.setattr(compile_mod, "_code_cache", OrderedDict())
+    spec = JobSpec(name="plot", scale=SCALE, backend="superblock")
+    cache = str(tmp_path / "cache")
+    built = []
+    compute_job_digest(spec, cache, on_build=built.append)
+    assert len(built) == 1
+
+    def no_second_build(*args, **kwargs):
+        raise AssertionError("the job was built twice")
+
+    monkeypatch.setattr(worker, "build_workload", no_second_build)
+    result = worker._execute_job((spec, cache, False, None, built[0]))
+    assert result.source == "simulated"
+    # the superblock code it compiled is kept for later jobs
+    assert list((tmp_path / "cache" / worker.CODE_SUBDIR).glob("*.pack"))
+
+
 def test_launch_cancels_already_expired_job(tmp_path):
     from repro.service.app import Connection
 
@@ -881,6 +934,116 @@ def test_daemon_end_to_end_dedupe_and_store_hit():
         Path(config.cache_dir) / "service"
     )
     assert journal.orphans() == []
+
+
+class CountingHandle:
+    """Stands in for the daemon's ``WorkerHandle``; counts spawns."""
+
+    spawned = 0
+
+    def __new__(cls, *args, **kwargs):
+        from repro.eval.worker import WorkerHandle
+
+        CountingHandle.spawned += 1
+        return WorkerHandle(*args, **kwargs)
+
+
+def _submit_twice(config, between):
+    """Submit one job, call ``between(service, frame)`` with its
+    terminal frame, submit it again; returns both terminal frames and
+    the spawns the second one made."""
+    submit = {
+        "op": "submit", "tenant": "t0", "benchmark": "plot",
+        "scale": SCALE, "predictors": ["bimodal:512", "gshare:10"],
+    }
+
+    async def scenario():
+        service, task = await boot_service(config)
+        try:
+            reader, writer = await asyncio.open_unix_connection(
+                config.socket_path
+            )
+            writer.write(encode_frame(dict(submit, id="job-cold")))
+            await writer.drain()
+            cold = (await collect_until(reader, terminal_for("job-cold")))[-1]
+            between(service, cold)
+            CountingHandle.spawned = 0
+            writer.write(encode_frame(dict(submit, id="job-again")))
+            await writer.drain()
+            again = (await collect_until(
+                reader, terminal_for("job-again")
+            ))[-1]
+            writer.close()
+            return cold, again, CountingHandle.spawned
+        finally:
+            await drain_service(task)
+
+    return asyncio.run(scenario())
+
+
+def test_daemon_hot_resubmit_spawns_no_worker(monkeypatch):
+    """A stored job is served in the daemon: no worker, the predictions
+    a simulation gives, and the job's stale checkpoint dropped."""
+    from repro.service import app
+
+    monkeypatch.setattr(app, "WorkerHandle", CountingHandle)
+    root = short_socket_dir()
+    config = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        checkpoint_every=2000,
+    )
+    stale = []
+
+    def plant_stale_checkpoint(service, cold):
+        job_stem = service.store.stem(
+            JobSpec(name="plot", scale=SCALE), cold["digest"]
+        )
+        path = service.checkpoints.path(job_stem, 1)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"stale")
+        stale.append(path)
+
+    cold, again, spawned = _submit_twice(config, plant_stale_checkpoint)
+    assert cold["type"] == again["type"] == "completed"
+    assert cold["source"] == "simulated" and again["source"] == "store"
+    assert spawned == 0
+    assert again["digest"] == cold["digest"]
+    assert again["predictions"] == cold["predictions"]
+    assert not stale[0].exists()
+
+
+def test_daemon_vanished_entry_falls_back_to_a_worker(monkeypatch):
+    """An entry that disappears between the store check and the load is
+    requeued for a worker, which simulates it again; the job never
+    fails."""
+    from repro.service import app
+
+    monkeypatch.setattr(app, "WorkerHandle", CountingHandle)
+    root = short_socket_dir()
+    config = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        retries=0,
+        checkpoint_every=2000,
+    )
+
+    def vanish(service, cold):
+        entry = list(Path(config.cache_dir).glob("plot-*"))
+        assert len(entry) == 2
+        for path in entry:
+            path.unlink()
+        # a stale positive: the files are gone when the load runs
+        service.store.contains = lambda spec, digest: True
+
+    cold, again, spawned = _submit_twice(config, vanish)
+    assert again["type"] == "completed"
+    assert again["source"] == "simulated"
+    assert again["attempts"] == 1  # the failed serve cost no retry
+    assert spawned == 1
+    assert again["predictions"] == cold["predictions"]
 
 
 def test_recovered_orphan_replays_predictors_from_the_stored_digest(

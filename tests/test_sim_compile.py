@@ -2,21 +2,27 @@
 
 The differential suite (``test_sim_backends.py``) establishes semantic
 equivalence; these tests pin the compiler's mechanics: the per-image
-code cache, lazy materialization, exact fuel accounting across compiled
-regions, and the interpreter fallback for off-trace program counters.
+code cache, lazy generation, exact fuel accounting across compiled
+regions, the interpreter fallback for off-trace program counters, and
+the on-disk code packs that carry compiled code across processes.
 """
 
 import pytest
 
 from repro.asm.assembler import assemble
-from repro.sim import FuelExhausted, Simulator
+from repro.pipeline.bus import BranchEventBus
+from repro.pipeline.consumers import TraceBuilder
+from repro.sim import FuelExhausted, Simulator, SuperblockBackend
+from repro.sim import compile as compile_mod
 from repro.sim.compile import (
     FALLBACK_STEP,
     MAX_FN_INSTRUCTIONS,
+    CodePack,
     SuperblockExecutor,
     compile_program,
     compiled_table,
 )
+from repro.workloads import build_workload, get_benchmark, run_workload
 
 LOOP_SOURCE = """
 main:
@@ -43,13 +49,17 @@ def test_compiled_table_is_cached_per_image_and_mode():
 
 
 def test_entries_materialize_lazily():
-    table = compile_program(assemble(LOOP_SOURCE), "none")
-    assert table  # the loop compiles
-    for entry in table.values():
-        function, worst, source, name = entry
-        assert function is None  # nothing compiled until first execution
+    # a program image no other test compiles, so its cached table is new
+    program = assemble(LOOP_SOURCE.replace("400", "407"))
+    table = compiled_table(program, "none")
+    assert table  # the loop has entry points
+    for function, worst, *_ in table.values():
+        assert function is None and worst == 0  # nothing generated yet
+    Simulator(program, backend="superblock").run(allow_truncation=False)
+    executed = [entry for entry in table.values() if entry[0] is not None]
+    assert executed
+    for function, worst, *_ in executed:
         assert 0 < worst <= MAX_FN_INSTRUCTIONS
-        assert f"def {name}(" in source
 
 
 def test_worst_case_never_overshoots_budget():
@@ -115,3 +125,122 @@ target:
 def test_compile_program_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown specialization mode"):
         compile_program(assemble(LOOP_SOURCE), "jit")
+
+
+# -- code packs ----------------------------------------------------------------
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Counts fresh ``compile()`` calls; every test starts as a new
+    process would, with an empty in-memory table cache."""
+    calls = []
+    real = compile_mod._compile_source
+
+    def counting(source, mode):
+        calls.append(source)
+        return real(source, mode)
+
+    monkeypatch.setattr(compile_mod, "_compile_source", counting)
+    compile_mod._code_cache.clear()
+    yield calls
+    compile_mod._code_cache.clear()
+
+
+def _ijpeg(scale):
+    return build_workload(get_benchmark("ijpeg", scale=scale))
+
+
+def _traced_run(built, code_dir=None):
+    """(instructions, trace columns) of one bus-mode superblock run, as
+    a fresh process would see it."""
+    compile_mod._code_cache.clear()
+    builder = TraceBuilder(label="pack")
+    bus = BranchEventBus([builder])
+    result = run_workload(
+        built, branch_hook=bus, backend=SuperblockBackend(code_dir=code_dir)
+    )
+    bus.finish()
+    trace = builder.result
+    return result.instructions, tuple(
+        column.tobytes()
+        for column in (trace.pcs, trace.targets, trace.taken, trace.timestamps)
+    )
+
+
+def _pack_path(code_dir, built, mode="bus"):
+    return code_dir / f"{compile_mod._image_key(built.program)}-{mode}.pack"
+
+
+def test_warm_pack_runs_identically_with_no_new_compiles(tmp_path, compiles):
+    code_dir = tmp_path / "code"
+    # the scales differ only in fuel: one program image, one pack, and
+    # the shorter run executes no entry the longer one did not
+    first, second = _ijpeg(0.062), _ijpeg(0.061)
+    assert _pack_path(code_dir, first) == _pack_path(code_dir, second)
+    _traced_run(first, code_dir)
+    assert compiles and _pack_path(code_dir, first).exists()
+    cold = _traced_run(second)  # no code dir: a plain cold compile
+    del compiles[:]
+    warm = _traced_run(second, code_dir)
+    assert warm == cold
+    assert compiles == []
+
+
+def _flip(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _foreign_magic(path):
+    blob = path.read_bytes()
+    path.write_bytes(b"\x00\x00\r\n" + blob[4:])
+
+
+@pytest.mark.parametrize("damage", [_flip, _truncate, _foreign_magic])
+def test_damaged_pack_is_recompiled_and_rewritten(tmp_path, compiles, damage):
+    code_dir = tmp_path / "code"
+    built = _ijpeg(0.061)
+    reference = _traced_run(built, code_dir)
+    pack = _pack_path(code_dir, built)
+    good = CodePack(pack).codes
+    assert good
+    damage(pack)
+    assert CodePack(pack).codes == {}  # reads as empty
+    del compiles[:]
+    assert _traced_run(built, code_dir) == reference
+    assert len(compiles) == len(good)  # everything it ran, recompiled
+    assert set(CodePack(pack).codes) == set(good)  # and rewritten
+
+
+def test_codegen_edit_gets_no_cached_code(tmp_path, compiles, monkeypatch):
+    code_dir = tmp_path / "code"
+    built = _ijpeg(0.061)
+    reference = _traced_run(built, code_dir)
+    stale = set(CodePack(_pack_path(code_dir, built)).codes)
+    real = compile_mod._emit_entry
+
+    def edited(*args):
+        source, worst = real(*args)
+        return source + "\n_edited = True", worst
+
+    monkeypatch.setattr(compile_mod, "_emit_entry", edited)
+    del compiles[:]
+    assert _traced_run(built, code_dir) == reference
+    assert len(compiles) == len(stale)
+    assert all("_edited = True" in source for source in compiles)
+    fresh = set(CodePack(_pack_path(code_dir, built)).codes) - stale
+    assert len(fresh) == len(stale)
+
+
+def test_unwritable_code_dir_leaves_the_run_unaffected(tmp_path, compiles):
+    blocker = tmp_path / "code"
+    blocker.write_bytes(b"not a directory")
+    built = _ijpeg(0.061)
+    assert _traced_run(built, blocker) == _traced_run(built)
+    assert not list(tmp_path.glob(".*.tmp"))
