@@ -24,7 +24,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Format version stamped (as ``"v"``) into every record this writer
 #: appends.  Records without the field read as version 0 (pre-v7
@@ -81,7 +81,6 @@ class RunJournal:
         benchmark: str,
         digest: str,
         scale: float,
-        trace_limit: Optional[int],
         **extra: Any,
     ) -> None:
         self.append(
@@ -90,7 +89,6 @@ class RunJournal:
                 "benchmark": benchmark,
                 "digest": digest,
                 "scale": scale,
-                "trace_limit": trace_limit,
                 "ts": round(time.time(), 3),
                 **extra,
             }
@@ -100,7 +98,6 @@ class RunJournal:
         self,
         benchmark: str,
         scale: float,
-        trace_limit: Optional[int],
         error: Dict[str, Any],
         **extra: Any,
     ) -> None:
@@ -109,7 +106,6 @@ class RunJournal:
                 "status": "failed",
                 "benchmark": benchmark,
                 "scale": scale,
-                "trace_limit": trace_limit,
                 "error": error,
                 "ts": round(time.time(), 3),
                 **extra,

@@ -201,7 +201,6 @@ def snapshot_bus(bus: BranchEventBus) -> Dict[str, Any]:
             "events": stats.events,
             "delivered": stats.delivered,
             "chunk_flushes": stats.chunk_flushes,
-            "truncated": stats.truncated,
             "consumers": {
                 name: (c.chunks, c.events, c.seconds)
                 for name, c in stats.consumers.items()
@@ -247,7 +246,6 @@ def restore_bus(
     stats.events = snap["stats"]["events"]
     stats.delivered = snap["stats"]["delivered"]
     stats.chunk_flushes = snap["stats"]["chunk_flushes"]
-    stats.truncated = snap["stats"]["truncated"]
     for name, (chunks, events, seconds) in snap["stats"][
         "consumers"
     ].items():

@@ -483,7 +483,7 @@ def run_alignment_ablation(
             residue_stride=residue_stride,
         )
         builder = TraceBuilder(f"{name}-aligned")
-        bus = BranchEventBus([builder], limit=engine.trace_limit)
+        bus = BranchEventBus([builder])
         run_workload(result.aligned, branch_hook=bus)
         bus.finish()
         aligned_trace = builder.result

@@ -38,34 +38,36 @@ DIGEST_VERSION = 2
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of engine work: a benchmark at a scale and capture limit."""
+    """One unit of engine work: a benchmark at a scale on a backend."""
 
     name: str
     scale: float = 1.0
-    trace_limit: Optional[int] = None
+    # the retired event cap, kept for positional callers: only None
+    trace_limit: None = None
     backend: str = "interp"
+
+    def __post_init__(self) -> None:
+        if self.trace_limit is not None:
+            raise ValueError(
+                "trace_limit is no longer supported (every run captures "
+                f"its full trace), got {self.trace_limit!r}"
+            )
 
     def tag(self) -> str:
         """Human-readable artifact prefix (the legacy cache tag)."""
         tag = f"{self.name}-s{self.scale:g}"
-        if self.trace_limit:
-            tag += f"-l{self.trace_limit}"
         if self.backend != "interp":
             tag += f"-b{self.backend}"
         return tag
 
 
-def artifact_digest(
-    built: BuiltWorkload,
-    trace_limit: Optional[int] = None,
-    backend: str = "interp",
-) -> str:
+def artifact_digest(built: BuiltWorkload, backend: str = "interp") -> str:
     """Content digest for one job's artifacts.
 
     Hashes the assembled program image (text + data + entry point), the
     input bytes, and every parameter that changes what a capture run
-    records (random seed, fuel budget, trace limit).  Anything that
-    alters the simulated instruction stream alters the digest.  The
+    records (random seed, fuel budget).  Anything that alters the
+    simulated instruction stream alters the digest.  The
     simulation backend is also a component: backends are verified
     byte-compatible, but artifacts must record exactly how they were
     produced, so different backends never alias in the store.
@@ -77,7 +79,7 @@ def artifact_digest(
         f"entry:{built.program.entry_point}",
         f"seed:{built.spec.random_seed}",
         f"fuel:{built.spec.fuel}",
-        f"limit:{trace_limit or 0}",
+        "limit:0",  # the retired event cap: every digest stays the same
         f"backend:{backend}",
     ):
         hasher.update(part.encode("ascii"))
@@ -211,9 +213,7 @@ def compute_job_digest(
     built = build_workload(get_benchmark(spec.name, scale=spec.scale))
     if on_build is not None:
         on_build(built)
-    digest = artifact_digest(
-        built, trace_limit=spec.trace_limit, backend=spec.backend
-    )
+    digest = artifact_digest(built, backend=spec.backend)
     if memo is not None:
         memo.put(spec, digest)
     return digest

@@ -191,7 +191,6 @@ class ExecutionEngine:
     Args:
         scale: workload scale forwarded to the suite.
         cache_dir: optional root of the content-addressed artifact store.
-        trace_limit: optional cap on captured events per run.
         jobs: worker processes for :meth:`prefetch`; 1 = sequential,
             in-process.
         timeout: per-attempt wall-clock budget in seconds for parallel
@@ -231,7 +230,6 @@ class ExecutionEngine:
         self,
         scale: float = 1.0,
         cache_dir: Optional[Path] = None,
-        trace_limit: Optional[int] = None,
         jobs: int = 1,
         timeout: Optional[float] = None,
         retries: int = 1,
@@ -265,7 +263,6 @@ class ExecutionEngine:
             )
         self.scale = scale
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.trace_limit = trace_limit
         self.backend = get_backend(backend).name
         self.shard = (
             ShardSpec.parse(shard) if isinstance(shard, str) else shard
@@ -303,12 +300,7 @@ class ExecutionEngine:
 
     def job(self, name: str) -> JobSpec:
         """The job spec this engine would run for *name*."""
-        return JobSpec(
-            name=name,
-            scale=self.scale,
-            trace_limit=self.trace_limit,
-            backend=self.backend,
-        )
+        return JobSpec(name=name, scale=self.scale, backend=self.backend)
 
     def digest(self, name: str) -> str:
         """Content digest of *name*'s artifacts (never simulates).
@@ -703,7 +695,6 @@ class ExecutionEngine:
                 self.journal.record_failed(
                     result.spec.name,
                     self.scale,
-                    self.trace_limit,
                     error_to_dict(result.error),
                     backend=self.backend,
                     **extra,
@@ -718,7 +709,6 @@ class ExecutionEngine:
                     result.spec.name,
                     result.digest,
                     self.scale,
-                    self.trace_limit,
                     source=result.source,
                     resumed=result.resumed,
                     backend=self.backend,

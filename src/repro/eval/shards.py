@@ -122,7 +122,6 @@ def _stable_rank(name: str) -> str:
 def measured_costs(
     journal,
     scale: float,
-    trace_limit: Optional[int] = None,
     backend: str = "interp",
     recent: int = 5,
 ) -> Dict[str, float]:
@@ -130,7 +129,7 @@ def measured_costs(
 
     The learned half of the shard cost model: each benchmark's cost is
     the median over its most *recent* completed-simulation records at
-    exactly these run parameters (scale, trace limit, backend — costs
+    exactly these run parameters (scale, backend — costs
     at other parameters describe different work).  Store/journal hits
     are excluded: only a full simulation measures the benchmark's real
     wall-clock.  Benchmarks with no usable record are simply absent —
@@ -146,7 +145,6 @@ def measured_costs(
             continue
         if (
             record.get("scale") != scale
-            or record.get("trace_limit") != trace_limit
             or record.get("backend", "interp") != backend
             or record.get("source") not in ("simulated", "resimulated")
         ):

@@ -388,7 +388,8 @@ class ArtifactStore:
                         "store_format": STORE_FORMAT,
                         "benchmark": spec.name,
                         "scale": spec.scale,
-                        "trace_limit": spec.trace_limit,
+                        # the retired event cap: entries stay byte-identical
+                        "trace_limit": None,
                         "instructions": artifacts.instructions,
                         "static_branches": artifacts.static_branches,
                     }

@@ -236,7 +236,6 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
         names,
         store_root,
         scale,
-        trace_limit,
         backend,
         checkpoint_every,
         retries,
@@ -265,7 +264,6 @@ def _run_shard(payload: tuple) -> Dict[str, object]:
     engine = ExecutionEngine(
         scale=scale,
         cache_dir=Path(store_root),
-        trace_limit=trace_limit,
         jobs=1,
         retries=retries,
         checkpoint_every_events=checkpoint_every,
@@ -414,8 +412,8 @@ class ShardSupervisor:
         store_root: the **shared** artifact store all workers write to;
             also holds the shared run journal, checkpoints and
             ``supervisor/`` lease state.
-        scale / trace_limit / backend: run parameters, forwarded to
-            every worker engine (and into every digest/journal record).
+        scale / backend: run parameters, forwarded to every worker
+            engine (and into every digest/journal record).
         checkpoint_every_events: worker checkpoint cadence; the finer it
             is, the less a killed shard replays after restart.
         retries: per-benchmark retry budget inside each worker engine.
@@ -435,7 +433,6 @@ class ShardSupervisor:
         workers: int,
         store_root: Path,
         scale: float = 1.0,
-        trace_limit: Optional[int] = None,
         backend: str = "interp",
         checkpoint_every_events: int = DEFAULT_CHECKPOINT_EVERY,
         retries: int = 1,
@@ -461,7 +458,6 @@ class ShardSupervisor:
         self.workers = workers
         self.store_root = Path(store_root)
         self.scale = scale
-        self.trace_limit = trace_limit
         self.backend = backend
         self.checkpoint_every_events = checkpoint_every_events
         self.retries = retries
@@ -488,7 +484,6 @@ class ShardSupervisor:
             tuple(names),
             str(self.store_root),
             self.scale,
-            self.trace_limit,
             self.backend,
             self.checkpoint_every_events,
             self.retries,
@@ -531,7 +526,7 @@ class ShardSupervisor:
         which is safe — a restarted worker finds any real hit through
         its own digest.
         """
-        spec = JobSpec(name, self.scale, self.trace_limit, self.backend)
+        spec = JobSpec(name, self.scale, backend=self.backend)
         digest = DigestMemo(self.store_root).get(spec)
         return digest is not None and self.store.verify(spec, digest)
 
@@ -636,7 +631,6 @@ class ShardSupervisor:
         costs = measured_costs(
             RunJournal(self.store_root),
             self.scale,
-            self.trace_limit,
             backend=self.backend,
         )
         usable = {n: c for n, c in costs.items() if n in set(self.names)}

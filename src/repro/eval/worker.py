@@ -193,7 +193,7 @@ def _execute_job(
         # the chunked trace builder together (no capture-then-replay)
         profiler = InterleaveConsumer(label=spec.name)
         builder = TraceBuilder(label=spec.name)
-        bus = BranchEventBus([profiler, builder], limit=spec.trace_limit)
+        bus = BranchEventBus([profiler, builder])
         outcome = run_simulation(
             built,
             bus,

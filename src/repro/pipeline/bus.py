@@ -191,7 +191,6 @@ class PipelineStats:
     events: int = 0
     delivered: int = 0
     chunk_flushes: int = 0
-    truncated: bool = False
     consumers: Dict[str, ConsumerStats] = field(default_factory=dict)
 
     def consumer(self, name: str) -> ConsumerStats:
@@ -206,7 +205,6 @@ class PipelineStats:
         self.events += other.events
         self.delivered += other.delivered
         self.chunk_flushes += other.chunk_flushes
-        self.truncated = self.truncated or other.truncated
         for name, theirs in other.consumers.items():
             mine = self.consumer(name)
             mine.chunks += theirs.chunks
@@ -218,7 +216,6 @@ class PipelineStats:
             "events": self.events,
             "delivered": self.delivered,
             "chunk_flushes": self.chunk_flushes,
-            "truncated": self.truncated,
             "consumers": [
                 self.consumers[name].as_dict()
                 for name in sorted(self.consumers)
@@ -231,7 +228,7 @@ class BranchEventBus:
 
     Usable directly as a simulator branch hook::
 
-        bus = BranchEventBus([profiler, bank], limit=trace_limit)
+        bus = BranchEventBus([profiler, bank])
         Simulator(program, branch_hook=bus).run()
         bus.finish()
         profile = profiler.result
@@ -241,24 +238,19 @@ class BranchEventBus:
         consumers: initial consumer list (more via :meth:`subscribe`).
         chunk_events: events per chunk (block size of the columnar
             buffers).
-        limit: optional cap on *delivered* events: once the cap is hit
-            the bus goes quiet but the simulation keeps executing.  A
-            limit that is not a multiple of the chunk size truncates
-            exactly at the limit.
+
+    Every event is delivered; for a shorter trace, cut the captured one
+    with :func:`repro.trace.sampling.truncate`.
     """
 
     def __init__(
         self,
         consumers: Optional[Sequence[EventConsumer]] = None,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        limit: Optional[int] = None,
     ) -> None:
         if chunk_events < 1:
             raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
         self.chunk_events = chunk_events
-        self.limit = limit
         self.stats = PipelineStats()
         self._consumers: List[Tuple[str, EventConsumer]] = []
         self._finished = False
@@ -300,10 +292,6 @@ class BranchEventBus:
         """Simulator branch-hook entry point (one dynamic branch)."""
         self.stats.events += 1
         pcs = self._pcs
-        limit = self.limit
-        if limit is not None and self.stats.delivered + len(pcs) >= limit:
-            self.stats.truncated = True
-            return
         pcs.append(pc)
         self._targets.append(target)
         self._taken.append(taken)
@@ -311,16 +299,8 @@ class BranchEventBus:
         if len(pcs) >= self.chunk_events:
             self._flush()
 
-    @property
-    def saturated(self) -> bool:
-        """True once the delivery limit has been reached."""
-        return (
-            self.limit is not None
-            and self.stats.delivered + len(self._pcs) >= self.limit
-        )
-
     def __len__(self) -> int:
-        """Events delivered or staged so far (i.e. not dropped)."""
+        """Events delivered or staged so far."""
         return self.stats.delivered + len(self._pcs)
 
     # -- chunk fan-out ------------------------------------------------------
@@ -370,21 +350,13 @@ class BranchEventBus:
     def feed_trace(self, trace: BranchTrace) -> None:
         """Stream a recorded trace through the bus in array-slice chunks.
 
-        Honors the delivery limit exactly, like live capture.  Does not
-        finish the bus — call :meth:`finish` after the last trace.
+        Does not finish the bus — call :meth:`finish` after the last
+        trace.
         """
         if self._pcs:
             self._flush()  # keep program order across mixed live/replay
         n = len(trace)
         self.stats.events += n
-        remaining = (
-            None
-            if self.limit is None
-            else max(0, self.limit - self.stats.delivered)
-        )
-        if remaining is not None and n > remaining:
-            n = remaining
-            self.stats.truncated = True
         step = self.chunk_events
         for start in range(0, n, step):
             stop = min(start + step, n)
@@ -403,10 +375,9 @@ class BranchEventBus:
         trace: BranchTrace,
         consumers: Sequence[EventConsumer],
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        limit: Optional[int] = None,
     ) -> PipelineStats:
         """One-shot helper: stream *trace* through *consumers* and finish."""
-        bus = cls(consumers, chunk_events=chunk_events, limit=limit)
+        bus = cls(consumers, chunk_events=chunk_events)
         bus.feed_trace(trace)
         return bus.finish()
 

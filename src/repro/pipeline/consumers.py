@@ -169,10 +169,13 @@ class TraceBuilder:
     simulation's trace::
 
         builder = TraceBuilder("compress/default")
-        bus = BranchEventBus([builder], limit=limit)
+        bus = BranchEventBus([builder])
         Simulator(program, branch_hook=bus).run()
         bus.finish()
         trace = builder.result
+
+    It captures every event; cut a shorter trace from the result with
+    :func:`repro.trace.sampling.truncate`.
 
     Blocks are compact numpy arrays as soon as a chunk is full (not one
     Python list per column, each event a boxed ``int``), so memory stays

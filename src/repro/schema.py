@@ -119,6 +119,11 @@ Version history:
   now the selected set's declared scale when no ``--scale`` is given
   (0.05 for ``--set smoke``), as for ``experiment``, ``faults`` and
   ``supervise``.  Every other key is unchanged.
+* **14** — every run captures its full trace: the event-capture limit
+  is gone, so the embedded ``engine`` stats' ``pipeline`` object and the
+  ``serve`` daemon's ``pipeline`` frames drop ``truncated``, and a
+  ``submit`` frame whose ``trace_limit`` is present and not null is
+  rejected with a typed error.  Every other key is unchanged.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 
 def envelope(

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
 from ..errors import (
+    ArtifactCorrupt,
     JobCancelled,
     JobInterrupted,
     ReproError,
@@ -227,15 +228,14 @@ class AnalysisService:
                 build_predictor(spec_text)
             except (TypeError, ValueError) as exc:
                 raise ReproError(str(exc)) from exc
+        # a capped trace is never served as a full one: refuse any limit
+        field("trace_limit", None, "null (every job captures its full "
+              "trace)", lambda v: v is None)
         spec = JobSpec(
             name=benchmark,
             scale=float(
                 field("scale", 1.0, "a finite number > 0",
                       lambda v: _is_number(v) and v > 0)
-            ),
-            trace_limit=field(
-                "trace_limit", None, "null or an integer >= 0",
-                lambda v: v is None or (type(v) is int and v >= 0),
             ),
             backend=field(
                 "backend", "interp", f"one of {backend_names()}",
@@ -428,28 +428,42 @@ class AnalysisService:
     def _finalize_ok(
         self, job: ServiceJob, result: JobResult, now: float
     ) -> None:
-        key = "store_hits" if result.source == "store" else "simulated"
-        self.counters[key] += 1
+        """A worker stored the job's entry.  Its predictors replay from
+        that entry off-loop (:meth:`_serve_stored`); a job without
+        predictors completes now."""
         if job.predictors:
-            self._spawn_task(self._predict_then_complete(job, result))
+            self._spawn_task(self._serve_stored(job, result))
             return
         self._complete(job, result, None, now)
 
-    async def _serve_stored(self, job: ServiceJob) -> None:
-        """Complete a stored job off-loop; requeue it for a worker when
-        its entry turns out to be gone."""
+    async def _serve_stored(
+        self, job: ServiceJob, result: Optional[JobResult] = None
+    ) -> None:
+        """Complete a job from its stored entry off-loop: a store hit
+        (no *result*) or a worker's *result*.  A job whose entry turns
+        out to be gone gets one free requeue for a worker; gone again,
+        it is a failed attempt, so a persistent fault (corruption on
+        every put, a load that rejects what put wrote) ends the job."""
         loop = asyncio.get_running_loop()
         try:
             served = await loop.run_in_executor(
-                None, self._serve_from_store, job
+                None, self._serve_from_store, job, result
             )
         except Exception as exc:
             self._finalize(job, "failed", self._replay_error(job, exc),
                            self.clock())
             return
-        if served is None:
-            # vanished or quarantined since the check: not a failed
-            # attempt, and a worker resimulates it
+        if served is not None:
+            self._complete(job, *served, self.clock())
+        elif job.needs_worker:
+            error = ArtifactCorrupt(
+                f"stored entry for {job.spec.name} was gone or unreadable "
+                "after a worker stored it",
+                benchmark=job.spec.name,
+                attempts=job.attempts,
+            )
+            self._retry_or_fail(job, error, self.clock())
+        else:
             job.attempts -= 1
             job.needs_worker = True
             if self.draining:
@@ -457,50 +471,36 @@ class AnalysisService:
             else:
                 job.state = "queued"
                 self.admission.requeue(job)
-            return
-        self.counters["store_hits"] += 1
-        self._complete(job, *served, self.clock())
 
     def _serve_from_store(
-        self, job: ServiceJob
+        self, job: ServiceJob, result: Optional[JobResult]
     ) -> Optional[Tuple[JobResult, Optional[Dict[str, Any]]]]:
         """(result, predictions) of a stored job, or None when its entry
-        is gone: a full load and replay, or ``verify`` when there are
-        no predictors."""
+        is gone: a full load and replay, or ``verify`` for a store hit
+        with no predictors.  A worker's *result* passes through
+        unchanged, and its digest names the entry (a recovered job's may
+        differ from the one its record was admitted under)."""
         started = time.perf_counter()
+        digest = job.digest if result is None else result.digest
         predictions = None
         if job.predictors:
-            artifacts = self.store.load(job.spec, job.digest)
+            artifacts = self.store.load(job.spec, digest)
             if artifacts is None:
                 return None
             predictions = self._predict(job, artifacts)
-        elif not self.store.verify(job.spec, job.digest):
+        elif not self.store.verify(job.spec, digest):
             return None
-        # the artifacts are the durable state: drop a stale checkpoint,
-        # exactly as a worker's store hit does
-        self.checkpoints.clear(job.stem)
-        result = JobResult(
-            spec=job.spec,
-            digest=job.digest,
-            source="store",
-            seconds=time.perf_counter() - started,
-        )
-        return result, predictions
-
-    async def _predict_then_complete(
-        self, job: ServiceJob, result: JobResult
-    ) -> None:
-        """Replay the predictor bank off-loop, then complete the job."""
-        loop = asyncio.get_running_loop()
-        try:
-            predictions = await loop.run_in_executor(
-                None, self._run_predictors, job, result.digest
+        if result is None:
+            # the artifacts are the durable state: drop a stale
+            # checkpoint, exactly as a worker's store hit does
+            self.checkpoints.clear(job.stem)
+            result = JobResult(
+                spec=job.spec,
+                digest=digest,
+                source="store",
+                seconds=time.perf_counter() - started,
             )
-        except Exception as exc:
-            self._finalize(job, "failed", self._replay_error(job, exc),
-                           self.clock())
-            return
-        self._complete(job, result, predictions, self.clock())
+        return result, predictions
 
     @staticmethod
     def _replay_error(job: ServiceJob, exc: Exception) -> ReproError:
@@ -510,21 +510,6 @@ class AnalysisService:
             f"predictor replay for {job.spec.name} failed: {exc}",
             benchmark=job.spec.name,
         )
-
-    def _run_predictors(
-        self, job: ServiceJob, digest: str
-    ) -> Dict[str, Any]:
-        """Replay *job*'s predictor bank over the entry the worker
-        stored under *digest*."""
-        artifacts = self.store.load(job.spec, digest)
-        if artifacts is None:
-            raise ReproError(
-                f"artifacts for {job.spec.name} vanished before the "
-                "predictor replay",
-                benchmark=job.spec.name,
-                digest=digest,
-            )
-        return self._predict(job, artifacts)
 
     @staticmethod
     def _predict(job: ServiceJob, artifacts) -> Dict[str, Any]:
@@ -556,6 +541,9 @@ class AnalysisService:
         self._forget(job)
         self.journal.record_done(job.id, "completed", digest=result.digest)
         self.counters["completed"] += 1
+        self.counters[
+            "store_hits" if result.source == "store" else "simulated"
+        ] += 1
         self.quotas.account(
             job.tenant,
             completed=1,
@@ -739,13 +727,16 @@ class AnalysisService:
         store and the ``done`` journal record).  The digest is
         recomputed from the current sources (normally a digest-memo
         hit), never taken from the record, so a recovered job dedupes
-        with new submits of the same spec.
+        with new submits of the same spec.  An orphan from an unknown
+        benchmark or with an event-capture limit (which older daemons
+        accepted) is skipped.
         """
         for record in self.journal.orphans():
+            if record.get("trace_limit") is not None:
+                continue  # a capped job from an older daemon: not resumable
             spec = JobSpec(
                 name=str(record.get("benchmark", "")),
                 scale=float(record.get("scale", 1.0)),
-                trace_limit=record.get("trace_limit"),
                 backend=str(record.get("backend", "interp")),
             )
             try:

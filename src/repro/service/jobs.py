@@ -102,7 +102,8 @@ class ServiceJob:
     #: job's worker and dropped at launch (never journaled).
     built: Optional[Any] = None
     #: True once a stored entry could not be served in the daemon (it
-    #: vanished or was quarantined): the next launch spawns a worker.
+    #: vanished or was quarantined): the next launch spawns a worker,
+    #: and a second loss counts as a failed attempt.
     needs_worker: bool = False
 
     def deadline_remaining(self, now: float) -> Optional[float]:
@@ -120,7 +121,6 @@ class ServiceJob:
             "tenant": self.tenant,
             "benchmark": self.spec.name,
             "scale": self.spec.scale,
-            "trace_limit": self.spec.trace_limit,
             "backend": self.spec.backend,
             "digest": self.digest,
             "predictors": list(self.predictors),

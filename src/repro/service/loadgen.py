@@ -54,7 +54,6 @@ class LoadgenConfig:
     benchmarks: Tuple[str, ...] = ("plot",)
     tenants: Tuple[str, ...] = ("tenant-0",)
     scale: float = 0.05
-    trace_limit: Optional[int] = None
     backend: str = "interp"
     predictors: Tuple[str, ...] = ()
     deadline_s: Optional[float] = None
@@ -112,7 +111,6 @@ async def _one_request(
         "tenant": tenant,
         "benchmark": benchmark,
         "scale": config.scale,
-        "trace_limit": config.trace_limit,
         "backend": config.backend,
     }
     if config.predictors:

@@ -39,13 +39,13 @@ ground truth — for three cases:
 Branch observation is preserved exactly.  Three specializations of each
 region exist, selected by the hook attached to the run:
 
-* ``bus`` — the hook is a plain :class:`~repro.pipeline.bus.BranchEventBus`
-  with no event limit: events are appended straight onto the bus's
-  staged columns, with the chunk-flush check after every event so chunk
-  boundaries — and therefore checkpoint bytes — are identical to the
-  interpreter's.  ``stats.events`` is reconciled once per ``run`` call.
-* ``hook`` — any other hook (or a bus with a limit): the generated code
-  calls ``on_branch`` per event, exactly like the interpreter.
+* ``bus`` — the hook is a plain :class:`~repro.pipeline.bus.BranchEventBus`:
+  events are appended straight onto the bus's staged columns, with the
+  chunk-flush check after every event so chunk boundaries — and
+  therefore checkpoint bytes — are identical to the interpreter's.
+  ``stats.events`` is reconciled once per ``run`` call.
+* ``hook`` — any other hook: the generated code calls ``on_branch`` per
+  event, exactly like the interpreter.
 * ``none`` — no hook: no event code is emitted at all.
 
 Nothing is generated up front.  :func:`compile_program` forms the CFG
@@ -53,20 +53,20 @@ and the cover and records the entry addresses; an entry's source (and
 its worst case) is generated the first time execution reaches it, and
 compiled right then.  Most entries of a large program never run, so a
 run pays only for the code it executes.  Tables are cached per
-``(program image, mode)`` in a small module-level LRU keyed by the
-sha256 of the program image, so repeated runs in one process generate
-and compile each entry once.
+``(program image, mode, code dir)`` in a small module-level LRU keyed by
+the sha256 of the program image, so repeated runs in one process
+generate and compile each entry once.
 
 Across processes, an executor given a ``code_dir`` keeps compiled code
-in one :class:`CodePack` file per ``(program image, mode)``.  Inside a
-pack, code is looked up by the sha256 of the freshly generated source,
-so a code-generator edit can never run stale code: the new source
-misses and compiles.  A pack starts with the interpreter's bytecode
-``MAGIC_NUMBER`` and a sha256 of its body; a pack that fails either
-check (or does not unmarshal) reads as empty and is rewritten.  The
-executor reads its pack once, when it first generates an entry, and
-writes it back (temporary file + ``os.replace``) only after a ``run``
-call that compiled something new.
+in one :class:`CodePack` file per ``(program image, mode)``, owned by
+that directory's table.  Inside a pack, code is looked up by the sha256
+of the freshly generated source, so a code-generator edit can never run
+stale code: the new source misses and compiles.  A pack starts with the
+interpreter's bytecode ``MAGIC_NUMBER`` and a sha256 of its body; a pack
+that fails either check (or does not unmarshal) reads as empty and is
+rewritten.  A table reads its pack once, when it is created, and writes
+it back (temporary file + ``os.replace``) only after a ``run`` call that
+compiled something new.
 
 Deliberate non-goal, matching the interpreter's behaviour: an exception
 escaping mid-region (memory fault, syscall error) leaves the executor's
@@ -114,7 +114,8 @@ MAX_FN_INSTRUCTIONS = 512
 #: block nesting around 100).
 MAX_INDENT = 40
 
-#: Compiled program tables kept alive across executors (per mode).
+#: Compiled program tables kept alive across executors (per mode and
+#: code dir).
 _CACHE_CAPACITY = 32
 
 O = Opcode
@@ -541,10 +542,9 @@ class TraceTable(dict):
     region index, offset]``.
 
     :func:`compile_program` records every entry with no function and a
-    worst case of 0; :meth:`generate` emits an entry's source on its
-    first execution, and the executor fills both slots from it.  *key*
-    is the program image's sha256 (:func:`compiled_table` sets it), the
-    name of the entry's :class:`CodePack`.
+    worst case of 0; :meth:`materialize` fills both slots on the entry's
+    first execution.  *pack*, when :func:`compiled_table` gives the
+    table one, holds the compiled code across processes.
     """
 
     def __init__(
@@ -559,17 +559,24 @@ class TraceTable(dict):
         self.mode = mode
         self.positions_of = positions_of
         self.head_of = head_of
-        self.key = ""
+        self.pack: Optional[CodePack] = None
 
-    def generate(self, entry: List) -> Tuple[str, str, int]:
-        """(function name, source, worst case) of one entry."""
+    def materialize(self, entry: List) -> None:
+        """Generate one entry's code and fill its function and worst case."""
         region_index, offset = entry[2], entry[3]
         name = f"_trace_{region_index}_{offset}"
         source, worst = _emit_entry(
             self.program, self.positions_of, self.head_of, name,
             region_index, offset, self.mode,
         )
-        return name, source, worst
+        if self.pack is None:
+            code = _compile_source(source, self.mode)
+        else:
+            code = self.pack.code(source, self.mode)
+        namespace: Dict[str, object] = {}
+        exec(code, namespace)  # noqa: S102 - our own generated source
+        entry[1] = worst
+        entry[0] = namespace[name]
 
 
 def compile_program(program: Program, mode: str) -> TraceTable:
@@ -694,7 +701,9 @@ class CodePack:
                 pass
 
 
-_code_cache: "OrderedDict[Tuple[str, str], TraceTable]" = OrderedDict()
+_code_cache: "OrderedDict[Tuple[str, str, Optional[Path]], TraceTable]" = (
+    OrderedDict()
+)
 
 
 def _image_key(program: Program) -> str:
@@ -706,13 +715,21 @@ def _image_key(program: Program) -> str:
     return digest.hexdigest()
 
 
-def compiled_table(program: Program, mode: str) -> TraceTable:
-    """The (cached) trace table for *program* and *mode*."""
-    key = (_image_key(program), mode)
+def compiled_table(
+    program: Program, mode: str, code_dir: Optional[Path] = None
+) -> TraceTable:
+    """The (cached) trace table for *program* and *mode*.
+
+    A table given a *code_dir* owns that directory's :class:`CodePack`,
+    so each directory gets its own pack even when another directory's
+    table already compiled the same image in this process.
+    """
+    key = (_image_key(program), mode, code_dir)
     table = _code_cache.get(key)
     if table is None:
         table = compile_program(program, mode)
-        table.key = key[0]
+        if code_dir is not None:
+            table.pack = CodePack(Path(code_dir) / f"{key[0]}-{mode}.pack")
         _code_cache[key] = table
         while len(_code_cache) > _CACHE_CAPACITY:
             _code_cache.popitem(last=False)
@@ -745,38 +762,21 @@ class SuperblockExecutor(Executor):
         super().__init__(program, state, environment, branch_hook)
         self.code_dir = code_dir
         self._tables: Dict[str, TraceTable] = {}
-        self._packs: Dict[str, CodePack] = {}
 
     def _table(self, mode: str) -> TraceTable:
         table = self._tables.get(mode)
         if table is None:
-            table = self._tables[mode] = compiled_table(self.program, mode)
+            table = self._tables[mode] = compiled_table(
+                self.program, mode, self.code_dir
+            )
         return table
-
-    def _materialize(self, table: TraceTable, entry: List) -> None:
-        """Generate one entry's code and fill its function and worst case."""
-        name, source, worst = table.generate(entry)
-        mode = table.mode
-        if self.code_dir is None:
-            code = _compile_source(source, mode)
-        else:
-            pack = self._packs.get(mode)
-            if pack is None:
-                pack = self._packs[mode] = CodePack(
-                    self.code_dir / f"{table.key}-{mode}.pack"
-                )
-            code = pack.code(source, mode)
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)  # noqa: S102 - our own generated source
-        entry[1] = worst
-        entry[0] = namespace[name]
 
     def run(self, max_instructions: int = 10_000_000) -> int:
         state = self.state
         hook = self.branch_hook
         if hook is None:
             mode, aux = "none", None
-        elif type(hook) is BranchEventBus and hook.limit is None:
+        elif type(hook) is BranchEventBus:
             mode, aux = "bus", hook
         else:
             mode, aux = "hook", hook.on_branch
@@ -801,7 +801,7 @@ class SuperblockExecutor(Executor):
                     if fn is None:
                         # first execution: generate, then dispatch again
                         # against the entry's real worst case
-                        self._materialize(table, entry)
+                        table.materialize(entry)
                         continue
                     pc, executed, dcond, dtaken = fn(
                         regs, memory, env, state, aux, count, budget
@@ -838,9 +838,8 @@ class SuperblockExecutor(Executor):
                 # compiled regions append events without touching the
                 # bus counter; the interpreter fallback counts its own
                 aux.stats.events += fast_events
-            pack = self._packs.get(mode)
-            if pack is not None:
-                pack.flush()
+            if table.pack is not None:
+                table.pack.flush()
         if not state.halted and budget == 0:
             raise FuelExhausted(
                 f"budget of {max_instructions} instructions exhausted"

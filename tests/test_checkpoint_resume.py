@@ -36,6 +36,7 @@ from repro.checkpoint import (
     run_simulation,
     slice_for_cadence,
 )
+from repro.checkpoint.snapshot import restore_bus, sealed_blocks, snapshot_bus
 from repro.errors import CheckpointCorrupt
 from repro.eval import digest as digest_module
 from repro.eval import worker as worker_module
@@ -260,26 +261,62 @@ def _digests(journal):
     return [(r["benchmark"], r["status"], r.get("digest")) for r in records]
 
 
+def test_bus_snapshot_with_the_retired_truncated_flag_restores():
+    """Snapshots written while the bus still had a capture limit carry
+    ``stats["truncated"]``; they restore, and the resumed capture matches
+    an uninterrupted one."""
+    events = [
+        (0x1000 + 4 * (i % 3), 0x2000, i % 2 == 0, i) for i in range(10)
+    ]
+
+    def bus_with_builder():
+        builder = TraceBuilder(label="old")
+        return BranchEventBus([builder], chunk_events=4), builder
+
+    whole, whole_builder = bus_with_builder()
+    for event in events:
+        whole.on_branch(*event)
+    whole.finish()
+
+    first, _ = bus_with_builder()
+    for event in events[:6]:
+        first.on_branch(*event)
+    snap = snapshot_bus(first)
+    snap["stats"]["truncated"] = False  # as the older writer stored it
+    resumed, resumed_builder = bus_with_builder()
+    restore_bus(resumed, snap, sealed_blocks(first, 0))
+    for event in events[6:]:
+        resumed.on_branch(*event)
+    resumed.finish()
+    for counter in ("events", "delivered", "chunk_flushes"):
+        assert getattr(resumed.stats, counter) == getattr(whole.stats, counter)
+    assert "truncated" not in resumed.stats.as_dict()
+    for column in ("pcs", "targets", "taken", "timestamps"):
+        assert (
+            getattr(resumed_builder.result, column).tolist()
+            == getattr(whole_builder.result, column).tolist()
+        )
+
+
 def test_journal_records_round_trip(tmp_path):
     journal = RunJournal(tmp_path)
-    journal.record_completed("plot", "a" * 64, scale=0.05, trace_limit=0)
-    journal.record_failed("pgp", scale=0.05, trace_limit=0,
-                          error={"code": "job_failed"})
+    journal.record_completed("plot", "a" * 64, scale=0.05)
+    journal.record_failed("pgp", scale=0.05, error={"code": "job_failed"})
     records, warnings = journal.read()
     assert warnings == []
     assert _digests(journal) == [
         ("plot", "completed", "a" * 64), ("pgp", "failed", None),
     ]
-    assert records[0]["scale"] == 0.05 and records[0]["trace_limit"] == 0
+    assert records[0]["scale"] == 0.05
     assert records[1]["error"] == {"code": "job_failed"}
 
 
 def test_journal_tolerates_torn_lines(tmp_path):
     journal = RunJournal(tmp_path)
-    journal.record_completed("plot", "a" * 64, scale=0.05, trace_limit=0)
+    journal.record_completed("plot", "a" * 64, scale=0.05)
     with journal.path.open("a") as handle:
         handle.write('{"benchmark": "pgp", "status": "comp')  # torn write
-    journal.record_completed("compress", "b" * 64, scale=0.05, trace_limit=0)
+    journal.record_completed("compress", "b" * 64, scale=0.05)
     assert _digests(journal) == [
         ("plot", "completed", "a" * 64), ("compress", "completed", "b" * 64),
     ]

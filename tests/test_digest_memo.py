@@ -60,7 +60,6 @@ def test_memo_is_per_spec(tmp_path, builds):
     root = str(tmp_path)
     specs = [
         JobSpec("plot", scale=SCALE),
-        JobSpec("plot", scale=SCALE, trace_limit=500),
         JobSpec("plot", scale=SCALE, backend="superblock"),
         JobSpec("pgp", scale=SCALE),
     ]
@@ -68,6 +67,22 @@ def test_memo_is_per_spec(tmp_path, builds):
     assert len(set(digests)) == len(specs)
     assert [compute_job_digest(spec, root) for spec in specs] == digests
     assert len(builds) == len(specs)
+
+
+@pytest.mark.parametrize(
+    "pair", ["plot@0.05", "compress@0.05", "ijpeg@0.061"]
+)
+def test_digest_matches_the_recorded_benchmark_digest(pair):
+    """The digest formula (the constant ``limit:0`` included) still gives
+    the digests the repo benchmark recorded for its service mix."""
+    expected = (
+        Path(__file__).resolve().parents[1]
+        / "perfbench" / "expected" / "service_mix.json"
+    )
+    recorded = json.loads(expected.read_text())[pair]["digest"]
+    name, scale = pair.split("@")
+    spec = JobSpec(name, float(scale), None, "superblock")
+    assert compute_job_digest(spec) == recorded
 
 
 @pytest.mark.parametrize(

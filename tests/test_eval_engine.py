@@ -34,14 +34,13 @@ def test_digest_is_deterministic():
 
 def test_digest_tracks_content():
     base = compute_job_digest(JobSpec("plot", scale=SCALE))
-    # a different program image, a different scale (hence input/fuel), and
-    # a different capture limit must all produce different digests
+    # a different program image and a different scale (hence input/fuel)
+    # must both produce different digests
     assert compute_job_digest(JobSpec("pgp", scale=SCALE)) != base
     assert compute_job_digest(JobSpec("plot", scale=0.1)) != base
-    assert (
-        compute_job_digest(JobSpec("plot", scale=SCALE, trace_limit=500))
-        != base
-    )
+    # every job captures its full trace: a capture limit is refused
+    with pytest.raises(ValueError, match="trace_limit"):
+        JobSpec("plot", scale=SCALE, trace_limit=500)
 
 
 def test_cache_paths_fold_digest(tmp_path):
@@ -134,11 +133,6 @@ def test_invalidate_drops_memo(engine):
     assert first is not second
     assert np.array_equal(first.trace.pcs, second.trace.pcs)
     engine._memo["compress"] = first  # restore for other tests
-
-
-def test_trace_limit_caps_events():
-    limited = ExecutionEngine(scale=SCALE, trace_limit=500)
-    assert len(limited.artifacts("plot").trace) == 500
 
 
 def test_stats_render_mentions_jobs_and_cache(tmp_path):

@@ -27,8 +27,8 @@ SCALE = 0.05
 
 def make_journal(tmp_path) -> RunJournal:
     journal = RunJournal(tmp_path / "cache")
-    journal.record_completed("plot", "a" * 16, SCALE, None)
-    journal.record_completed("compress", "b" * 16, SCALE, None)
+    journal.record_completed("plot", "a" * 16, SCALE)
+    journal.record_completed("compress", "b" * 16, SCALE)
     return journal
 
 
@@ -69,7 +69,7 @@ def test_append_after_torn_tail_terminates_it_first(tmp_path):
     line — append() seals the tail with a newline first."""
     journal = make_journal(tmp_path)
     append_raw(journal, b'{"torn')
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
+    journal.record_completed("gcc", "c" * 16, SCALE)
     records, warnings = journal.read()
     assert [r["benchmark"] for r in records] == ["plot", "compress", "gcc"]
     # the sealed torn line is now mid-file garbage: skipped, named
@@ -80,7 +80,7 @@ def test_append_after_torn_tail_terminates_it_first(tmp_path):
 def test_garbage_mid_file_is_skipped_naming_the_line(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b"{definitely not json}\n")
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
+    journal.record_completed("gcc", "c" * 16, SCALE)
     records, warnings = journal.read()
     assert [r["benchmark"] for r in records] == ["plot", "compress", "gcc"]
     assert len(warnings) == 1 and "unparsable" in warnings[0]
@@ -128,7 +128,7 @@ def test_unreadable_journal_is_a_warning(tmp_path):
 def test_snippet_is_bounded(tmp_path):
     journal = make_journal(tmp_path)
     append_raw(journal, b"x" * 500 + b"\n")
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
+    journal.record_completed("gcc", "c" * 16, SCALE)
     _, warnings = journal.read()
     assert len(warnings) == 1
     assert "x" * 120 + "..." in warnings[0]
@@ -176,9 +176,9 @@ def test_cli_merge_with_corrupt_journal_names_the_path(tmp_path):
     env["PYTHONPATH"] = str(REPO / "src")
     cache = tmp_path / "cache"
     journal = RunJournal(cache)
-    journal.record_completed("plot", "a" * 16, SCALE, None)
+    journal.record_completed("plot", "a" * 16, SCALE)
     append_raw(journal, b"{broken}\n")
-    journal.record_completed("gcc", "c" * 16, SCALE, None)
+    journal.record_completed("gcc", "c" * 16, SCALE)
     result = subprocess.run(
         [sys.executable, "-m", "repro", "merge-shards", str(cache),
          "--into", str(tmp_path / "merged")],

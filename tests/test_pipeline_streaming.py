@@ -52,10 +52,10 @@ def _feed(bus, events):
         bus.on_branch(pc, pc + 8, taken, count)
 
 
-def _capture(events, label, **bus_options):
+def _capture(events, label):
     """Capture *events* into a trace through a bus carrying a TraceBuilder."""
     builder = TraceBuilder(label)
-    bus = BranchEventBus([builder], **bus_options)
+    bus = BranchEventBus([builder])
     _feed(bus, events)
     bus.finish()
     return builder.result
@@ -138,37 +138,7 @@ def test_replay_bank_matches_scalar_loop_on_kernel_trace(engine):
         assert got.per_branch == ref.per_branch
 
 
-# -- capture limit semantics -------------------------------------------------
-
-
-def test_capture_limit_not_multiple_of_chunk_truncates_exactly():
-    builder = TraceBuilder("limited")
-    bus = BranchEventBus([builder], chunk_events=8, limit=13)
-    _feed(bus, [(0x1000 + 4 * (i % 5), i % 2 == 0) for i in range(40)])
-    assert bus.saturated
-    assert len(bus) == 13
-    bus.finish()
-    trace = builder.result
-    assert len(trace) == 13
-    assert trace.timestamps.tolist() == list(range(1, 14))
-
-
-def test_bus_limit_smaller_than_one_chunk():
-    builder = TraceBuilder()
-    bus = BranchEventBus([builder], chunk_events=64, limit=3)
-    _feed(bus, [(0x1000, True)] * 10)
-    stats = bus.finish()
-    assert len(builder.result) == 3
-    assert stats.truncated
-    assert stats.events == 10 and stats.delivered == 3
-
-
-def test_replay_honours_limit_exactly():
-    trace = _capture([(0x1000 + 4 * i, True) for i in range(20)], "t")
-    builder = TraceBuilder()
-    BranchEventBus.replay(trace, [builder], chunk_events=8, limit=11)
-    assert len(builder.result) == 11
-    assert builder.result.pcs.tolist() == trace.pcs[:11].tolist()
+# -- capture edge cases ------------------------------------------------------
 
 
 def test_empty_capture_finishes_to_well_formed_trace():
@@ -178,10 +148,6 @@ def test_empty_capture_finishes_to_well_formed_trace():
     for column in (trace.pcs, trace.targets, trace.timestamps):
         assert column.dtype == np.uint64 and len(column) == 0
     assert trace.taken.dtype == bool and len(trace.taken) == 0
-
-
-def test_zero_limit_capture_is_empty():
-    assert len(_capture([(0x1000, True)] * 5, "zero", limit=0)) == 0
 
 
 # -- bus contract ------------------------------------------------------------
@@ -241,8 +207,8 @@ def test_version_flag_reports_schema_v9(capsys):
     out = capsys.readouterr().out
     assert __version__ in out
     assert f"schema {SCHEMA_VERSION}" in out
-    assert SCHEMA_VERSION == 13
-    assert envelope("x", {}, {})["schema_version"] == 13
+    assert SCHEMA_VERSION == 14
+    assert envelope("x", {}, {})["schema_version"] == 14
 
 
 def test_engine_envelope_carries_pipeline_counters(engine):
@@ -250,6 +216,7 @@ def test_engine_envelope_carries_pipeline_counters(engine):
     assert {"replayed_runs", "pipeline"} <= set(payload)
     assert "fused_runs" not in payload
     pipeline = payload["pipeline"]
-    assert {"events", "delivered", "chunk_flushes", "truncated",
+    assert {"events", "delivered", "chunk_flushes",
             "consumers"} <= set(pipeline)
+    assert "truncated" not in pipeline
     json.dumps(payload)  # envelope-ready

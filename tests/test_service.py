@@ -357,9 +357,10 @@ def test_journal_record_includes_resume_parameters(tmp_path):
     job = make_job("job-a", predictors=("gshare:10",))
     journal.record_submitted(job)
     (record,) = journal.read()[0]
-    for key in ("benchmark", "scale", "trace_limit", "backend",
+    for key in ("benchmark", "scale", "backend",
                 "digest", "predictors", "tenant"):
         assert key in record
+    assert "trace_limit" not in record
     assert record["predictors"] == ["gshare:10"]
 
 
@@ -554,6 +555,7 @@ def test_submit_rejects_unknown_benchmark_and_predictor(tmp_path):
         ("deadline_s", 0),
         ("predictors", "bimodal"),
         ("predictors", [1]),
+        ("trace_limit", 500),
     ],
 )
 def test_submit_rejects_malformed_fields(tmp_path, field, value):
@@ -724,6 +726,22 @@ def test_recover_skips_unknown_benchmarks(tmp_path):
     recovered._recover()
     assert recovered.counters["recovered"] == 0
     assert recovered.admission.depth() == 0
+
+
+def test_recover_skips_orphans_with_a_capture_limit(tmp_path):
+    """An older daemon's capped job is never resumed as a full one; a
+    record with a null limit (as older daemons wrote them) still is."""
+    service, _ = make_service(tmp_path)
+    for job_id, limit in (("job-capped", 500), ("job-full", None)):
+        service.journal.append(
+            {"kind": "submitted", "job": job_id, "benchmark": "plot",
+             "scale": SCALE, "trace_limit": limit, "backend": "interp",
+             "digest": "f" * 64, "predictors": []}
+        )
+    recovered, _ = make_service(tmp_path)
+    recovered._recover()
+    assert recovered.counters["recovered"] == 1
+    assert list(recovered.jobs) == ["job-full"]
 
 
 def test_stats_frame_shape_and_cache_hit_ratio(tmp_path):
@@ -1044,6 +1062,88 @@ def test_daemon_vanished_entry_falls_back_to_a_worker(monkeypatch):
     assert again["attempts"] == 1  # the failed serve cost no retry
     assert spawned == 1
     assert again["predictions"] == cold["predictions"]
+
+    # the entry vanishes after a worker reported ok: the daemon finds it
+    # gone when it replays the predictors, and a second worker runs it
+    root = short_socket_dir()
+    after_ok = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        retries=0,
+        checkpoint_every=2000,
+    )
+
+    def vanish_after_ok(service, cold):
+        def unlink_entry():
+            for path in Path(after_ok.cache_dir).glob("plot-*"):
+                path.unlink()
+
+        unlink_entry()  # the resubmit needs a worker
+        real_load = service.store.load
+        loads = []
+
+        def load(spec, digest):
+            loads.append(digest)
+            if len(loads) == 1:
+                unlink_entry()
+            return real_load(spec, digest)
+
+        service.store.load = load
+
+    cold, again, spawned = _submit_twice(after_ok, vanish_after_ok)
+    assert again["type"] == "completed"
+    assert again["source"] == "simulated"
+    assert again["attempts"] == 1
+    assert spawned == 2
+    assert again["digest"] == cold["digest"]
+    assert again["predictions"] == cold["predictions"]
+
+
+def test_daemon_entry_corrupted_on_every_put_fails_the_job(monkeypatch):
+    """Every worker's stored trace is corrupted, so each load after an
+    ``ok`` quarantines the entry.  The first loss is a free requeue;
+    every later one is a failed attempt, and the job ends ``failed``
+    after ``retries + 1`` attempts instead of looping on workers."""
+    from repro.service import app
+
+    monkeypatch.setattr(app, "WorkerHandle", CountingHandle)
+    monkeypatch.setenv("REPRO_FAULTS", "corrupt_trace:plot")
+    CountingHandle.spawned = 0
+    root = short_socket_dir()
+    config = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        retries=1,
+        checkpoint_every=2000,
+    )
+    submit = {
+        "op": "submit", "id": "job-bad", "tenant": "t0",
+        "benchmark": "plot", "scale": SCALE, "predictors": ["bimodal:512"],
+    }
+
+    async def scenario():
+        service, task = await boot_service(config)
+        try:
+            reader, writer = await asyncio.open_unix_connection(
+                config.socket_path
+            )
+            writer.write(encode_frame(submit))
+            await writer.drain()
+            frames = await collect_until(reader, terminal_for("job-bad"))
+            writer.close()
+            return frames[-1], dict(service.counters)
+        finally:
+            await drain_service(task)
+
+    final, counters = asyncio.run(scenario())
+    assert final["type"] == "failed"
+    assert final["error"]["code"] == "artifact_corrupt"
+    assert final["error"]["attempts"] == config.retries + 1
+    assert CountingHandle.spawned == config.retries + 2  # one free requeue
+    assert counters["retries"] == config.retries
+    assert counters["simulated"] == counters["completed"] == 0
 
 
 def test_recovered_orphan_replays_predictors_from_the_stored_digest(

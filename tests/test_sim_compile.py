@@ -244,3 +244,24 @@ def test_unwritable_code_dir_leaves_the_run_unaffected(tmp_path, compiles):
     built = _ijpeg(0.061)
     assert _traced_run(built, blocker) == _traced_run(built)
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_each_code_dir_gets_its_own_pack(tmp_path, compiles):
+    """Two executors in one process with different code dirs: the second
+    must not reuse the first one's table and leave its own dir empty."""
+    built = build_workload(get_benchmark("plot", scale=0.05))
+    runs = []
+    for name in ("first", "second"):
+        code_dir = tmp_path / name
+        builder = TraceBuilder(label=name)
+        bus = BranchEventBus([builder])
+        result = run_workload(
+            built, branch_hook=bus,
+            backend=SuperblockBackend(code_dir=code_dir),
+        )
+        bus.finish()
+        runs.append((result.instructions, builder.result.pcs.tobytes()))
+        pack = _pack_path(code_dir, built)
+        assert pack.exists()
+        assert CodePack(pack).codes
+    assert runs[0] == runs[1]

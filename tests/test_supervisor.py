@@ -152,7 +152,7 @@ def test_shard_fault_plan_json_roundtrip():
 
 def _record(journal, benchmark, seconds, source="simulated"):
     journal.record_completed(
-        benchmark, "ab" * 32, SCALE, None,
+        benchmark, "ab" * 32, SCALE,
         backend="interp", source=source, seconds=seconds,
     )
 
@@ -161,7 +161,7 @@ def test_measured_costs_takes_the_median_of_recent_runs(tmp_path):
     journal = RunJournal(tmp_path)
     for seconds in (1.0, 9.0, 2.0):
         _record(journal, "plot", seconds)
-    costs = measured_costs(journal, SCALE, None, "interp")
+    costs = measured_costs(journal, SCALE, "interp")
     assert costs["plot"] == 2.0
 
 
@@ -172,7 +172,7 @@ def test_measured_costs_ignores_cache_hits(tmp_path):
     _record(journal, "plot", 5.0)
     _record(journal, "plot", 0.001, source="store")
     _record(journal, "pgp", 0.002, source="journal")
-    costs = measured_costs(journal, SCALE, None, "interp")
+    costs = measured_costs(journal, SCALE, "interp")
     assert costs["plot"] == 5.0
     assert "pgp" not in costs
 
@@ -180,8 +180,8 @@ def test_measured_costs_ignores_cache_hits(tmp_path):
 def test_measured_costs_keys_on_run_parameters(tmp_path):
     journal = RunJournal(tmp_path)
     _record(journal, "plot", 5.0)
-    assert measured_costs(journal, 0.5, None, "interp") == {}
-    assert measured_costs(journal, SCALE, None, "superblock") == {}
+    assert measured_costs(journal, 0.5, "interp") == {}
+    assert measured_costs(journal, SCALE, "superblock") == {}
 
 
 def test_partition_follows_measured_costs():
@@ -448,7 +448,7 @@ def test_supervise_cli_emits_v9_envelope(tmp_path, capsys):
     )
     assert rc == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == 13
+    assert document["schema_version"] == 14
     assert document["command"] == "supervise"
     assert document["params"]["workers"] == 2
     results = document["results"]

@@ -30,19 +30,6 @@ def test_capture_records_events_in_order():
     assert [e.timestamp for e in trace] == [0, 5, 10, 15, 20]
 
 
-def test_capture_limit_stops_recording():
-    bus = BranchEventBus([TraceBuilder()], limit=3)
-    _fill(bus, 10)
-    assert len(bus) == 3
-    assert bus.saturated
-
-
-def test_capture_without_limit_never_saturates():
-    bus = BranchEventBus([TraceBuilder()])
-    _fill(bus, 4)
-    assert not bus.saturated
-
-
 def _sample_trace():
     return BranchTrace.from_events(
         [
