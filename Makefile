@@ -17,7 +17,7 @@ want = {k: int(v) for k, v in (a.split('=') for a in sys.argv[1:])}; \
 got = {k: engine[k] for k in want}; print(f'engine counters: {got}'); \
 sys.exit(0 if got == want else f'smoke check failed: wanted {want}')"
 
-.PHONY: test lint faults smoke bench bench-all bench-simcore clean
+.PHONY: test lint faults smoke bench bench-all clean
 
 test:
 	$(PY) -m pytest -x -q tests
@@ -113,11 +113,6 @@ bench:
 ## each, end-to-end metrics plus the per-layer breakdown.
 bench-all:
 	python3 perfbench/run.py --workload all --seconds 25
-
-## Simulation-core throughput: superblock backend vs interpreter,
-## byte-identity asserted; writes BENCH_simcore.json at the repo root.
-bench-simcore:
-	$(PY) -m pytest benchmarks/bench_simcore.py -q
 
 clean:
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON) .pytest_cache

@@ -19,12 +19,13 @@ from repro.allocation import (
     required_bht_size,
 )
 from repro.analysis import BiasClass, classify_profile
+from repro.analysis.conflict_graph import auto_threshold
 from repro.eval import ExecutionEngine
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
-    threshold = 100 if scale >= 0.9 else 10
+    threshold = auto_threshold(scale)
     engine = ExecutionEngine(scale=scale)
 
     print("profiling the gcc analog ...")

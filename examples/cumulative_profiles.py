@@ -22,13 +22,14 @@ from repro.allocation import (
     conventional_cost,
     required_bht_size,
 )
+from repro.analysis.conflict_graph import auto_threshold
 from repro.eval import ExecutionEngine
 from repro.profiling import coverage_against, merge_profiles
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
-    threshold = 100 if scale >= 0.9 else 10
+    threshold = auto_threshold(scale)
     engine = ExecutionEngine(scale=scale)
 
     profile_a = engine.profile("ss_a")

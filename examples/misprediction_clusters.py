@@ -20,6 +20,7 @@ from repro.analysis import (
     misprediction_clustering,
     partition_working_sets,
 )
+from repro.analysis.conflict_graph import auto_threshold
 from repro.eval import ExecutionEngine
 from repro.predictors import PAgPredictor
 from repro.profiling import profile_trace
@@ -51,7 +52,7 @@ def analyse(label, trace, partition):
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
-    threshold = 100 if scale >= 0.9 else 10
+    threshold = auto_threshold(scale)
 
     # controlled case: phases are working sets by construction
     workload = make_phased_workload(

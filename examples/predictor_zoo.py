@@ -12,6 +12,7 @@ Run:  python examples/predictor_zoo.py [scale]
 import sys
 
 from repro.allocation import BranchAllocator
+from repro.analysis.conflict_graph import auto_threshold
 from repro.eval import ExecutionEngine
 from repro.eval.report import render_table
 from repro.predictors import (
@@ -53,7 +54,7 @@ def predictor_lineup(profile, allocator):
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
-    threshold = 100 if scale >= 0.9 else 10
+    threshold = auto_threshold(scale)
     engine = ExecutionEngine(scale=scale)
 
     results = {}

@@ -18,6 +18,7 @@ from repro.allocation import (
     required_bht_size,
 )
 from repro.analysis import working_set_metrics
+from repro.analysis.conflict_graph import auto_threshold
 from repro.pipeline import BranchEventBus, TraceBuilder
 from repro.predictors import (
     InterferenceFreePAg,
@@ -30,7 +31,7 @@ from repro.workloads import build_workload, get_benchmark, run_workload
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
-    threshold = 100 if scale >= 0.9 else 10
+    threshold = auto_threshold(scale)
 
     # 1. build and simulate the workload, capturing branch events
     spec = get_benchmark("compress", scale=scale)

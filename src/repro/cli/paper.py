@@ -324,8 +324,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "shard": shard.tag if shard else None,
     }
     try:
-        # SIGTERM drains instead of killing: workers checkpoint, the
-        # journal records completed work, and the run exits 1 with a
+        # SIGTERM drains: workers checkpoint (with --checkpoint-every),
+        # the journal records completed work, and the run exits 1 with a
         # typed suite_interrupted message; rerunning continues it.
         with interrupt.sigterm_drain():
             if experiment is not None:

@@ -23,6 +23,7 @@ Layers::
     ├── ServiceOverloaded           — admission queue full / daemon draining
     ├── QuotaExceeded               — tenant token bucket empty
     ├── SuiteDegraded               — *every* benchmark of a run failed
+    ├── ClaimsNotMet                — a paper claim failed on the suite
     ├── SuiteInterrupted            — a suite run drained on SIGTERM
     ├── MemAccessError              — invalid simulated memory access
     ├── SimulationError             — executor left text / decoded garbage
@@ -230,6 +231,12 @@ class SuiteDegraded(ReproError):
     code = "suite_degraded"
 
 
+class ClaimsNotMet(ReproError):
+    """A paper claim failed on the analog suite (:mod:`repro.eval.claims`)."""
+
+    code = "claims_not_met"
+
+
 class SuiteInterrupted(ReproError):
     """A SIGTERM drained this suite run before it finished.
 
@@ -292,6 +299,7 @@ __all__ = [
     "ArtifactCorrupt",
     "AsmSyntaxError",
     "CheckpointCorrupt",
+    "ClaimsNotMet",
     "EncodingError",
     "FuelExhausted",
     "JobCancelled",

@@ -2,8 +2,8 @@
 
 Every table and figure in the paper is a per-benchmark sweep, so the
 dominant wall-clock cost is simulating the analog suite.  The
-:class:`ExecutionEngine` fans benchmark x scale x trace-limit jobs out
-across worker processes (``jobs=N``; ``N=1`` is a plain sequential loop
+:class:`ExecutionEngine` fans benchmark x scale jobs out across worker
+processes (``jobs=N``; ``N=1`` is a plain sequential loop
 in-process) over the content-addressed store, and, because one bad job
 must not discard hours of completed work, it *degrades* rather than
 aborts:

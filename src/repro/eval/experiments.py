@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ReproError, SuiteDegraded
+from ..errors import ClaimsNotMet, ReproError, SuiteDegraded
 from ..workloads.registry import members
-from . import ablations, figures, tables
+from . import ablations, claims, figures, tables
 from .engine import ExecutionEngine, shard_subset
 
 #: Curated experiment-specific benchmark lists (not registry sets: each
@@ -94,6 +94,15 @@ def _figure4(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
     return figures.format_figure(
         rows, "Figure 4", "allocation with classification"
     )
+
+
+def _claims(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
+    # no subset: each run covers its whole set, less the failed benchmarks
+    runs = {"table2": tables.run_table2, "table3": tables.run_table3,
+            "table4": tables.run_table4, "figure3": figures.run_figure3,
+            "figure4": figures.run_figure4}
+    return claims.render_verdicts(claims.judge(
+        {key: run(engine) for key, run in runs.items()}))
 
 
 def _ablation_threshold(
@@ -213,6 +222,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment("figure4", "Figure 4",
                    "misprediction: allocation with classification",
                    _figure4, members("figures")),
+        Experiment("claims", "Tables 2-4, Figures 3-4",
+                   "the paper's claims, judged at scale 1.0 (exit 1 if "
+                   "any fails)", _claims, members("all")),
         Experiment("ablation_threshold", "§4.2",
                    "edge-threshold sensitivity", _ablation_threshold,
                    _THRESHOLD_BENCHMARKS),
@@ -286,12 +298,17 @@ def run_experiment(
     Raises:
         KeyError: for unknown experiment ids.
         SuiteDegraded: when every benchmark the experiment needs failed.
+        ClaimsNotMet: from ``claims``: a failed claim or benchmark, a scale
+            other than 1.0.
     """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: "
             f"{sorted(EXPERIMENTS)}"
         )
+    if experiment_id == "claims" and engine.scale != 1.0:  # before simulating
+        raise ClaimsNotMet(f"the paper's claims are judged at scale 1.0, not "
+                           f"{engine.scale}", scale=engine.scale)
     experiment = EXPERIMENTS[experiment_id]
     wanted = list(
         benchmarks if benchmarks is not None else experiment.benchmarks
@@ -327,8 +344,8 @@ def run_all_experiments(engine: ExecutionEngine) -> List[str]:
     so the engine simulates the whole suite in one parallel
     pass and each experiment then runs against warm artifacts.  An
     experiment whose entire benchmark set failed renders as a failure
-    block; only when *no* benchmark in the union survived does the sweep
-    raise :class:`~repro.errors.SuiteDegraded`.
+    block, failed paper claims as their verdicts; only when *no* benchmark
+    in the union survived does the sweep raise :class:`SuiteDegraded`.
     """
     # union of each experiment's local slice, so a sharded sweep warms
     # exactly the benchmarks the per-experiment runs will consume
@@ -355,5 +372,7 @@ def run_all_experiments(engine: ExecutionEngine) -> List[str]:
             body = format_failure_report(
                 _relevant_failures(engine, exp.benchmarks)
             )
+        except ClaimsNotMet as exc:
+            body = str(exc)
         blocks.append(f"== {exp.paper_artifact} ({exp.id}) ==\n{body}")
     return blocks

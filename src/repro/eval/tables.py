@@ -111,6 +111,7 @@ class Table2Row:
     average_dynamic_size: float
     largest_size: int
     static_branches: int
+    threshold: int
 
 
 def run_table2(
@@ -132,6 +133,7 @@ def run_table2(
                 average_dynamic_size=metrics.average_dynamic_size,
                 largest_size=metrics.largest_size,
                 static_branches=metrics.static_branches,
+                threshold=metrics.threshold,
             )
         )
     return rows
@@ -158,8 +160,8 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
             )
             for r in rows
         ],
-        title="Table 2: sizes of branch working sets "
-        f"(threshold={DEFAULT_THRESHOLD})",
+        title="Table 2: sizes of branch working sets (threshold="
+        f"{rows[0].threshold if rows else DEFAULT_THRESHOLD})",
     )
 
 

@@ -2,8 +2,8 @@
 
 The expensive fixtures (benchmark runs) are session-scoped and run the
 analog suite at a small scale; structural assertions hold at any scale,
-while the paper-shape assertions (who beats whom) are exercised at full
-scale only by the benchmark harness.
+while the paper-shape assertions (who beats whom) are judged at full
+scale only, by ``repro experiment claims``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from repro import errors
 from repro.errors import (
     ArtifactCorrupt,
     CheckpointCorrupt,
+    ClaimsNotMet,
     JobCancelled,
     JobFailed,
     JobInterrupted,
@@ -92,7 +93,7 @@ def test_to_dict_carries_code_and_context():
 
 def test_error_codes_are_distinct():
     classes = (ReproError, ArtifactCorrupt, CheckpointCorrupt, JobFailed,
-               JobTimeout, JobCancelled, JobInterrupted,
+               JobTimeout, JobCancelled, JobInterrupted, ClaimsNotMet,
                ServiceOverloaded, QuotaExceeded, SuiteDegraded,
                SuiteInterrupted, MemAccessError)
     codes = {cls.code for cls in classes}
@@ -131,6 +132,7 @@ def test_all_error_payloads_round_trip_through_json():
         ServiceOverloaded("queue full", queue_depth=16, queue_limit=16),
         QuotaExceeded("slow down", tenant="t0", retry_after_s=0.5),
         SuiteDegraded("all failed", benchmarks=["a", "b"]),
+        ClaimsNotMet("1 of 7 claims failed", failed=["Table 3: ..."]),
         SuiteInterrupted("drained", completed=["a"], remaining=["b"]),
         MemAccessError("unmapped", address=0xDEAD),
         InjectedFault("boom", benchmark="plot", fault="worker_kill",

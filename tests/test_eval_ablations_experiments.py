@@ -74,7 +74,7 @@ def test_hash_baseline_rows(engine):
 def test_experiment_registry_complete():
     assert set(EXPERIMENTS) == {
         "table1", "table2", "table3", "table4",
-        "figure3", "figure4",
+        "figure3", "figure4", "claims",
         "ablation_threshold", "ablation_inputs",
         "ablation_predictors", "ablation_hash", "ablation_groups",
         "ablation_alignment", "ablation_cliques", "ablation_history",

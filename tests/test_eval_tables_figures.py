@@ -1,8 +1,8 @@
 """Table/figure experiment tests at test scale.
 
 These check structure and internal consistency (row counts, value ranges,
-ordering invariants) rather than the full-scale paper shapes, which the
-benchmark harness regenerates.
+ordering invariants) rather than the full-scale paper shapes, which
+``repro experiment claims`` judges (see test_eval_claims.py).
 """
 
 import pytest
@@ -49,6 +49,13 @@ def test_table2_rows(engine):
         assert row.largest_size <= row.static_branches
     text = format_table2(rows)
     assert "working sets" in text
+
+
+def test_table2_title_names_the_rows_threshold(engine):
+    rows = run_table2(engine, benchmarks=["plot"], threshold=TEST_THRESHOLD)
+    assert [r.threshold for r in rows] == [TEST_THRESHOLD]
+    title = format_table2(rows).splitlines()[0]
+    assert title.endswith(f"(threshold={TEST_THRESHOLD})")
 
 
 def test_table3_sizes_below_baseline_table(engine):
