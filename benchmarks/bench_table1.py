@@ -8,7 +8,8 @@ from repro.workloads.registry import members
 def test_table1(benchmark, engine):
     engine.prefetch(members("table2"))
     rows = benchmark.pedantic(
-        lambda: run_table1(engine), rounds=1, iterations=1
+        lambda: run_table1(engine, members("table2")), rounds=1,
+        iterations=1,
     )
     save_result("table1", format_table1(rows))
 

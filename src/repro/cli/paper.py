@@ -29,10 +29,10 @@ from ..allocation import (
 )
 from ..analysis import working_set_metrics
 from ..analysis.conflict_graph import auto_threshold
-from ..errors import SuiteDegraded
+from ..errors import ReproError
 from ..eval import interrupt
-from ..eval.engine import ExecutionEngine, shard_subset
-from ..eval.experiments import EXPERIMENTS, run_experiment
+from ..eval.engine import ExecutionEngine
+from ..eval.experiments import EXPERIMENTS, run_experiment, select_benchmarks
 from ..eval.shards import ShardSpec
 from ..workloads import build_workload, get_benchmark, resolve_benchmark
 from .options import (
@@ -214,30 +214,32 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
         shard=shard,
         selection=selection.expression if selection else None,
     )
-    # an explicit selection is sharded here; the default (None) path
-    # shards inside run_verify_static over the full registry
-    benchmarks = (
-        shard_subset(engine, selection.names) if selection else None
+    names = list(
+        selection.names if selection
+        else EXPERIMENTS["verify_static"].benchmarks
     )
+    params = {
+        "benchmarks": names,
+        "scale": scale,
+        "threshold": args.threshold or None,
+        "cache": args.cache or None,
+        "jobs": args.jobs,
+        "selection": selection.expression if selection else None,
+        "shard": shard.tag if shard else None,
+    }
+    try:
+        chosen = select_benchmarks(engine, "verify-static", names)
+    except ReproError as exc:
+        return _failed("verify-static", params, engine, exc, args.json)
     rows = run_verify_static(
-        engine,
-        benchmarks=benchmarks,
-        threshold=args.threshold or None,
+        engine, chosen.names, threshold=args.threshold or None
     )
     if args.json:
         total_exec = sum(r.executions for r in rows)
         total_hits = sum(r.hits for r in rows)
         _emit(
             "verify-static",
-            {
-                "benchmarks": list(selection.names) if selection else [],
-                "scale": scale,
-                "threshold": args.threshold or None,
-                "cache": args.cache or None,
-                "jobs": args.jobs,
-                "selection": selection.expression if selection else None,
-                "shard": shard.tag if shard else None,
-            },
+            params,
             {
                 "rows": [r.as_dict() for r in rows],
                 "suite": {
@@ -248,11 +250,28 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
                     ),
                 },
                 "failures": _failures_payload(engine),
+                "note": chosen.note or None,
             },
         )
     else:
-        print(format_verify_static(rows))
-    return 0 if rows else 1
+        print(chosen.note or format_verify_static(rows))
+    return 0
+
+
+def _failed(command: str, params, engine, exc: ReproError,
+            as_json: bool, **results) -> int:
+    """A typed failure exits 1, its error and the engine stats reported."""
+    print(f"error: [{exc.code}] {exc}", file=sys.stderr)
+    if as_json:
+        _emit(command, params, {
+            **results,
+            "error": exc.to_dict(),
+            "failures": _failures_payload(engine),
+            "engine": engine.stats.as_dict(),
+        })
+    else:
+        print(engine.stats.render(), file=sys.stderr)
+    return 1
 
 
 def _materialise_selection(engine: ExecutionEngine, selection) -> str:
@@ -262,22 +281,16 @@ def _materialise_selection(engine: ExecutionEngine, selection) -> str:
     with its own ``--shard K/N`` against a private (or shared) store,
     and ``repro merge-shards`` unions the results afterwards.
     """
-    local = shard_subset(engine, selection.names)
-    if not local:
-        return (
-            f"(shard {engine.shard} owns no benchmarks of "
-            f"{selection.expression!r}; nothing to do on this host)"
-        )
-    survivors = list(engine.prefetch(local))
-    if not survivors:
-        raise SuiteDegraded(
-            f"every benchmark of selection {selection.expression!r} "
-            f"failed ({', '.join(sorted(engine.failures))})",
-            selection=selection.expression,
-        )
+    chosen = select_benchmarks(
+        engine, repr(selection.expression), selection.names,
+        selection=selection.expression,
+    )
+    if chosen.note:
+        return chosen.note
+    local = len(chosen.names) + len(chosen.failures)
     return (
-        f"materialised {len(survivors)}/{len(local)} benchmark(s) of "
-        f"{selection.expression!r}: {', '.join(survivors)}"
+        f"materialised {len(chosen.names)}/{local} benchmark(s) of "
+        f"{selection.expression!r}: {', '.join(chosen.names)}"
     )
 
 
@@ -338,22 +351,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 )
             else:
                 output = _materialise_selection(engine, selection)
-    except SuiteDegraded as exc:
-        if args.json:
-            _emit(
-                "experiment",
-                params,
-                {
-                    "id": args.id or None,
-                    "degraded": exc.to_dict(),
-                    "failures": _failures_payload(engine),
-                    "engine": engine.stats.as_dict(),
-                },
-            )
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-            print(engine.stats.render(), file=sys.stderr)
-        return 1
+    except ReproError as exc:
+        return _failed("experiment", params, engine, exc, args.json,
+                       id=args.id or None)
     if args.json:
         _emit(
             "experiment",

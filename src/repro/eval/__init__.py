@@ -21,6 +21,7 @@ _EXPORTS: Dict[str, str] = {
     "format_failure_report": ".experiments",
     "run_all_experiments": ".experiments",
     "run_experiment": ".experiments",
+    "select_benchmarks": ".experiments",
     "FaultPlan": ".faults",
     "InjectedFault": ".faults",
     "corrupt_file": ".faults",

@@ -60,7 +60,6 @@ def run_threshold_ablation(
     thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> List[ThresholdRow]:
     """Working-set metrics across edge-pruning thresholds."""
-    engine.prefetch(benchmarks)
     rows: List[ThresholdRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -115,7 +114,6 @@ def run_input_sensitivity(
     baseline_bht: int = BASELINE_BHT,
 ) -> List[InputSensitivityRow]:
     """The §5.2 experiment: per-input required size + cumulative merge."""
-    engine.prefetch([f"{base}_{v}" for base in pairs for v in ("a", "b")])
     rows: List[InputSensitivityRow] = []
     for base in pairs:
         profile_a = engine.profile(f"{base}_a")
@@ -195,7 +193,6 @@ def run_predictor_family(
     from ..workloads.build import build_workload
     from ..workloads.suite import get_benchmark
 
-    engine.prefetch(benchmarks)
     results: Dict[str, Dict[str, float]] = {}
     for name in benchmarks:
         trace = engine.trace(name)
@@ -261,7 +258,6 @@ def run_hash_baseline(
     algorithms by analyzing ... branches") needs the profile, or whether a
     better blind hash suffices.
     """
-    engine.prefetch(benchmarks)
     rows: List[HashBaselineRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -309,7 +305,6 @@ def run_history_sweep(
 
     if threshold is None:
         threshold = DEFAULT_THRESHOLD
-    engine.prefetch(benchmarks)
     rows: List[HistorySweepRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)
@@ -382,7 +377,6 @@ def run_clique_definition_ablation(
 
     if threshold is None:
         threshold = DEFAULT_THRESHOLD
-    engine.prefetch(benchmarks)
     rows: List[CliqueDefinitionRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -469,7 +463,6 @@ def run_alignment_ablation(
         from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 
         threshold = DEFAULT_THRESHOLD
-    engine.prefetch(benchmarks)
     rows: List[AlignmentRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)

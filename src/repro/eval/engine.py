@@ -28,7 +28,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkpoint import RunJournal
 from ..errors import (
@@ -44,12 +44,11 @@ from ..pipeline.bus import PipelineStats
 from ..profiling.profile import InterleaveProfile
 from ..sim.api import get_backend
 from ..trace.events import BranchTrace
-from ..workloads.registry import members
 from . import interrupt
 # perfbench/spans.py wraps artifact_digest (unused here), compute_job_digest,
 # _execute_job, ArtifactStore and WorkerHandle where it finds them: here.
 from .digest import DigestMemo, JobSpec, artifact_digest, compute_job_digest
-from .shards import ShardSpec, shard_names
+from .shards import ShardSpec
 from .store import ArtifactStore, RunArtifacts
 from .worker import (
     DRAIN_KILL_GRACE,
@@ -366,9 +365,9 @@ class ExecutionEngine:
                 journaled, in-flight jobs checkpointed, and rerunning
                 the same pass continues from here.
         """
-        # Sharding is applied by the selection layer (shard_subset at
-        # the experiment/CLI call sites), exactly once — re-partitioning
-        # an already-filtered subset here would silently shrink it.
+        # Names arrive already sharded (experiments.select_benchmarks
+        # decides an experiment's list once); re-partitioning a filtered
+        # subset here would silently shrink it.
         wanted = list(dict.fromkeys(names))
         missing = [
             n for n in wanted
@@ -778,38 +777,3 @@ class ExecutionEngine:
             + rerun.checkpoints_written,
             resumed=result.resumed or rerun.resumed,
         )
-
-
-def experiment_benchmarks(
-    engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]],
-    default_set: str,
-) -> List[str]:
-    """The benchmarks a table or figure analyses, already materialised.
-
-    An explicit *benchmarks* list is used as given; otherwise the
-    registry's *default_set*, restricted to the slice a sharded
-    *engine* owns.  Every name is prefetched in one pass and the ones
-    that failed are dropped.
-    """
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        names = shard_subset(engine, members(default_set))
-    return list(engine.prefetch(names))
-
-
-def shard_subset(engine: ExecutionEngine, names: Iterable[str]) -> List[str]:
-    """Restrict *names* to the slice *engine*'s shard owns.
-
-    Unsharded engines keep every name.  Experiment code calls this
-    before :meth:`ExecutionEngine.prefetch` so a sharded host analyses
-    only the benchmarks it actually simulated, instead of lazily
-    materialising its neighbours' slices in-process.
-    """
-    wanted = list(dict.fromkeys(names))
-    shard = engine.shard
-    if shard is None or shard.total == 1:
-        return wanted
-    return list(shard_names(wanted, shard, engine.scale))
-

@@ -15,7 +15,7 @@ history).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator
@@ -24,7 +24,7 @@ from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
 from ..predictors.twolevel import InterferenceFreePAg, PAgPredictor
-from .engine import ExecutionEngine, experiment_benchmarks
+from .engine import ExecutionEngine
 from .report import render_table
 
 HISTORY_BITS = 12        # 4096-entry PHT
@@ -54,13 +54,13 @@ class FigureRow:
 
 def _figure_rows(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]],
+    benchmarks: Sequence[str],
     classified: bool,
     threshold: int,
     sizes: Sequence[int],
 ) -> List[FigureRow]:
     rows: List[FigureRow] = []
-    for name in experiment_benchmarks(engine, benchmarks, "figures"):
+    for name in benchmarks:
         artifacts = engine.artifacts(name)
         trace, profile = artifacts.trace, artifacts.profile
         if classified:
@@ -114,7 +114,7 @@ def _figure_rows(
 
 def run_figure3(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: int = DEFAULT_THRESHOLD,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:
@@ -126,7 +126,7 @@ def run_figure3(
 
 def run_figure4(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: int = DEFAULT_THRESHOLD,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:

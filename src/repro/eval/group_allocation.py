@@ -103,7 +103,6 @@ def run_group_ablation(
     history_bits: int = 12,
 ) -> List[GroupAblationRow]:
     """Compare per-branch vs group-level allocation on prediction accuracy."""
-    engine.prefetch(benchmarks)
     rows: List[GroupAblationRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)

@@ -48,15 +48,9 @@ from ..static_analysis.estimator import (
 )
 from ..static_analysis.heuristics import predict_branches
 from ..workloads.build import build_workload
-from ..workloads.registry import members
 from ..workloads.suite import get_benchmark
-from .engine import ExecutionEngine, shard_subset
+from .engine import ExecutionEngine
 from .report import render_table
-
-#: Benchmarks covered by default (the acceptance floor is six).
-DEFAULT_BENCHMARKS = (
-    "compress", "gcc", "ijpeg", "li", "chess", "python", "tex",
-)
 
 DEFAULT_BHT_SIZE = 128
 
@@ -99,7 +93,7 @@ class StaticCompareRow:
 
 def run_static_compare(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     bht_size: int = DEFAULT_BHT_SIZE,
     threshold: Optional[int] = None,
 ) -> List[StaticCompareRow]:
@@ -107,20 +101,17 @@ def run_static_compare(
 
     Args:
         engine: supplies the profiled ground truth.
-        benchmarks: analogs to cover (None = DEFAULT_BENCHMARKS,
-            restricted to a sharded engine's slice).
+        benchmarks: analogs to cover.
         bht_size: BHT entries both allocations must fit into.
         threshold: edge-pruning threshold for both graphs.  Defaults to
             :func:`~repro.analysis.conflict_graph.auto_threshold` of the
             engine's scale, so the comparison stays meaningful on the
             short traces of downscaled runs.
     """
-    if benchmarks is None:
-        benchmarks = shard_subset(engine, DEFAULT_BENCHMARKS)
     if threshold is None:
         threshold = auto_threshold(engine.scale)
     rows: List[StaticCompareRow] = []
-    for name in engine.prefetch(benchmarks):
+    for name in benchmarks:
         # the static path: build only, never simulate
         built = build_workload(get_benchmark(name, scale=engine.scale))
         static_graph = estimate_conflict_graph(
@@ -328,7 +319,7 @@ def _edge_set(graph: ConflictGraph) -> Set[Tuple[int, int]]:
 
 def run_verify_static(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: Optional[int] = None,
 ) -> List[VerifyStaticRow]:
     """Score the static analyses against measured profiles.
@@ -341,16 +332,14 @@ def run_verify_static(
 
     Args:
         engine: supplies the profiled ground truth.
-        benchmarks: analogs to cover (None = the registry's ``all`` set).
+        benchmarks: analogs to cover.
         threshold: edge threshold for both graphs (None = the
             ``auto_threshold`` of the engine's scale).
     """
-    if benchmarks is None:
-        benchmarks = shard_subset(engine, members("all"))
     if threshold is None:
         threshold = auto_threshold(engine.scale)
     rows: List[VerifyStaticRow] = []
-    for name in engine.prefetch(benchmarks):
+    for name in benchmarks:
         built = build_workload(get_benchmark(name, scale=engine.scale))
         estimate = StaticConflictEstimator(
             threshold=threshold

@@ -1,7 +1,8 @@
 """Table experiments (paper Tables 1–4).
 
 Each ``run_tableN`` function regenerates the corresponding paper table over
-the analog suite, returning typed rows plus helpers for rendering.  Absolute
+exactly the benchmarks it is given (the experiment registry decides
+which), returning typed rows plus helpers for rendering.  Absolute
 values live in a different regime than the paper's 500M-instruction SPEC
 runs; EXPERIMENTS.md records the per-claim qualitative comparison.
 """
@@ -9,7 +10,7 @@ runs; EXPERIMENTS.md records the per-claim qualitative comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator, RESERVED_ENTRIES
@@ -19,7 +20,7 @@ from ..analysis.conflict_graph import DEFAULT_THRESHOLD
 from ..analysis.metrics import working_set_metrics
 from ..trace.stats import summarize_trace
 from ..workloads.suite import benchmark_suite
-from .engine import ExecutionEngine, experiment_benchmarks
+from .engine import ExecutionEngine
 from .report import render_table
 
 
@@ -41,14 +42,13 @@ class Table1Row:
 
 def run_table1(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     coverage: float = 0.999,
 ) -> List[Table1Row]:
     """Regenerate Table 1: trace sizes and the frequency-cutoff coverage."""
-    names = experiment_benchmarks(engine, benchmarks, "table2")
     suite = benchmark_suite(engine.scale)
     rows: List[Table1Row] = []
-    for name in names:
+    for name in benchmarks:
         artifacts = engine.artifacts(name)
         summary = summarize_trace(artifacts.trace, coverage=coverage)
         spec = suite.get(name) or suite.get(f"{name}_a")
@@ -116,13 +116,12 @@ class Table2Row:
 
 def run_table2(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: int = DEFAULT_THRESHOLD,
 ) -> List[Table2Row]:
     """Regenerate Table 2: the branch working set statistics."""
-    names = experiment_benchmarks(engine, benchmarks, "table2")
     rows: List[Table2Row] = []
-    for name in names:
+    for name in benchmarks:
         profile = engine.profile(name)
         metrics = working_set_metrics(profile, threshold=threshold)
         rows.append(
@@ -181,14 +180,13 @@ class SizingRow:
 
 def run_table3(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: int = DEFAULT_THRESHOLD,
     baseline_bht: int = BASELINE_BHT,
 ) -> List[SizingRow]:
     """Regenerate Table 3: minimal BHT size for plain branch allocation."""
-    names = experiment_benchmarks(engine, benchmarks, "table34")
     rows: List[SizingRow] = []
-    for name in names:
+    for name in benchmarks:
         profile = engine.profile(name)
         allocator = BranchAllocator(profile, threshold=threshold)
         baseline = conventional_cost(allocator.graph, baseline_bht)
@@ -207,7 +205,7 @@ def run_table3(
 
 def run_table4(
     engine: ExecutionEngine,
-    benchmarks: Optional[Sequence[str]] = None,
+    benchmarks: Sequence[str],
     threshold: int = DEFAULT_THRESHOLD,
     baseline_bht: int = BASELINE_BHT,
 ) -> List[SizingRow]:
@@ -218,9 +216,8 @@ def run_table4(
     the classified allocator's cost is measured on its filtered graph, per
     the paper's premise that same-class biased conflicts are harmless.
     """
-    names = experiment_benchmarks(engine, benchmarks, "table34")
     rows: List[SizingRow] = []
-    for name in names:
+    for name in benchmarks:
         profile = engine.profile(name)
         plain = BranchAllocator(profile, threshold=threshold)
         baseline = conventional_cost(plain.graph, baseline_bht)

@@ -124,6 +124,15 @@ Version history:
   ``serve`` daemon's ``pipeline`` frames drop ``truncated``, and a
   ``submit`` frame whose ``trace_limit`` is present and not null is
   rejected with a typed error.  Every other key is unchanged.
+* **15** — every typed failure of ``experiment`` emits the envelope
+  (exit 1): its results' ``degraded`` object is renamed ``error`` and is
+  now present for any error code (``claims_not_met``,
+  ``suite_interrupted``, ...), not only ``suite_degraded``.
+  ``verify-static`` emits the same ``{error, failures, engine}`` results
+  when every benchmark failed, and its params' ``benchmarks`` is the
+  resolved list (the whole ``all`` set when no selection is given)
+  instead of ``[]``; its results gain ``note``, the "shard owns no
+  benchmarks" message or null.  Every other key is unchanged.
 """
 
 from __future__ import annotations
@@ -132,7 +141,7 @@ import json
 from typing import Any, Dict
 
 #: Bump on backwards-incompatible envelope/payload changes.
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 
 def envelope(

@@ -431,6 +431,43 @@ def test_verify_static_runs_at_the_sets_scale(capsys):
     ]
 
 
+def test_verify_static_reports_the_resolved_list(capsys):
+    """With no selection, params name the whole `all` set (before the
+    shard); the rows cover this host's slice of it, and a shard that owns
+    none of the list says so in `note`."""
+    from repro.eval.shards import ShardSpec, shard_names
+    from repro.workloads.registry import members
+
+    assert main(["verify-static", "--shard", "15/15", "--scale", "0.05",
+                 "--threshold", "5", "--json"]) == 0
+    document = _json_out(capsys, "verify-static")
+    assert document["params"]["benchmarks"] == list(members("all"))
+    assert [row["benchmark"] for row in document["results"]["rows"]] == list(
+        shard_names(members("all"), ShardSpec(15, 15), 0.05)
+    )
+    assert document["results"]["note"] is None
+    # more shards than names: this host owns none, and says so
+    assert main(["verify-static", "plot", "--shard", "2/2", "--scale",
+                 "0.05", "--json"]) == 0
+    document = _json_out(capsys, "verify-static")
+    assert document["params"]["benchmarks"] == ["plot"]
+    assert document["results"]["rows"] == []
+    assert "owns no benchmarks" in document["results"]["note"]
+
+
+def test_experiment_json_envelope_on_a_typed_failure(capsys):
+    """A typed error other than suite_degraded still emits the envelope."""
+    assert main(["experiment", "claims", "--scale", "0.05", "--json"]) == 1
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)
+    assert document["command"] == "experiment"
+    results = document["results"]
+    assert results["id"] == "claims"
+    assert results["error"]["code"] == "claims_not_met"
+    assert results["engine"]["simulated"] == 0
+    assert "claims_not_met" in captured.err
+
+
 def test_verify_static_unknown_benchmark(capsys):
     assert main(["verify-static", "doom", "--scale", "0.05"]) == 2
     assert "unknown benchmark 'doom'" in capsys.readouterr().err

@@ -117,3 +117,13 @@ def test_static_compare_rows(engine):
             assert row.ratio is None
     text = format_static_compare(rows)
     assert "static/prof" in text and "compress" in text
+
+
+def test_empty_benchmark_list_analyses_nothing():
+    """An explicit empty list is not "no list": nothing is simulated."""
+    from repro.eval.engine import ExecutionEngine
+
+    engine = ExecutionEngine(scale=0.05)
+    text = run_experiment("table2", engine, [])
+    assert "Table 2" in text
+    assert engine.stats.job_source == {}

@@ -388,5 +388,5 @@ def test_cli_experiment_exits_nonzero_only_when_all_fail(
     ])
     assert code == 1
     results = json.loads(out)["results"]
-    assert results["degraded"]["code"] == "suite_degraded"
+    assert results["error"]["code"] == "suite_degraded"
     assert {f["benchmark"] for f in results["failures"]} == {"plot", "pgp"}

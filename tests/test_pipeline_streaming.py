@@ -207,8 +207,8 @@ def test_version_flag_reports_schema_v9(capsys):
     out = capsys.readouterr().out
     assert __version__ in out
     assert f"schema {SCHEMA_VERSION}" in out
-    assert SCHEMA_VERSION == 14
-    assert envelope("x", {}, {})["schema_version"] == 14
+    assert SCHEMA_VERSION == 15
+    assert envelope("x", {}, {})["schema_version"] == 15
 
 
 def test_engine_envelope_carries_pipeline_counters(engine):

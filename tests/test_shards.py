@@ -16,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.errors import SelectionError, ShardConflict
+from repro.errors import ClaimsNotMet, SelectionError, ShardConflict
+from repro.eval import figures, tables
+from repro.eval.claims import ROW_SETS
+from repro.eval.engine import ExecutionEngine
+from repro.eval.experiments import run_experiment
 from repro.eval.shards import (
     MergeReport,
     ShardSpec,
@@ -27,6 +31,7 @@ from repro.eval.shards import (
 from repro.workloads.registry import (
     estimated_cost,
     known_benchmarks,
+    members,
     resolve_selection,
 )
 
@@ -360,3 +365,63 @@ def test_cli_merge_shards_conflict_exits_one(tmp_path, capsys):
 def test_cli_shard_flag_rejects_malformed(capsys):
     assert main(["experiment", "--set", "unix", "--shard", "2"]) == 2
     assert "K/N" in capsys.readouterr().err
+
+
+# -- sharded experiments: one slice, decided once -----------------------------
+
+
+def _table_rows(output):
+    """The body rows of a rendered table, whitespace-normalised (column
+    widths follow the widest cell, so they differ between slices)."""
+    lines = output.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("-"))
+    return [" ".join(line.split()) for line in lines[start + 1:]
+            if line.strip()]
+
+
+def test_sharded_table2_rows_partition_the_unsharded_table(tmp_path, capsys):
+    """`experiment table2 --shard K/2` renders disjoint rows whose union
+    is the unsharded table."""
+    base = ["experiment", "table2", "--set", "smoke", "--scale", "0.05",
+            "--cache", str(tmp_path / "store"), "--json"]
+    tables = []
+    for shard in ([], ["--shard", "1/2"], ["--shard", "2/2"]):
+        assert main(base + shard) == 0
+        output = json.loads(capsys.readouterr().out)["results"]["output"]
+        tables.append(_table_rows(output))
+    whole, first, second = tables
+    assert first and second
+    assert not set(first) & set(second)
+    assert sorted(first + second) == sorted(whole)
+    assert len(whole) == len(resolve_selection("smoke").names)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_sharded_claims_hands_runners_only_its_slice(index, monkeypatch):
+    """Each claims runner analyses its set's share of the host's slice of
+    `all`, never a slice of its own set (an LPT partition of a subset is
+    not the subset of the partition)."""
+    received = {}
+
+    def recorder(key):
+        def run(engine, benchmarks, **kwargs):
+            received[key] = benchmarks
+            return []
+        return run
+
+    for module, key in ((tables, "table2"), (tables, "table3"),
+                        (tables, "table4"), (figures, "figure3"),
+                        (figures, "figure4")):
+        monkeypatch.setattr(module, f"run_{key}", recorder(key))
+    # nothing simulates at scale 1.0: every prefetched name "survives"
+    monkeypatch.setattr(ExecutionEngine, "prefetch",
+                        lambda self, names: dict.fromkeys(names))
+    engine = ExecutionEngine(scale=1.0, shard=f"{index}/2")
+    with pytest.raises(ClaimsNotMet, match="no row for"):
+        run_experiment("claims", engine)
+    local = shard_names(members("all"), ShardSpec(index, 2), 1.0)
+    assert set(received) == set(ROW_SETS)
+    for key, set_name in ROW_SETS.items():
+        assert received[key] == [
+            name for name in members(set_name) if name in local
+        ]

@@ -448,7 +448,7 @@ def test_supervise_cli_emits_v9_envelope(tmp_path, capsys):
     )
     assert rc == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == 14
+    assert document["schema_version"] == 15
     assert document["command"] == "supervise"
     assert document["params"]["workers"] == 2
     results = document["results"]
