@@ -5,6 +5,7 @@ export PYTHONPATH := src
 SMOKE_CACHE := .smoke-cache
 SMOKE_ARGS  := experiment table2 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
 SMOKE_JSON  := .smoke-envelope.json
+SMOKE_FIGURE_ARGS := experiment figure3 --scale 0.05 --jobs 2 --cache $(SMOKE_CACHE)
 SUPERVISED_CACHE := $(SMOKE_CACHE)/supervised
 SUPERVISED_ARGS  := supervise --benchmarks plot --workers 1 --scale 0.05 \
                     --cache $(SUPERVISED_CACHE)
@@ -52,10 +53,11 @@ faults:
 ## under `supervise`, its store entry is deleted (the journal still says
 ## completed), and a rerun whose only worker is killed mid-simulation
 ## must restart it once, report plot completed and leave its entry.
-## Last, `faults --kill plot` at the default cadence must kill plot's
+## Then `faults --kill plot` at the default cadence must kill plot's
 ## worker past its first checkpoint (plot@0.05 runs ~46k branch events,
 ## the default kill point is 1.5x the cadence) and the retry must
-## resume from it.
+## resume from it.  Last, figure3 runs twice: the rerun must simulate
+## nothing and replay no predictor (every result is a stored record).
 smoke:
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 	@echo "== cold: simulating into $(SMOKE_CACHE) =="
@@ -104,6 +106,10 @@ smoke:
 	got = injected['resumed_from_checkpoint']; \
 	print(f'faults: resumed_from_checkpoint={got}'); \
 	sys.exit(0 if got >= 1 else 'smoke check failed: no resume')"
+	@echo "== figure: a rerun reads every predictor result from its record =="
+	$(PY) -m repro $(SMOKE_FIGURE_ARGS)
+	$(PY) -m repro $(SMOKE_FIGURE_ARGS) --json > $(SMOKE_JSON)
+	$(SMOKE_EXPECT) simulated=0 replayed_runs=0
 	rm -rf $(SMOKE_CACHE) $(SMOKE_JSON)
 
 bench:

@@ -226,54 +226,56 @@ def run_simulation(
         config.slice_instructions if config is not None else fuel
     )
     remaining = fuel - sim.executor.instruction_count
-    while not sim.state.halted and remaining > 0:
-        try:
-            sim.executor.run(min(slice_budget, remaining))
-        except FuelExhausted:
-            pass  # slice budget spent; the loop decides whether to go on
-        remaining = fuel - sim.executor.instruction_count
-        if fault_plan is not None:
-            fault_plan.on_events(benchmark, bus.stats.events, in_worker)
-        if progress is not None:
-            progress(bus.stats.events)
-        stopping = (
-            stop_check is not None
-            and not sim.state.halted
-            and remaining > 0
-            and stop_check()
-        )
-        if (
-            config is not None
-            and not sim.state.halted
-            and remaining > 0
-            and (
-                stopping
-                or bus.stats.events - last_checkpoint_events
-                >= config.every_events
+    try:
+        while not sim.state.halted and remaining > 0:
+            try:
+                sim.executor.run(min(slice_budget, remaining))
+            except FuelExhausted:
+                pass  # slice budget spent; the loop decides whether to go on
+            remaining = fuel - sim.executor.instruction_count
+            if fault_plan is not None:
+                fault_plan.on_events(benchmark, bus.stats.events, in_worker)
+            if progress is not None:
+                progress(bus.stats.events)
+            stopping = (
+                stop_check is not None
+                and not sim.state.halted
+                and remaining > 0
+                and stop_check()
             )
-        ):
-            # the log append is durable before the checkpoint naming
-            # its new length commits; a kill in between leaves a tail
-            # the next restore truncates
-            log.append(sealed_blocks(bus, log.blocks))
-            payload = {
-                "sim": snapshot_simulator(sim),
-                "bus": snapshot_bus(bus),
-            }
-            meta: Dict[str, object] = {
-                "benchmark": benchmark,
-                "events": bus.stats.events,
-                "instructions": sim.executor.instruction_count,
-                **log.position(),
-            }
-            config.store.put(config.stem, next_seq, payload, meta)
-            next_seq += 1
-            outcome.checkpoints_written += 1
-            last_checkpoint_events = bus.stats.events
-        if stopping:
-            outcome.interrupted = True
-            break
-
+            if (
+                config is not None
+                and not sim.state.halted
+                and remaining > 0
+                and (
+                    stopping
+                    or bus.stats.events - last_checkpoint_events
+                    >= config.every_events
+                )
+            ):
+                # the log append is durable before the checkpoint naming
+                # its new length commits; a kill in between leaves a tail
+                # the next restore truncates
+                log.append(sealed_blocks(bus, log.blocks))
+                payload = {
+                    "sim": snapshot_simulator(sim),
+                    "bus": snapshot_bus(bus),
+                }
+                meta: Dict[str, object] = {
+                    "benchmark": benchmark,
+                    "events": bus.stats.events,
+                    "instructions": sim.executor.instruction_count,
+                    **log.position(),
+                }
+                config.store.put(config.stem, next_seq, payload, meta)
+                next_seq += 1
+                outcome.checkpoints_written += 1
+                last_checkpoint_events = bus.stats.events
+            if stopping:
+                outcome.interrupted = True
+                break
+    finally:
+        sim.executor.flush()  # once per job, not once per slice
     outcome.result = _run_result(sim)
     return outcome
 

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..workloads.build import BuiltWorkload, build_workload
 from ..workloads.suite import get_benchmark
@@ -118,6 +118,24 @@ def digest_sources() -> List[Path]:
     return sorted(set(files))
 
 
+def hash_sources(version: str, files: Sequence[Path]) -> str:
+    """sha256 over *version*, the Python and numpy versions and the bytes
+    of *files* (each named by its path below the ``repro`` package)."""
+    import numpy
+
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for part in (version, sys.version, numpy.__version__):
+        hasher.update(part.encode("utf-8"))
+        hasher.update(b"\x00")
+    for path in files:
+        hasher.update(path.relative_to(root).as_posix().encode("utf-8"))
+        hasher.update(b"\x00")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def digest_source_key() -> str:
     """sha256 over everything a job's digest is a function of besides its spec.
@@ -126,19 +144,7 @@ def digest_source_key() -> str:
     workload inputs come from ``numpy.random.default_rng``) and the bytes
     of :func:`digest_sources`.  Computed once per process.
     """
-    import numpy
-
-    root = Path(__file__).resolve().parent.parent
-    hasher = hashlib.sha256()
-    for part in (f"v{DIGEST_VERSION}", sys.version, numpy.__version__):
-        hasher.update(part.encode("utf-8"))
-        hasher.update(b"\x00")
-    for path in digest_sources():
-        hasher.update(path.relative_to(root).as_posix().encode("utf-8"))
-        hasher.update(b"\x00")
-        hasher.update(path.read_bytes())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    return hash_sources(f"v{DIGEST_VERSION}", digest_sources())
 
 
 class DigestMemo:

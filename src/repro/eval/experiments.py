@@ -46,6 +46,9 @@ class Experiment:
             :func:`select_benchmarks` chose, and returns rendered text.
         benchmarks: the experiment's declared list: a registry set, or a
             hand-picked subset sized for one ablation's runtime budget.
+        group: names the unit a benchmark is analysed in (e.g. its input
+            variant pair); a shard owns whole units.  None: each
+            benchmark is its own unit.
     """
 
     id: str
@@ -53,6 +56,7 @@ class Experiment:
     description: str
     run: Callable[[ExecutionEngine, Sequence[str]], str]
     benchmarks: Tuple[str, ...] = ()
+    group: Optional[Callable[[str], str]] = None
 
 
 def _rendered(run: Callable, render: Callable, *title: str) -> Callable:
@@ -71,6 +75,11 @@ def _claims(engine: ExecutionEngine, benchmarks: Sequence[str]) -> str:
         for key, run in runs.items()}))
 
 
+def _variant_base(name: str) -> str:
+    """The benchmark an input variant belongs to (``perl_a`` -> ``perl``)."""
+    return name.rsplit("_", 1)[0]
+
+
 def _ablation_inputs(
     engine: ExecutionEngine, benchmarks: Sequence[str]
 ) -> str:
@@ -78,9 +87,7 @@ def _ablation_inputs(
     survivors = set(benchmarks)
     pairs = [
         base
-        for base in dict.fromkeys(
-            name.rsplit("_", 1)[0] for name in benchmarks
-        )
+        for base in dict.fromkeys(map(_variant_base, benchmarks))
         if f"{base}_a" in survivors and f"{base}_b" in survivors
     ]
     if not pairs:
@@ -157,7 +164,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    ("compress", "gcc", "python")),
         Experiment("ablation_inputs", "§5.2",
                    "profile input sensitivity + cumulative merge",
-                   _ablation_inputs, members("variants")),
+                   _ablation_inputs, members("variants"), _variant_base),
         Experiment("ablation_predictors", "context",
                    "predictor family comparison",
                    _rendered(ablations.run_predictor_family,
@@ -234,22 +241,30 @@ def select_benchmarks(
     engine: ExecutionEngine,
     label: str,
     names: Sequence[str],
+    group: Optional[Callable[[str], str]] = None,
     **context: Any,
 ) -> Survivors:
     """Decide which of *names* this host analyses, and materialise them.
 
     *names* is an experiment's declared list or the caller's override
     (an empty list analyses nothing).  The engine's shard keeps the
-    slice of *names* it owns; that slice is prefetched in one parallel pass and the benchmarks whose
-    jobs kept failing are dropped.  A shard that owns none of a
-    non-empty list gets a note instead: its neighbours have it covered.
+    slice of *names* it owns (whole *group* units, each placed by its
+    first member); that slice is prefetched in one parallel pass and
+    the benchmarks whose jobs kept failing are dropped.  A shard that
+    owns none of a non-empty list gets a note instead: its neighbours
+    have it covered.
 
     Raises:
         SuiteDegraded: when every benchmark of the slice failed;
             *context* (e.g. ``experiment=...``) joins the error's.
     """
     wanted = list(dict.fromkeys(names))
-    local = list(shard_names(wanted, engine.shard, engine.scale))
+    unit = group or (lambda name: name)
+    leaders: Dict[str, str] = {}
+    for name in wanted:
+        leaders.setdefault(unit(name), name)
+    owned = set(shard_names(list(leaders.values()), engine.shard, engine.scale))
+    local = [name for name in wanted if leaders[unit(name)] in owned]
     if wanted and not local:
         return Survivors([], {}, (
             f"(shard {engine.shard} owns no benchmarks of {label}; "
@@ -308,6 +323,7 @@ def run_experiment(
     chosen = select_benchmarks(
         engine, experiment_id,
         experiment.benchmarks if benchmarks is None else benchmarks,
+        experiment.group,
         experiment=experiment_id,
     )
     if chosen.note:

@@ -10,10 +10,18 @@ benchmark:
 Figure 3 uses the plain allocator; Figure 4 the classification-enhanced
 allocator.  All predictors share the 4096-entry PHT geometry (12-bit local
 history).
+
+Each predictor's result over a stored trace is recorded beside the
+entry (:func:`~repro.eval.store.replay_predictors`), so the two figures
+replay the conventional and interference-free PAgs once between them,
+and a rerun replays nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -21,11 +29,11 @@ from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator
 from ..allocation.conflict_cost import BASELINE_BHT
 from ..analysis.conflict_graph import DEFAULT_THRESHOLD
-from ..pipeline.bus import BranchEventBus
-from ..pipeline.consumers import PredictorConsumer
+from ..predictors.indexing import StaticIndexMap
 from ..predictors.twolevel import InterferenceFreePAg, PAgPredictor
 from .engine import ExecutionEngine
 from .report import render_table
+from .store import replay_predictors
 
 HISTORY_BITS = 12        # 4096-entry PHT
 ALLOCATED_SIZES = (16, 128, 1024)
@@ -52,6 +60,21 @@ class FigureRow:
         return 1.0 - self.allocated[BASELINE_BHT] / self.conventional
 
 
+def _map_identity(index_map: StaticIndexMap) -> str:
+    """The record identity of an allocated PAg: its geometry and a sha256
+    of its index map (the PC -> entry pairs and the fallback index)."""
+    fallback = index_map.fallback
+    text = json.dumps(
+        [sorted(index_map.assignment.items()),
+         type(fallback).__name__, vars(fallback)],
+        sort_keys=True,
+    )
+    return (
+        f"pag:allocated:bht={index_map.size}:history={HISTORY_BITS}:"
+        f"map={hashlib.sha256(text.encode('ascii')).hexdigest()}"
+    )
+
+
 def _figure_rows(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
@@ -62,51 +85,49 @@ def _figure_rows(
     rows: List[FigureRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)
-        trace, profile = artifacts.trace, artifacts.profile
+        profile = artifacts.profile
         if classified:
             allocator = ClassifiedBranchAllocator(profile, threshold=threshold)
         else:
             allocator = BranchAllocator(profile, threshold=threshold)
-        # one chunked pass: the whole predictor bank rides the bus
-        # together instead of replaying the trace once per predictor
-        # (explicit consumer names — the bank repeats the PAg label)
-        bank = [
-            PredictorConsumer(
-                PAgPredictor.allocated(
-                    allocator.allocate(size).index_map(), HISTORY_BITS
+        bank = {}
+        for size in sizes:
+            index_map = allocator.allocate(size).index_map()
+            bank[f"alloc@{size}"] = (
+                _map_identity(index_map),
+                functools.partial(
+                    PAgPredictor.allocated, index_map, HISTORY_BITS
                 ),
-                label=name,
-                track_per_branch=False,
-                name=f"predict:alloc@{size}",
             )
-            for size in sizes
-        ]
-        conventional = PredictorConsumer(
-            PAgPredictor.conventional(BASELINE_BHT, HISTORY_BITS),
-            label=name,
-            track_per_branch=False,
-            name="predict:conventional",
+        bank["conventional"] = (
+            f"pag:conventional:bht={BASELINE_BHT}:history={HISTORY_BITS}",
+            functools.partial(
+                PAgPredictor.conventional, BASELINE_BHT, HISTORY_BITS
+            ),
         )
-        infinite = PredictorConsumer(
-            InterferenceFreePAg(HISTORY_BITS),
-            label=name,
-            track_per_branch=False,
-            name="predict:interference-free",
+        bank["interference-free"] = (
+            f"pag:interference-free:history={HISTORY_BITS}",
+            functools.partial(InterferenceFreePAg, HISTORY_BITS),
         )
-        stats = BranchEventBus.replay(
-            trace, [*bank, conventional, infinite]
+        # the predictors with no record ride one chunked pass together
+        results, stats = replay_predictors(
+            engine.store, engine.job(name), engine.digest(name), bank,
+            lambda: artifacts.trace,
         )
-        engine.stats.replayed_runs += 1
-        engine.stats.pipeline.merge(stats)
+        if stats is not None:
+            engine.stats.replayed_runs += 1
+            engine.stats.pipeline.merge(stats)
         rows.append(
             FigureRow(
                 benchmark=name,
                 allocated={
-                    size: consumer.result.misprediction_rate
-                    for size, consumer in zip(sizes, bank)
+                    size: results[f"alloc@{size}"].misprediction_rate
+                    for size in sizes
                 },
-                conventional=conventional.result.misprediction_rate,
-                interference_free=infinite.result.misprediction_rate,
+                conventional=results["conventional"].misprediction_rate,
+                interference_free=results[
+                    "interference-free"
+                ].misprediction_rate,
             )
         )
     return rows

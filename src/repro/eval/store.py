@@ -5,28 +5,65 @@ job's content digest (:mod:`repro.eval.digest`).  Store writes are
 atomic (tmp + ``os.replace``) and loads are verified: a corrupt entry
 is quarantined under ``<root>/quarantine/`` and costs a resimulation,
 never a crash.
+
+Beside each entry the store keeps *prediction records*: the result of
+replaying one predictor over the entry's trace, so that result is
+computed once (:func:`replay_predictors`).
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..checkpoint import prune_directory
 from ..errors import ArtifactCorrupt
+from ..pipeline.bus import BranchEventBus, PipelineStats
+from ..pipeline.consumers import PredictorConsumer
+from ..predictors.base import BranchPredictor
+from ..predictors.simulator import PredictionStats
 from ..profiling.profile import PROFILE_COLUMNS, InterleaveProfile
 from ..trace.events import BranchTrace
 from ..trace.io import read_trace_archive, read_trace_meta, save_trace
-from .digest import DIGEST_VERSION, JobSpec
+from .digest import DIGEST_VERSION, JobSpec, hash_sources
 
 #: Bump when the on-disk layout of a store entry changes; an entry of any
 #: other format reads as corrupt (quarantined, resimulated).
 #: v2: the profile moved from ``.profile.json`` into the trace archive.
 STORE_FORMAT = 2
+
+#: subdirectory of the store root holding prediction records.
+PREDICTIONS_DIR = "predictions"
+
+#: Bump when the layout of a prediction record changes.
+PREDICTION_FORMAT = 1
+
+#: the code that decides a replay's result: the predictor kernels, the
+#: bus and its predictor consumer, and the daemon's spec-string parser.
+_PREDICTION_SOURCES = (
+    "predictors", "pipeline/bus.py", "pipeline/consumers.py",
+    "service/jobs.py",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def prediction_source_key() -> str:
+    """sha256 over everything a stored replay result is a function of
+    besides the trace and the predictor's identity (computed once per
+    process).  Editing a predictor kernel misses every record."""
+    root = Path(__file__).resolve().parent.parent
+    files: List[Path] = []
+    for name in _PREDICTION_SOURCES:
+        path = root / name
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return hash_sources(f"p{PREDICTION_FORMAT}", files)
 
 
 @dataclass(frozen=True)
@@ -64,6 +101,13 @@ class ArtifactStore:
     image, hence the digest, hence the filename — stale artifacts simply
     stop being found.
 
+    A replayed predictor's result is kept beside its entry, one small
+    JSON record per (entry, predictor)::
+
+        <root>/predictions/compress-s1-3f9a2c41d06b17e8.5be0c2a17d9e4f31.json
+
+    (:meth:`prediction`, :meth:`put_prediction`).
+
     Robustness guarantees:
 
     * :meth:`put` stages both files in a temp directory and commits each
@@ -75,6 +119,12 @@ class ArtifactStore:
       :class:`~repro.errors.ArtifactCorrupt` cache miss: the bad files
       are moved to ``<root>/quarantine/`` (for post-mortem) and the
       caller resimulates;
+    * a prediction record embeds the entry's digest, the predictor's
+      identity, :func:`prediction_source_key` and a sha256 of its body;
+      a record that disagrees with any of them reads as a miss.
+      Callers trust a record only once its entry passed :meth:`verify`
+      or :meth:`load`, and :meth:`quarantine` moves the entry's records
+      with it;
     * :meth:`try_claim` takes an advisory per-digest claim file
       (``O_CREAT|O_EXCL``) before simulating, so two engines (or daemon
       workers) sharing one store never both miss and duplicate the same
@@ -260,10 +310,12 @@ class ArtifactStore:
         reader of the same entry; it is skipped, never an error.
         """
         quarantine_root = self.root / self.QUARANTINE_DIR
+        stem = self.stem(spec, digest)
         # an entry of the previous store format also had a profile sidecar
-        legacy = self.root / f"{self.stem(spec, digest)}.profile.json"
+        legacy = self.root / f"{stem}.profile.json"
+        records = sorted((self.root / PREDICTIONS_DIR).glob(f"{stem}.*.json"))
         moved = []
-        for path in (*self.paths(spec, digest), legacy):
+        for path in (*self.paths(spec, digest), legacy, *records):
             target = quarantine_root / path.name
             try:
                 quarantine_root.mkdir(parents=True, exist_ok=True)
@@ -283,6 +335,95 @@ class ArtifactStore:
         )
         self.corrupt_events.append(error)
         return error
+
+    # -- prediction records -------------------------------------------------
+
+    def prediction_path(
+        self, spec: JobSpec, digest: str, predictor: str
+    ) -> Path:
+        """The record of one predictor's replay over one entry."""
+        key = hashlib.sha256(predictor.encode("utf-8")).hexdigest()
+        return (
+            self.root / PREDICTIONS_DIR
+            / f"{self.stem(spec, digest)}.{key[: self.DIGEST_CHARS]}.json"
+        )
+
+    @staticmethod
+    def _prediction_record(
+        digest: str, predictor: str, branches: int, mispredictions: int
+    ) -> Dict:
+        body = {
+            "format": PREDICTION_FORMAT,
+            "digest": digest,
+            "source": prediction_source_key(),
+            "predictor": predictor,
+            # replays count every event: no warmup
+            "warmup": 0,
+            "branches": branches,
+            "mispredictions": mispredictions,
+        }
+        text = json.dumps(body, sort_keys=True).encode("utf-8")
+        return {**body, "sha256": hashlib.sha256(text).hexdigest()}
+
+    def prediction(
+        self, spec: JobSpec, digest: str, predictor: str
+    ) -> Optional[PredictionStats]:
+        """*predictor*'s stored result over the entry, or None.
+
+        A missing, unreadable, truncated, foreign or stale record (another
+        digest, predictor or :func:`prediction_source_key`) is a miss.
+        Trust it only once the entry itself passed :meth:`verify` or
+        :meth:`load`.
+        """
+        try:
+            record = json.loads(
+                self.prediction_path(spec, digest, predictor).read_bytes()
+            )
+            branches = record["branches"]
+            mispredictions = record["mispredictions"]
+            if (
+                type(branches) is int
+                and type(mispredictions) is int
+                and record == self._prediction_record(
+                    digest, predictor, branches, mispredictions
+                )
+            ):
+                return PredictionStats(
+                    predictor=predictor,
+                    trace=spec.name,
+                    branches=branches,
+                    mispredictions=mispredictions,
+                )
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # unreadable, truncated or foreign: a miss
+        return None
+
+    def put_prediction(
+        self,
+        spec: JobSpec,
+        digest: str,
+        predictor: str,
+        result: PredictionStats,
+    ) -> None:
+        """Record *predictor*'s result over the entry (tmp +
+        ``os.replace``); a failed write only costs a later replay."""
+        path = self.prediction_path(spec, digest, predictor)
+        # the daemon serves store hits from several threads
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        record = self._prediction_record(
+            digest, predictor, result.branches, result.mispredictions
+        )
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(record), encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
     def _read_meta(self, spec: JobSpec, digest: str) -> Dict:
         """Parse and check the commit record; raises on any defect."""
@@ -402,3 +543,56 @@ class ArtifactStore:
             for leftover in stage.glob("*"):
                 leftover.unlink()
             stage.rmdir()
+
+
+def replay_predictors(
+    store: Optional[ArtifactStore],
+    spec: JobSpec,
+    digest: str,
+    predictors: Mapping[str, Tuple[str, Callable[[], BranchPredictor]]],
+    load_trace: Callable[[], Optional[BranchTrace]],
+    fresh: bool = False,
+) -> Optional[Tuple[Dict[str, PredictionStats], Optional[PipelineStats]]]:
+    """Each predictor's result over the entry *digest*, replayed at most once.
+
+    *predictors* maps a name to ``(identity, factory)``: the identity
+    keys the record (it must name everything that decides the
+    predictor's behaviour) and the factory builds a fresh predictor.
+    Records answer first; the rest ride one bus replay over
+    ``load_trace()`` and are recorded.  With *fresh* (an entry a worker
+    has just written) every predictor replays and its record is
+    rewritten.  The caller must have verified or loaded the entry.
+
+    Returns ``(results by name, the replay's bus stats or None when
+    nothing replayed)``, or None when ``load_trace()`` finds the entry
+    gone.
+    """
+    results: Dict[str, PredictionStats] = {}
+    if store is not None and not fresh:
+        for name, (identity, _) in predictors.items():
+            stored = store.prediction(spec, digest, identity)
+            if stored is not None:
+                results[name] = stored
+    missing = [name for name in predictors if name not in results]
+    stats = None
+    if missing:
+        trace = load_trace()
+        if trace is None:
+            return None
+        bank = [
+            PredictorConsumer(
+                predictors[name][1](),
+                label=spec.name,
+                track_per_branch=False,
+                name=f"predict:{name}",
+            )
+            for name in missing
+        ]
+        stats = BranchEventBus.replay(trace, bank)
+        for name, consumer in zip(missing, bank):
+            results[name] = consumer.result
+            if store is not None:
+                store.put_prediction(
+                    spec, digest, predictors[name][0], consumer.result
+                )
+    return {name: results[name] for name in predictors}, stats

@@ -7,8 +7,9 @@ jobs; the daemon digests each job to its content address, dedupes
 in-flight work by that digest (backend-keyed, so superblock and interp
 jobs never alias), fans admitted jobs out over a bounded worker pool,
 and streams typed result frames back.  A job whose entry is already
-stored spawns no worker: the daemon loads it and replays the predictors
-off the event loop.
+stored spawns no worker: the daemon verifies the entry and answers its
+predictors from their stored records, replaying (off the event loop)
+only those with none.
 
 Robustness model (see ``docs/SERVICE.md``):
 
@@ -36,6 +37,7 @@ Robustness model (see ``docs/SERVICE.md``):
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import os
 import signal
@@ -56,7 +58,7 @@ from ..errors import (
 )
 from ..eval import interrupt
 from ..eval.digest import JobSpec, compute_job_digest
-from ..eval.store import ArtifactStore
+from ..eval.store import ArtifactStore, replay_predictors
 from ..eval.worker import (
     CHECKPOINT_SUBDIR,
     DRAIN_KILL_GRACE,
@@ -64,8 +66,6 @@ from ..eval.worker import (
     WorkerHandle,
     worker_error,
 )
-from ..pipeline.bus import BranchEventBus
-from ..pipeline.consumers import PredictorConsumer
 from ..sim.api import backend_names
 from ..workloads.build import BuiltWorkload
 from ..workloads.registry import resolve_benchmark
@@ -476,20 +476,21 @@ class AnalysisService:
         self, job: ServiceJob, result: Optional[JobResult]
     ) -> Optional[Tuple[JobResult, Optional[Dict[str, Any]]]]:
         """(result, predictions) of a stored job, or None when its entry
-        is gone: a full load and replay, or ``verify`` for a store hit
-        with no predictors.  A worker's *result* passes through
-        unchanged, and its digest names the entry (a recovered job's may
-        differ from the one its record was admitted under)."""
+        is gone.  A store hit is ``verify`` plus one record read per
+        predictor; a predictor with no record costs a load and a replay.
+        A worker's *result* passes through unchanged, its entry is
+        loaded and every predictor replayed (rewriting its record), and
+        its digest names the entry (a recovered job's may differ from
+        the one its record was admitted under)."""
         started = time.perf_counter()
         digest = job.digest if result is None else result.digest
         predictions = None
-        if job.predictors:
-            artifacts = self.store.load(job.spec, digest)
-            if artifacts is None:
-                return None
-            predictions = self._predict(job, artifacts)
-        elif not self.store.verify(job.spec, digest):
+        if result is None and not self.store.verify(job.spec, digest):
             return None
+        if job.predictors:
+            predictions = self._predict(job, digest, fresh=result is not None)
+            if predictions is None:
+                return None
         if result is None:
             # the artifacts are the durable state: drop a stale
             # checkpoint, exactly as a worker's store hit does
@@ -511,23 +512,35 @@ class AnalysisService:
             benchmark=job.spec.name,
         )
 
-    @staticmethod
-    def _predict(job: ServiceJob, artifacts) -> Dict[str, Any]:
-        """Replay *job*'s predictor bank over *artifacts*' trace."""
-        bank = [
-            PredictorConsumer(build_predictor(text), label=job.spec.name)
-            for text in job.predictors
-        ]
-        BranchEventBus.replay(artifacts.trace, bank)
+    def _predict(
+        self, job: ServiceJob, digest: str, fresh: bool
+    ) -> Optional[Dict[str, Any]]:
+        """*job*'s predictions over the entry *digest*, or None when the
+        entry is gone: stored records first, then one replay of the
+        rest (all of them when *fresh*)."""
+
+        def load_trace():
+            artifacts = self.store.load(job.spec, digest)
+            return None if artifacts is None else artifacts.trace
+
+        served = replay_predictors(
+            self.store, job.spec, digest,
+            {
+                text: (f"spec:{text}", functools.partial(build_predictor, text))
+                for text in job.predictors
+            },
+            load_trace,
+            fresh=fresh,
+        )
+        if served is None:
+            return None
         return {
             text: {
-                "branches": consumer.result.branches,
-                "mispredictions": consumer.result.mispredictions,
-                "misprediction_rate": round(
-                    consumer.result.misprediction_rate, 6
-                ),
+                "branches": result.branches,
+                "mispredictions": result.mispredictions,
+                "misprediction_rate": round(result.misprediction_rate, 6),
             }
-            for text, consumer in zip(job.predictors, bank)
+            for text, result in served[0].items()
         }
 
     def _complete(

@@ -748,7 +748,8 @@ class SuperblockExecutor(Executor):
     single-steps the inherited interpreter otherwise.
 
     With a *code_dir*, compiled code is shared with other processes
-    through one :class:`CodePack` per ``(program image, mode)`` there.
+    through one :class:`CodePack` per ``(program image, mode)`` there,
+    written back once per job by :meth:`flush`.
     """
 
     def __init__(
@@ -770,6 +771,12 @@ class SuperblockExecutor(Executor):
                 self.program, mode, self.code_dir
             )
         return table
+
+    def flush(self) -> None:
+        """Write back every pack that gained code during this job."""
+        for table in self._tables.values():
+            if table.pack is not None:
+                table.pack.flush()
 
     def run(self, max_instructions: int = 10_000_000) -> int:
         state = self.state
@@ -838,8 +845,6 @@ class SuperblockExecutor(Executor):
                 # compiled regions append events without touching the
                 # bus counter; the interpreter fallback counts its own
                 aux.stats.events += fast_events
-            if table.pack is not None:
-                table.pack.flush()
         if not state.halted and budget == 0:
             raise FuelExhausted(
                 f"budget of {max_instructions} instructions exhausted"

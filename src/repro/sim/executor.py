@@ -65,6 +65,10 @@ class Executor:
         self.conditional_branch_count = 0
         self.taken_branch_count = 0
 
+    def flush(self) -> None:
+        """Persist what this executor keeps for later processes, once per
+        job after its last ``run`` call; the interpreter keeps nothing."""
+
     def run(self, max_instructions: int = 10_000_000) -> int:
         """Run until halt or until *max_instructions* are retired.
 

@@ -102,6 +102,8 @@ class Simulator:
         except FuelExhausted:
             if not allow_truncation:
                 raise
+        finally:
+            self.executor.flush()
         return RunResult(
             instructions=self.executor.instruction_count,
             conditional_branches=self.executor.conditional_branch_count,

@@ -127,3 +127,21 @@ def test_empty_benchmark_list_analyses_nothing():
     text = run_experiment("table2", engine, [])
     assert "Table 2" in text
     assert engine.stats.job_source == {}
+
+
+def test_ablation_inputs_shards_keep_input_pairs_whole(tmp_path, capsys):
+    """Each shard owns whole _a/_b pairs: every ``--shard K/3`` exits 0
+    (a shard with no pair prints a note) and the shards' rows together
+    are the unsharded table."""
+    from repro.__main__ import main
+
+    def rows(*shard):
+        assert main(["experiment", "ablation_inputs", "--scale", "0.05",
+                     "--cache", str(tmp_path), *shard]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.split()[:1] in (["perl"], ["ss"])]
+
+    sharded = [row for k in (1, 2, 3) for row in rows("--shard", f"{k}/3")]
+    unsharded = rows()
+    assert len(unsharded) == 2
+    assert sorted(sharded) == sorted(unsharded)

@@ -86,6 +86,32 @@ def test_rerun_after_a_source_edit_resimulates_the_edited_benchmark(
     assert third["output"] == second["output"]
 
 
+def test_a_predictor_source_edit_misses_every_prediction_record(tmp_path):
+    """Figure predictor results are stored beside the entry, keyed on the
+    predictor sources: a rerun replays nothing, and after a comment is
+    added to a predictor kernel the rerun replays every predictor again
+    (the entry itself is still a store hit)."""
+    src = _copy_sources(tmp_path)
+    command = [
+        "experiment", "figure3", "--benchmarks", "plot,compress",
+        "--scale", "0.05", "--cache", str(tmp_path / "cache"), "--json",
+    ]
+
+    def run():
+        results = json.loads(_runner(src, command))["results"]
+        return results["engine"]["replayed_runs"], results["output"]
+
+    replayed, output = run()
+    assert replayed == 2
+    assert run() == (0, output)
+
+    kernel = src / "repro" / "predictors" / "twolevel.py"
+    kernel.write_text(kernel.read_text() + "\n# edited\n")
+
+    assert run() == (2, output)
+    assert run() == (0, output)
+
+
 @pytest.mark.slow
 @pytest.mark.faults
 def test_supervised_rerun_after_a_source_edit_restarts_the_lost_worker(

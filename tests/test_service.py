@@ -1032,6 +1032,47 @@ def test_daemon_hot_resubmit_spawns_no_worker(monkeypatch):
     assert not stale[0].exists()
 
 
+def test_daemon_hot_resubmit_reads_stored_predictions(monkeypatch):
+    """The first response records its predictors beside the entry; a
+    hot resubmit verifies the entry and reads those records: no load,
+    no replay, the same predictions."""
+    from repro.pipeline.bus import BranchEventBus
+    from repro.service import app
+
+    monkeypatch.setattr(app, "WorkerHandle", CountingHandle)
+    root = short_socket_dir()
+    config = ServiceConfig(
+        socket_path=str(root / "svc.sock"),
+        cache_dir=str(root / "cache"),
+        workers=1,
+        checkpoint_every=2000,
+    )
+    calls = []
+
+    def count_calls(service, cold):
+        for name in ("verify", "load"):
+            real = getattr(service.store, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            setattr(service.store, name, counted)
+        real_replay = BranchEventBus.replay.__func__
+
+        def replay(cls, *args, **kwargs):
+            calls.append("replay")
+            return real_replay(cls, *args, **kwargs)
+
+        monkeypatch.setattr(BranchEventBus, "replay", classmethod(replay))
+
+    cold, again, spawned = _submit_twice(config, count_calls)
+    assert again["type"] == "completed" and again["source"] == "store"
+    assert spawned == 0
+    assert calls == ["verify"]
+    assert again["predictions"] == cold["predictions"]
+
+
 def test_daemon_vanished_entry_falls_back_to_a_worker(monkeypatch):
     """An entry that disappears between the store check and the load is
     requeued for a worker, which simulates it again; the job never

@@ -265,3 +265,43 @@ def test_each_code_dir_gets_its_own_pack(tmp_path, compiles):
         assert pack.exists()
         assert CodePack(pack).codes
     assert runs[0] == runs[1]
+
+
+def test_a_multi_slice_job_writes_its_pack_once(tmp_path, compiles,
+                                                monkeypatch):
+    """A checkpointed cold job compiles in many slices but replaces its
+    pack once, after the last one, holding everything it compiled."""
+    import os
+
+    from repro.checkpoint import CheckpointConfig, CheckpointStore
+    from repro.checkpoint.runner import run_simulation
+
+    code_dir = tmp_path / "code"
+    built = _ijpeg(0.061)
+    pack = _pack_path(code_dir, built)
+    replaced = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        if str(dst) == str(pack):
+            replaced.append(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    compiles_after_slice = []
+    outcome = run_simulation(
+        built,
+        BranchEventBus([TraceBuilder(label="pack")]),
+        CheckpointConfig(CheckpointStore(tmp_path / "ckpt"), "ijpeg", 500),
+        backend=SuperblockBackend(code_dir=code_dir),
+        progress=lambda events: compiles_after_slice.append(len(compiles)),
+    )
+    assert outcome.checkpoints_written > 1
+    slices_that_compiled = sum(
+        1 for before, after in zip([0] + compiles_after_slice,
+                                   compiles_after_slice)
+        if after > before
+    )
+    assert slices_that_compiled >= 2
+    assert len(replaced) == 1
+    assert len(CodePack(pack).codes) == len(compiles)
