@@ -47,8 +47,12 @@ faults:
 ## digest-memo record is overwritten with garbage and the rerun must
 ## still be all store hits, nothing quarantined — then a corruption pass:
 ## one cache entry is damaged in place and the rerun must quarantine +
-## resimulate exactly that one.  Every leg after the cold one reads its
-## --json envelope and fails the target when the counters disagree.
+## resimulate exactly that one; then the middle of one entry's last
+## trace column is damaged, and the table2 rerun, which inflates no
+## trace, must still catch it through the archive checksum and
+## quarantine + resimulate that one.  Every leg after the cold one
+## reads its --json envelope and fails the target when the counters
+## disagree.
 ## Then a supervised leg checks that finished means stored: plot runs
 ## under `supervise`, its store entry is deleted (the journal still says
 ## completed), and a rerun whose only worker is killed mid-simulation
@@ -78,6 +82,13 @@ smoke:
 	victim = sorted(pathlib.Path('$(SMOKE_CACHE)').glob('*.trace.npz'))[0]; \
 	corrupt_file(victim); print(f'corrupted {victim}')"
 	@echo "== recover: quarantine + resimulate the damaged entry =="
+	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
+	$(SMOKE_EXPECT) quarantined=1 simulated=1
+	@echo "== corrupt trace: damaging one entry's last trace column =="
+	$(PY) -c "import pathlib; from repro.eval.faults import corrupt_member; \
+	victim = sorted(pathlib.Path('$(SMOKE_CACHE)').glob('*.trace.npz'))[0]; \
+	corrupt_member(victim, 'timestamps.npy'); print(f'corrupted {victim}')"
+	@echo "== recover: a profile-only read still quarantines the entry =="
 	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
 	$(SMOKE_EXPECT) quarantined=1 simulated=1
 	@echo "== supervised: plot into $(SUPERVISED_CACHE) =="

@@ -78,7 +78,9 @@ class ArtifactCorrupt(ReproError):
     """A stored artifact failed digest/schema verification or did not load.
 
     The store reports these as cache *misses* (quarantining the bad files)
-    so a corrupt entry costs a resimulation, never an aborted run.
+    so a corrupt entry costs a resimulation, never an aborted run.  It is
+    raised when a loaded entry's trace, whose bytes passed their
+    checksum, fails to inflate on first read (the entry is quarantined).
     """
 
     code = "artifact_corrupt"

@@ -723,7 +723,8 @@ class ExecutionEngine:
         """Load a store-backed result, resimulating if the entry is bad.
 
         The worker verified (or just wrote) the entry, but the parent's
-        full load can still discover damage in the event columns — or
+        load checks every archive byte against the entry's sha256 and
+        can still discover damage in the event columns — or
         lose a race with an external writer.  One in-process rerun
         repairs it; only if the store drops the artifacts *again* is the
         situation hopeless enough for a typed error.

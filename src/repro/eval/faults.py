@@ -63,7 +63,9 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -465,6 +467,20 @@ def corrupt_file(path: Path, offset: int = 16, length: int = 64) -> None:
     path.write_bytes(bytes(raw))
 
 
+def corrupt_member(path: Path, member: str, length: int = 64) -> None:
+    """Flip up to *length* bytes in the middle of zip member *member*'s
+    compressed data in *path* (an archive's other members stay intact).
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    start = info.header_offset + 30 + name_len + extra_len
+    length = max(1, min(length, info.compress_size))
+    corrupt_file(path, start + (info.compress_size - length) // 2, length)
+
+
 def active_plan() -> Optional[FaultPlan]:
     """The plan installed in the environment, or None.
 
@@ -491,4 +507,5 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "corrupt_file",
+    "corrupt_member",
 ]

@@ -2,9 +2,11 @@
 
 An entry holds everything the experiments need for one job, under the
 job's content digest (:mod:`repro.eval.digest`).  Store writes are
-atomic (tmp + ``os.replace``) and loads are verified: a corrupt entry
-is quarantined under ``<root>/quarantine/`` and costs a resimulation,
-never a crash.
+atomic (tmp + ``os.replace``) and loads are verified against a sha256
+of the archive's bytes kept in the entry's commit record: a corrupt
+entry is quarantined under ``<root>/quarantine/`` and costs a
+resimulation, never a crash.  A load inflates the profile; the trace
+inflates from the same verified bytes only when something reads it.
 
 Beside each entry the store keeps *prediction records*: the result of
 replaying one predictor over the entry's trace, so that result is
@@ -19,9 +21,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..checkpoint import prune_directory
 from ..errors import ArtifactCorrupt
@@ -31,13 +32,19 @@ from ..predictors.base import BranchPredictor
 from ..predictors.simulator import PredictionStats
 from ..profiling.profile import PROFILE_COLUMNS, InterleaveProfile
 from ..trace.events import BranchTrace
-from ..trace.io import read_trace_archive, read_trace_meta, save_trace
+from ..trace.io import (
+    TRACE_COLUMNS,
+    TraceArchive,
+    read_trace_meta,
+    save_trace,
+)
 from .digest import DIGEST_VERSION, JobSpec, hash_sources
 
 #: Bump when the on-disk layout of a store entry changes; an entry of any
 #: other format reads as corrupt (quarantined, resimulated).
 #: v2: the profile moved from ``.profile.json`` into the trace archive.
-STORE_FORMAT = 2
+#: v3: the commit record holds the sha256 of the archive's bytes.
+STORE_FORMAT = 3
 
 #: subdirectory of the store root holding prediction records.
 PREDICTIONS_DIR = "predictions"
@@ -66,15 +73,56 @@ def prediction_source_key() -> str:
     return hash_sources(f"p{PREDICTION_FORMAT}", files)
 
 
-@dataclass(frozen=True)
 class RunArtifacts:
-    """Everything the experiments need for one benchmark run."""
+    """Everything the experiments need for one benchmark run.
 
-    name: str
-    trace: BranchTrace
-    profile: InterleaveProfile
-    instructions: int
-    static_branches: int
+    *trace* is the trace itself, or a zero-argument callable that
+    inflates it: a stored entry's trace (:meth:`ArtifactStore.load`)
+    inflates on the first read of :attr:`trace`, once, and the callable
+    and the compressed bytes it holds are dropped after it has run.  If
+    it raises, every read raises that error.
+    """
+
+    __slots__ = (
+        "name", "profile", "instructions", "static_branches", "_trace",
+        "_lock",
+    )
+
+    _trace: Union[BranchTrace, Callable[[], BranchTrace], Exception]
+
+    def __init__(
+        self,
+        name: str,
+        trace: Union[BranchTrace, Callable[[], BranchTrace]],
+        profile: InterleaveProfile,
+        instructions: int,
+        static_branches: int,
+    ) -> None:
+        self.name = name
+        self.profile = profile
+        self.instructions = instructions
+        self.static_branches = static_branches
+        self._trace = trace
+        self._lock = threading.Lock()
+
+    @property
+    def trace(self) -> BranchTrace:
+        with self._lock:
+            if isinstance(self._trace, Exception):
+                raise self._trace  # a failed inflate fails every read
+            if not isinstance(self._trace, BranchTrace):
+                try:
+                    self._trace = self._trace()
+                except Exception as exc:
+                    self._trace = exc
+                    raise
+            return self._trace
+
+    def __reduce__(self):
+        return RunArtifacts, (
+            self.name, self.trace, self.profile, self.instructions,
+            self.static_branches,
+        )
 
 
 def _check_embedded_digest(embedded: Dict, digest: str) -> None:
@@ -95,7 +143,8 @@ class ArtifactStore:
     The ``.trace.npz`` archive holds the trace's event columns, the
     interleave profile's columns (:data:`~repro.profiling.profile.
     PROFILE_COLUMNS`) and the embedded content digest; the
-    ``.meta.json`` sidecar is the commit record.
+    ``.meta.json`` sidecar is the commit record, holding the sha256 of
+    the archive's bytes.
 
     The digest alone decides validity: a kernel edit changes the program
     image, hence the digest, hence the filename — stale artifacts simply
@@ -114,11 +163,13 @@ class ArtifactStore:
       with ``os.replace`` (meta last), so a crashed or killed writer can
       never leave a torn entry that looks complete;
     * :meth:`load` and :meth:`verify` treat *any* defect — truncated
-      JSON, a bad zip member or CRC, a missing column, a digest mismatch,
-      an entry of an older :data:`STORE_FORMAT` — as an
+      JSON, a bad zip member, a missing column, a digest mismatch, an
+      entry of an older :data:`STORE_FORMAT`, and for :meth:`load` any
+      archive byte that disagrees with the recorded sha256 — as an
       :class:`~repro.errors.ArtifactCorrupt` cache miss: the bad files
       are moved to ``<root>/quarantine/`` (for post-mortem) and the
-      caller resimulates;
+      caller resimulates.  :meth:`load` inflates the trace columns only
+      when the trace is read;
     * a prediction record embeds the entry's digest, the predictor's
       identity, :func:`prediction_source_key` and a sha256 of its body;
       a record that disagrees with any of them reads as a miss.
@@ -441,6 +492,7 @@ class ArtifactStore:
             raise ValueError("meta digest does not match content digest")
         int(meta["instructions"])
         int(meta["static_branches"])
+        str(meta["archive_sha256"])
         return meta
 
     def verify(self, spec: JobSpec, digest: str) -> bool:
@@ -467,36 +519,60 @@ class ArtifactStore:
     def load(self, spec: JobSpec, digest: str) -> Optional[RunArtifacts]:
         """Artifacts for *spec* if stored and intact, else None.
 
-        One full read of the archive, every member checked against its
-        zip CRC.  Any corruption — unparseable JSON, a damaged ``.npz``,
-        a missing column, digest mismatches — quarantines the entry and
-        reads as a cache miss; corruption is *reported* via
-        :attr:`corrupt_events`, never raised.
+        Reads the archive file once and checks its bytes against the
+        sha256 in the commit record; from those bytes it checks the
+        member list and the embedded digest and inflates the profile.
+        The trace inflates from the same bytes on the first read of
+        :attr:`RunArtifacts.trace`.  Any corruption — unparseable JSON,
+        a changed archive byte, a missing column, digest mismatches —
+        quarantines the entry and reads as a cache miss; corruption is
+        *reported* via :attr:`corrupt_events`, never raised.
+
+        A trace that fails to inflate after its bytes verified (a writer
+        bug, not disk damage) quarantines the entry and raises
+        :class:`~repro.errors.ArtifactCorrupt` from that first read.
         """
         if not self.contains(spec, digest):
             return None
         trace_path, _ = self.paths(spec, digest)
         try:
             meta = self._read_meta(spec, digest)
-            trace, columns, embedded = read_trace_archive(
-                trace_path, PROFILE_COLUMNS
+            data = trace_path.read_bytes()
+            if hashlib.sha256(data).hexdigest() != meta["archive_sha256"]:
+                raise ValueError("archive bytes do not match their sha256")
+            archive = TraceArchive(
+                data, require=(*TRACE_COLUMNS, *PROFILE_COLUMNS)
             )
-            _check_embedded_digest(embedded, digest)
+            _check_embedded_digest(archive.meta, digest)
             instructions = int(meta["instructions"])
-            return RunArtifacts(
-                name=spec.name,
-                trace=trace,
-                profile=InterleaveProfile.from_columns(
-                    columns,
-                    instructions=instructions,
-                    name=str(embedded.get("profile", spec.name)),
-                ),
+            profile = InterleaveProfile.from_columns(
+                archive.columns(PROFILE_COLUMNS),
                 instructions=instructions,
-                static_branches=int(meta["static_branches"]),
+                name=str(archive.meta.get("profile", spec.name)),
             )
         except Exception as exc:
             self.quarantine(spec, digest, f"{type(exc).__name__}: {exc}")
             return None
+
+        def inflate() -> BranchTrace:
+            try:
+                return archive.trace()
+            except Exception as exc:
+                raise self.quarantine(
+                    spec, digest,
+                    f"verified trace failed to inflate: "
+                    f"{type(exc).__name__}: {exc}",
+                ) from exc
+            finally:
+                archive.close()
+
+        return RunArtifacts(
+            name=spec.name,
+            trace=inflate,
+            profile=profile,
+            instructions=instructions,
+            static_branches=int(meta["static_branches"]),
+        )
 
     def put(
         self, spec: JobSpec, digest: str, artifacts: RunArtifacts
@@ -505,15 +581,17 @@ class ArtifactStore:
 
         Both files are staged in a private temp directory and moved into
         place with ``os.replace`` — meta last, acting as the commit
-        record — so readers never observe a torn entry.
+        record, which holds the sha256 of the staged archive's bytes —
+        so readers never observe a torn entry.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         trace_path, meta_path = self.paths(spec, digest)
         stage = self.root / f".stage-{os.getpid()}-{self.stem(spec, digest)}"
         stage.mkdir(parents=True, exist_ok=True)
         try:
+            staged = stage / trace_path.name
             save_trace(
-                artifacts.trace, stage / trace_path.name,
+                artifacts.trace, staged,
                 meta={
                     "digest": digest,
                     "benchmark": spec.name,
@@ -533,6 +611,9 @@ class ArtifactStore:
                         "trace_limit": None,
                         "instructions": artifacts.instructions,
                         "static_branches": artifacts.static_branches,
+                        "archive_sha256": hashlib.sha256(
+                            staged.read_bytes()
+                        ).hexdigest(),
                     }
                 ),
                 encoding="utf-8",

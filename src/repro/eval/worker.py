@@ -41,8 +41,8 @@ class JobResult:
     instead of shipping arrays through the pickle pipe — *and* when the
     job failed, in which case ``error`` carries the typed failure and
     ``source`` is ``"failed"``.  An in-process store hit carries the
-    artifacts of its one full read, so the engine never reads a stored
-    entry twice.
+    artifacts of its :meth:`~repro.eval.store.ArtifactStore.load`, so
+    the engine never reads a stored entry twice.
     """
 
     spec: JobSpec
@@ -84,7 +84,8 @@ def _execute_job(
     same program image.  A worker process only verifies a stored entry
     and returns no arrays — the parent loads them by digest — so the
     pickle pipe stays small; an in-process store hit returns the
-    artifacts of its one full read.
+    artifacts of its load (one checksummed read of the archive file;
+    the trace inflates only if read).
 
     The simulation always runs through
     :func:`~repro.checkpoint.run_simulation`.  With a checkpoint cadence

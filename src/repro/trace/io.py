@@ -10,6 +10,7 @@ Two formats:
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -56,13 +57,70 @@ def save_trace(
     )
 
 
-def _archive_meta(archive) -> Dict[str, object]:
-    version = int(archive["version"][0])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version {version}")
-    if "meta" not in archive.files:
-        return {}
-    return json.loads(str(archive["meta"][0]))
+#: the members :func:`save_trace` writes for the trace itself.
+TRACE_COLUMNS = ("version", "name", "pcs", "targets", "taken", "timestamps")
+
+
+class TraceArchive:
+    """An open :func:`save_trace` archive, read from its path or its bytes.
+
+    Opening reads the member list and the two header members (format
+    version and provenance metadata, :attr:`meta`); the event columns
+    and any extra columns inflate only when :meth:`trace` or
+    :meth:`columns` asks for them, each member checked against its zip
+    CRC.
+
+    Raises:
+        ValueError: on a format-version mismatch.
+        KeyError: when a member named in *require* is missing.
+    """
+
+    def __init__(
+        self, source: Union[PathLike, bytes], require: Sequence[str] = ()
+    ) -> None:
+        self._archive = np.load(
+            io.BytesIO(source) if isinstance(source, bytes) else Path(source),
+            allow_pickle=False,
+        )
+        try:
+            for key in require:
+                if key not in self._archive.files:
+                    raise KeyError(key)
+            version = int(self._archive["version"][0])
+            if version != _FORMAT_VERSION:
+                raise ValueError(f"unsupported trace format version {version}")
+            self.meta: Dict[str, object] = (
+                json.loads(str(self._archive["meta"][0]))
+                if "meta" in self._archive.files
+                else {}
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    def columns(self, keys: Sequence[str]) -> Dict[str, np.ndarray]:
+        """The extra columns named *keys*."""
+        return {key: self._archive[key] for key in keys}
+
+    def trace(self) -> BranchTrace:
+        """The trace, inflated from the event columns."""
+        archive = self._archive
+        return BranchTrace(
+            archive["pcs"],
+            archive["targets"],
+            archive["taken"],
+            archive["timestamps"],
+            name=str(archive["name"][0]),
+        )
+
+    def close(self) -> None:
+        self._archive.close()
+
+    def __enter__(self) -> "TraceArchive":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def read_trace_meta(
@@ -77,11 +135,8 @@ def read_trace_meta(
         ValueError: on a format-version mismatch.
         KeyError: when a column named in *require* is missing.
     """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        for key in require:
-            if key not in archive.files:
-                raise KeyError(key)
-        return _archive_meta(archive)
+    with TraceArchive(path, require) as archive:
+        return archive.meta
 
 
 def read_trace_archive(
@@ -96,16 +151,8 @@ def read_trace_archive(
         ValueError: on a format-version mismatch.
         KeyError: when a column named in *columns* is missing.
     """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        meta = _archive_meta(archive)
-        trace = BranchTrace(
-            archive["pcs"],
-            archive["targets"],
-            archive["taken"],
-            archive["timestamps"],
-            name=str(archive["name"][0]),
-        )
-        return trace, {key: archive[key] for key in columns}, meta
+    with TraceArchive(path, columns) as archive:
+        return archive.trace(), archive.columns(columns), archive.meta
 
 
 def load_trace(path: PathLike) -> BranchTrace:
