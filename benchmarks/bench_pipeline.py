@@ -5,8 +5,8 @@ fused pipeline is at least 2x faster on two of them:
 
 * **seed** (materialize-then-replay, the pre-pipeline shape) — finish the
   capture into a trace, round-trip it through the npz store, run the
-  interleave analysis event by event, then replay the trace once per
-  predictor through the scalar ``access`` loop;
+  interleave analysis over the reloaded trace, then replay the trace
+  once per predictor through the scalar ``access`` loop;
 * **pipeline** (fused) — one chunked pass over the same events with the
   interleave analyzer and the whole predictor bank riding the event bus
   together.
@@ -37,7 +37,7 @@ from repro.predictors.twolevel import (
     InterferenceFreePAg,
     PAgPredictor,
 )
-from repro.profiling.interleave import InterleaveAnalyzer
+from repro.profiling.interleave import profile_trace
 from repro.trace.io import load_trace, save_trace
 from repro.workloads.build import build_workload, run_workload
 from repro.workloads.suite import get_benchmark
@@ -62,11 +62,7 @@ def _seed_stage(trace, tmp_path):
     npz = tmp_path / f"{trace.name}.trace.npz"
     save_trace(trace, npz)
     reloaded = load_trace(npz)
-    analyzer = InterleaveAnalyzer(name=trace.name)
-    observe = analyzer.observe
-    for pc, taken in zip(reloaded.pcs.tolist(), reloaded.taken.tolist()):
-        observe(pc, taken)
-    profile = analyzer.finish()
+    profile = profile_trace(reloaded)
     results = {
         predictor.name: simulate_predictor(
             predictor, reloaded, track_per_branch=False, chunked=False

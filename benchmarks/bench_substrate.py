@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate's hot paths.
 
 These time the components every experiment leans on: the functional
-simulator's dispatch loop, the recency-stack interleave analysis, the
+simulator's dispatch loop, the vectorized interleave analysis, the
 greedy clique cover, the colouring allocator, and the PAg trace simulator.
 Unlike the table/figure benches these use multiple rounds — they are cheap
 and their timing is the point.

@@ -9,7 +9,7 @@ rather than merely retryable:
   simulator (:class:`~repro.sim.state.MachineState`, sparse memory,
   environment RNG/cursor, executor counters) and of every
   :class:`~repro.pipeline.bus.BranchEventBus` consumer (interleave
-  recency state, predictor tables, trace chunk buffers, streaming
+  analyzer columns, predictor tables, trace chunk buffers, streaming
   stats) via the consumer snapshot hooks;
 * :mod:`repro.checkpoint.store` — versioned, checksummed checkpoint
   files of mutable state, written with the same atomic staged-commit

@@ -9,7 +9,7 @@ small and does not grow with the run.  A checkpoint file is a
 self-describing container::
 
     RPROCKPT\\n                         magic (8 bytes + newline)
-    {"version": 2, "seq": 3, ...}\\n    JSON header line
+    {"version": 3, "seq": 3, ...}\\n    JSON header line
     <pickle payload>                   the snapshot object
 
 The header carries the format version, the job stem, the sequence
@@ -57,7 +57,7 @@ CHECKPOINT_MAGIC = b"RPROCKPT\n"
 #: Bump on any backwards-incompatible change to the container or to the
 #: snapshot payload layout.  Old-version files read as corrupt (they are
 #: quarantined and the run cold-starts) rather than mis-restoring.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Pickle protocol for payloads (stable, supports large numpy buffers).
 _PICKLE_PROTOCOL = 4

@@ -195,17 +195,21 @@ def test_clear_removes_the_block_log(tmp_path):
     assert store.sequences("a") == []
 
 
+def _set_version(path, version):
+    """Rewrite a checkpoint's header version, keeping its payload valid."""
+    head, blob = path.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
+    header = json.loads(head)
+    header["version"] = version
+    path.write_bytes(
+        CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + blob
+    )
+
+
 def test_version_1_checkpoint_reads_as_corrupt(tmp_path):
     """A file in the old whole-trace format is quarantined, not restored."""
     store = make_store(tmp_path)
     store.put("stem", 1, {"x": 1})
-    path = store.path("stem", 1)
-    head, blob = path.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
-    header = json.loads(head)
-    header["version"] = 1
-    path.write_bytes(
-        CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + blob
-    )
+    _set_version(store.path("stem", 1), 1)
     assert store.load_latest("stem") is None
     assert len(store.corrupt_events) == 1
     assert store.sequences("stem") == []
@@ -336,10 +340,10 @@ def _fingerprint(tmp_path, tag, profiler, builder, bus):
                 pc: [s.executions, s.taken]
                 for pc, s in sorted(profile.branches.items())
             },
-            "pairs": {
-                f"{a}:{b}": count
-                for (a, b), count in sorted(profile.pairs.items())
-            },
+            "pairs": [
+                [a, b, count] for (a, b), count in profile.pairs.items()
+            ],
+            "order": list(profile.branches),
         },
         sort_keys=True,
     )
@@ -504,6 +508,37 @@ def test_corrupt_checkpoint_falls_back_then_cold_starts(
     assert not outcome.resumed_from_checkpoint
     assert outcome.corrupt_checkpoints > 0
     assert _fingerprint(tmp_path, "cold", profiler, builder, bus) == baseline
+
+
+@pytest.mark.faults
+def test_version_2_checkpoint_is_refused_then_cold_starts(
+    built_plot, plot_baseline, tmp_path
+):
+    """Version-2 checkpoints pickled the interleave analyzer object; a
+    version-3 reader refuses them and the run cold-starts, bit-exact."""
+    baseline, total_events = plot_baseline
+    store = make_store(tmp_path)
+    config = CheckpointConfig(
+        store=store, stem="plot-stem", every_events=2_000,
+    )
+    plan = FaultPlan(
+        worker_kill={"plot": max(1, total_events // 2)},
+        state_dir=str(tmp_path / "state"),
+    )
+    with pytest.raises(InjectedFault):
+        _run_to_completion(
+            built_plot, config=config, fault_plan=plan, benchmark="plot",
+        )
+    sequences = store.sequences("plot-stem")
+    assert sequences
+    for seq in sequences:
+        _set_version(store.path("plot-stem", seq), 2)
+    outcome, profiler, builder, bus = _run_to_completion(
+        built_plot, config=config, fault_plan=plan, benchmark="plot",
+    )
+    assert not outcome.resumed_from_checkpoint
+    assert outcome.corrupt_checkpoints == len(sequences)
+    assert _fingerprint(tmp_path, "v2", profiler, builder, bus) == baseline
 
 
 @pytest.mark.faults

@@ -1,16 +1,19 @@
 """Interleave analysis tests.
 
-The key correctness argument of the whole reproduction: the recency-stack
-analyzer counts exactly the pairs the paper's Figure 1 time-stamp procedure
-counts.  Tested on the paper's own worked example and, property-based, on
-arbitrary random event streams against the literal brute-force
-implementation.
+The key correctness argument of the whole reproduction: the vectorized
+analyzer counts exactly the pairs the paper's Figure 1 time-stamp
+procedure counts, and lists them in the same first-count order (the
+order a stored profile's bytes keep).  Tested on the paper's own worked
+example and, property-based, on random event streams and random
+chunkings against the literal brute-force implementation.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.profiling import interleave
 from repro.profiling.interleave import (
     InterleaveAnalyzer,
     interleave_pairs_bruteforce,
@@ -114,14 +117,100 @@ def test_simulator_hook_adapter_records_instructions():
     )
 )
 def test_recency_stack_equals_bruteforce(event_pcs):
-    """The O(stack distance) analyzer and the paper's literal O(statics)
-    timestamp scan agree on arbitrary event streams."""
+    """One event at a time, the analyzer and the paper's literal
+    O(statics) timestamp scan agree on counts and pair order."""
     events = [(0x1000 + 4 * pc, 3 * i + 1) for i, pc in enumerate(event_pcs)]
     expected = interleave_pairs_bruteforce(events)
     analyzer = InterleaveAnalyzer()
     for pc, _ in events:
         analyzer.observe(pc)
-    assert analyzer.finish().pairs == expected
+    assert list(analyzer.finish().pairs.items()) == list(expected.items())
+
+
+def _stream(seed, events, statics):
+    """PCs over *statics* branches with heavy-tailed frequencies: a few
+    hot branches, many rare ones (long reuse distances)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.pareto(1.0, statics) + 0.01
+    picks = rng.choice(statics, events, p=weights / weights.sum())
+    return (0x1000 + 4 * picks).astype(np.uint64)
+
+
+def _cuts(seed, events):
+    """Random chunk lengths that straddle the near window and the pass."""
+    rng = np.random.default_rng(seed)
+    sizes = [
+        1, 2, interleave._WINDOW - 1, interleave._WINDOW,
+        interleave._WINDOW + 1, 3 * interleave._WINDOW + 5,
+        interleave._PASS - 1, interleave._PASS, interleave._PASS + 1,
+    ]
+    start = 0
+    while start < events:
+        size = int(rng.choice(sizes)) if rng.random() < 0.7 else int(
+            rng.integers(1, 2 * interleave._PASS)
+        )
+        yield start, min(events, start + size)
+        start += size
+
+
+def _chunked(pcs, seed):
+    analyzer = InterleaveAnalyzer()
+    for lo, hi in _cuts(seed, len(pcs)):
+        analyzer.observe_chunk(pcs[lo:hi], np.zeros(hi - lo, dtype=bool))
+    return analyzer.finish()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    events=st.integers(min_value=1000, max_value=4000),
+    statics=st.integers(min_value=1, max_value=100),
+)
+def test_chunked_analysis_matches_bruteforce_counts_and_order(
+    seed, events, statics
+):
+    """Thousands of events, up to ~100 statics with rare branches, cut
+    into random chunks: every pair count and the pairs' order equal the
+    literal scan's."""
+    pcs = _stream(seed, events, statics)
+    expected = interleave_pairs_bruteforce(
+        (pc, i) for i, pc in enumerate(pcs.tolist())
+    )
+    assert list(_chunked(pcs, seed).pairs.items()) == list(expected.items())
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    events=st.integers(min_value=interleave._PASS, max_value=40_000),
+    statics=st.integers(min_value=1, max_value=400),
+)
+def test_chunking_never_changes_pairs_or_stats(seed, events, statics):
+    """Streams longer than a pass give the same pairs, in the same
+    order, and the same per-branch totals however they are chunked."""
+    pcs = _stream(seed, events, statics)
+    analyzer = InterleaveAnalyzer()
+    analyzer.observe_chunk(pcs, np.zeros(len(pcs), dtype=bool))
+    whole = analyzer.finish()
+    cut = _chunked(pcs, seed)
+    assert list(cut.pairs.items()) == list(whole.pairs.items())
+    assert cut.branches == whole.branches
+
+
+def test_state_round_trip_continues_identically():
+    """An analyzer rebuilt from :meth:`state` mid-stream finishes exactly
+    like one that never stopped."""
+    pcs = _stream(7, 20_000, 60)
+    taken = np.arange(len(pcs)) % 3 == 0
+    straight = InterleaveAnalyzer(name="s")
+    straight.observe_chunk(pcs, taken)
+    resumed = InterleaveAnalyzer(name="s")
+    resumed.observe_chunk(pcs[:9_000], taken[:9_000])
+    resumed = InterleaveAnalyzer.from_state(resumed.state())
+    resumed.observe_chunk(pcs[9_000:], taken[9_000:])
+    a, b = straight.finish(), resumed.finish()
+    assert list(a.pairs.items()) == list(b.pairs.items())
+    assert a.branches == b.branches
 
 
 @settings(max_examples=50, deadline=None)
