@@ -43,7 +43,8 @@ faults:
 ## simulates and populates the content-addressed store, a warm run that
 ## must be served from it (nothing simulated — the "rerun continues a
 ## run" check: a plain rerun is how an interrupted suite resumes, there
-## is no separate resume mode), a bad-memo pass — every
+## is no separate resume mode) and whose Table 2 title must name the
+## scale's edge threshold (10 below scale 0.9), a bad-memo pass — every
 ## digest-memo record is overwritten with garbage and the rerun must
 ## still be all store hits, nothing quarantined — then a corruption pass:
 ## one cache entry is damaged in place and the rerun must quarantine +
@@ -69,6 +70,11 @@ smoke:
 	@echo "== warm: store hits only =="
 	$(PY) -m repro $(SMOKE_ARGS) --json > $(SMOKE_JSON)
 	$(SMOKE_EXPECT) simulated=0
+	$(PY) -c "import json, sys; \
+	title = json.load(open('$(SMOKE_JSON)'))['results']['output'].splitlines()[0]; \
+	print(title); \
+	sys.exit(0 if title.endswith('(threshold=10)') else \
+	         'smoke check failed: Table 2 at scale 0.05 wants threshold=10')"
 	@echo "== bad memo: garbage in every digest-memo record =="
 	$(PY) -c "import pathlib; \
 	memo = sorted(pathlib.Path('$(SMOKE_CACHE)/digests').iterdir()); \

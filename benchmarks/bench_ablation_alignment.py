@@ -7,7 +7,7 @@ sentence: alignment reduces the conventional table's conflicts, and true
 allocation still does better.
 """
 
-from conftest import THRESHOLD, save_result
+from conftest import save_result
 from repro.eval.ablations import (
     format_alignment_ablation,
     run_alignment_ablation,
@@ -19,9 +19,7 @@ BENCHMARKS = ("gcc", "tex", "m88ksim")
 def test_ablation_alignment(benchmark, engine):
     engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
-        lambda: run_alignment_ablation(
-            engine, BENCHMARKS, threshold=THRESHOLD
-        ),
+        lambda: run_alignment_ablation(engine, BENCHMARKS),
         rounds=1,
         iterations=1,
     )

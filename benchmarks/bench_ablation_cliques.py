@@ -2,7 +2,7 @@
 maximal cliques (the paper's §4.1 "many other definitions are possible").
 """
 
-from conftest import THRESHOLD, save_result
+from conftest import save_result
 from repro.eval.ablations import (
     format_clique_definition,
     run_clique_definition_ablation,
@@ -14,9 +14,7 @@ BENCHMARKS = ("compress", "pgp", "plot", "chess", "tex", "gs")
 def test_ablation_cliques(benchmark, engine):
     engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
-        lambda: run_clique_definition_ablation(
-            engine, BENCHMARKS, threshold=THRESHOLD
-        ),
+        lambda: run_clique_definition_ablation(engine, BENCHMARKS),
         rounds=1,
         iterations=1,
     )

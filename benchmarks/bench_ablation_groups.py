@@ -5,7 +5,7 @@ groupings at a 128-entry BHT: good groupings shrink the colouring problem
 while keeping prediction accuracy close to per-branch allocation.
 """
 
-from conftest import THRESHOLD, save_result
+from conftest import save_result
 from repro.eval.group_allocation import (
     format_group_ablation,
     run_group_ablation,
@@ -17,9 +17,7 @@ BENCHMARKS = ("compress", "gcc", "tex", "perl_a")
 def test_ablation_groups(benchmark, engine):
     engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
-        lambda: run_group_ablation(
-            engine, BENCHMARKS, bht_size=128, threshold=THRESHOLD
-        ),
+        lambda: run_group_ablation(engine, BENCHMARKS, bht_size=128),
         rounds=1,
         iterations=1,
     )

@@ -5,7 +5,7 @@ checks that allocation's advantage over conventional indexing is not an
 artifact of that geometry.
 """
 
-from conftest import THRESHOLD, save_result
+from conftest import save_result
 from repro.eval.ablations import format_history_sweep, run_history_sweep
 
 BENCHMARKS = ("gcc", "tex")
@@ -15,9 +15,7 @@ BITS = (4, 6, 8, 10, 12)
 def test_ablation_history(benchmark, engine):
     engine.prefetch(BENCHMARKS)
     rows = benchmark.pedantic(
-        lambda: run_history_sweep(
-            engine, BENCHMARKS, history_bits=BITS, threshold=THRESHOLD
-        ),
+        lambda: run_history_sweep(engine, BENCHMARKS, history_bits=BITS),
         rounds=1,
         iterations=1,
     )

@@ -1,6 +1,6 @@
 """Table 1 — benchmarks, input sets, % of dynamic branches analyzed."""
 
-from conftest import THRESHOLD, save_result
+from conftest import save_result
 from repro.eval.tables import format_table1, run_table1
 from repro.workloads.registry import members
 

@@ -16,17 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.conflict_graph import auto_threshold
 from repro.eval.engine import ExecutionEngine
 
 BENCH_DIR = Path(__file__).parent
 CACHE_DIR = BENCH_DIR / ".cache"
 RESULTS_DIR = BENCH_DIR / "results"
 
-#: Full-scale analogs by default; the paper's threshold of 100 applies at
-#: this scale.  Smaller scales are for smoke-testing the harness itself.
+#: Full-scale analogs by default; the runners pick the edge threshold
+#: for the scale (the paper's 100 at full scale).  Smaller scales are for
+#: smoke-testing the harness itself.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-THRESHOLD = auto_threshold(SCALE)
 
 #: Worker processes for cold-cache trace generation (1 = sequential).
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))

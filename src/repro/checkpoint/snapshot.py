@@ -21,10 +21,10 @@ Bus consumers participate through an optional hook pair::
     def restore_state(self, state: object) -> None: ...
 
 All built-in consumers (:class:`~repro.pipeline.consumers.
-InterleaveConsumer`, ``PredictorConsumer``, ``TraceBuilder``,
-``TraceStatsConsumer``) implement it.  A consumer without the hooks
-falls back to snapshotting its instance ``__dict__`` wholesale, which is
-correct for any consumer whose state is picklable attributes.
+InterleaveConsumer`, ``PredictorConsumer``, ``TraceBuilder``) implement
+it.  A consumer without the hooks falls back to snapshotting its
+instance ``__dict__`` wholesale, which is correct for any consumer whose
+state is picklable attributes.
 
 A consumer whose state is mostly sealed, never-changing blocks (the
 ``TraceBuilder``) keeps them out of its snapshot and adds a third

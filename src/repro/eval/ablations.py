@@ -23,6 +23,7 @@ from ..allocation.conflict_cost import (
     conventional_cost,
 )
 from ..allocation.sizing import required_bht_size
+from ..analysis.conflict_graph import auto_threshold
 from ..analysis.metrics import working_set_metrics
 from ..predictors.agree import AgreePredictor
 from ..predictors.bimodal import BimodalPredictor
@@ -114,15 +115,16 @@ def run_input_sensitivity(
     baseline_bht: int = BASELINE_BHT,
 ) -> List[InputSensitivityRow]:
     """The §5.2 experiment: per-input required size + cumulative merge."""
+    threshold = auto_threshold(engine.scale)
     rows: List[InputSensitivityRow] = []
     for base in pairs:
         profile_a = engine.profile(f"{base}_a")
         profile_b = engine.profile(f"{base}_b")
         merged = merge_profiles([profile_a, profile_b], name=f"{base}_merged")
 
-        alloc_a = BranchAllocator(profile_a)
-        alloc_b = BranchAllocator(profile_b)
-        alloc_m = BranchAllocator(merged)
+        alloc_a = BranchAllocator(profile_a, threshold=threshold)
+        alloc_b = BranchAllocator(profile_b, threshold=threshold)
+        alloc_m = BranchAllocator(merged, threshold=threshold)
         size_a = required_bht_size(
             alloc_a, conventional_cost(alloc_a.graph, baseline_bht)
         ).required_size
@@ -261,7 +263,9 @@ def run_hash_baseline(
     rows: List[HashBaselineRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
-        allocator = BranchAllocator(profile)
+        allocator = BranchAllocator(
+            profile, threshold=auto_threshold(engine.scale)
+        )
         graph = allocator.graph
         rows.append(
             HashBaselineRow(
@@ -300,11 +304,10 @@ def run_history_sweep(
     Verifies that the allocation gain is not an artifact of the paper's
     chosen 12-bit/4096-entry PHT geometry.
     """
-    from ..analysis.conflict_graph import DEFAULT_THRESHOLD
     from ..predictors.twolevel import InterferenceFreePAg
 
     if threshold is None:
-        threshold = DEFAULT_THRESHOLD
+        threshold = auto_threshold(engine.scale)
     rows: List[HistorySweepRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)
@@ -372,11 +375,10 @@ def run_clique_definition_ablation(
 ) -> List[CliqueDefinitionRow]:
     """Table 2 under both working-set definitions the paper discusses."""
     from ..analysis.cliques import CliqueLimitExceeded, maximal_clique_stats
-    from ..analysis.conflict_graph import DEFAULT_THRESHOLD
     from ..analysis.working_sets import partition_working_sets
 
     if threshold is None:
-        threshold = DEFAULT_THRESHOLD
+        threshold = auto_threshold(engine.scale)
     rows: List[CliqueDefinitionRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -460,9 +462,7 @@ def run_alignment_ablation(
     from ..workloads.suite import get_benchmark
 
     if threshold is None:
-        from ..analysis.conflict_graph import DEFAULT_THRESHOLD
-
-        threshold = DEFAULT_THRESHOLD
+        threshold = auto_threshold(engine.scale)
     rows: List[AlignmentRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)

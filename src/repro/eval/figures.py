@@ -23,12 +23,12 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator
 from ..allocation.conflict_cost import BASELINE_BHT
-from ..analysis.conflict_graph import DEFAULT_THRESHOLD
+from ..analysis.conflict_graph import auto_threshold
 from ..predictors.indexing import StaticIndexMap
 from ..predictors.twolevel import InterferenceFreePAg, PAgPredictor
 from .engine import ExecutionEngine
@@ -79,9 +79,11 @@ def _figure_rows(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
     classified: bool,
-    threshold: int,
+    threshold: Optional[int],
     sizes: Sequence[int],
 ) -> List[FigureRow]:
+    if threshold is None:
+        threshold = auto_threshold(engine.scale)
     rows: List[FigureRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)
@@ -136,7 +138,7 @@ def _figure_rows(
 def run_figure3(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:
     """Regenerate Figure 3 (allocation without classification)."""
@@ -148,7 +150,7 @@ def run_figure3(
 def run_figure4(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
     sizes: Sequence[int] = ALLOCATED_SIZES,
 ) -> List[FigureRow]:
     """Regenerate Figure 4 (allocation with branch classification)."""

@@ -18,7 +18,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.coloring import color_graph
-from ..analysis.conflict_graph import DEFAULT_THRESHOLD, build_conflict_graph
+from ..analysis.conflict_graph import (
+    DEFAULT_THRESHOLD,
+    auto_threshold,
+    build_conflict_graph,
+)
 from ..analysis.groups import (
     Grouping,
     expand_group_assignment,
@@ -99,10 +103,12 @@ def run_group_ablation(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
     bht_size: int = 128,
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
     history_bits: int = 12,
 ) -> List[GroupAblationRow]:
     """Compare per-branch vs group-level allocation on prediction accuracy."""
+    if threshold is None:
+        threshold = auto_threshold(engine.scale)
     rows: List[GroupAblationRow] = []
     for name in benchmarks:
         artifacts = engine.artifacts(name)

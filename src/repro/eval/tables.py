@@ -2,7 +2,9 @@
 
 Each ``run_tableN`` function regenerates the corresponding paper table over
 exactly the benchmarks it is given (the experiment registry decides
-which), returning typed rows plus helpers for rendering.  Absolute
+which), returning typed rows plus helpers for rendering.  An omitted
+edge threshold is :func:`~repro.analysis.conflict_graph.auto_threshold`
+of the engine's scale, as in every runner that takes an engine.  Absolute
 values live in a different regime than the paper's 500M-instruction SPEC
 runs; EXPERIMENTS.md records the per-claim qualitative comparison.
 """
@@ -10,13 +12,13 @@ runs; EXPERIMENTS.md records the per-claim qualitative comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..allocation.allocator import BranchAllocator
 from ..allocation.classified import ClassifiedBranchAllocator, RESERVED_ENTRIES
 from ..allocation.conflict_cost import BASELINE_BHT, conventional_cost
 from ..allocation.sizing import required_bht_size
-from ..analysis.conflict_graph import DEFAULT_THRESHOLD
+from ..analysis.conflict_graph import DEFAULT_THRESHOLD, auto_threshold
 from ..analysis.metrics import working_set_metrics
 from ..trace.stats import summarize_trace
 from ..workloads.suite import benchmark_suite
@@ -117,9 +119,11 @@ class Table2Row:
 def run_table2(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
 ) -> List[Table2Row]:
     """Regenerate Table 2: the branch working set statistics."""
+    if threshold is None:
+        threshold = auto_threshold(engine.scale)
     rows: List[Table2Row] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -181,10 +185,12 @@ class SizingRow:
 def run_table3(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
     baseline_bht: int = BASELINE_BHT,
 ) -> List[SizingRow]:
     """Regenerate Table 3: minimal BHT size for plain branch allocation."""
+    if threshold is None:
+        threshold = auto_threshold(engine.scale)
     rows: List[SizingRow] = []
     for name in benchmarks:
         profile = engine.profile(name)
@@ -206,7 +212,7 @@ def run_table3(
 def run_table4(
     engine: ExecutionEngine,
     benchmarks: Sequence[str],
-    threshold: int = DEFAULT_THRESHOLD,
+    threshold: Optional[int] = None,
     baseline_bht: int = BASELINE_BHT,
 ) -> List[SizingRow]:
     """Regenerate Table 4: minimal BHT size with branch classification.
@@ -216,6 +222,8 @@ def run_table4(
     the classified allocator's cost is measured on its filtered graph, per
     the paper's premise that same-class biased conflicts are harmless.
     """
+    if threshold is None:
+        threshold = auto_threshold(engine.scale)
     rows: List[SizingRow] = []
     for name in benchmarks:
         profile = engine.profile(name)

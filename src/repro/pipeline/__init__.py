@@ -4,8 +4,8 @@ The :class:`BranchEventBus` sits on the simulator's branch hook, batches
 dynamic branch events into columnar numpy chunks, and fans each chunk
 out to pluggable consumers, so one simulation (or one pass over a
 recorded trace) yields the interleave profile, prediction statistics for
-a whole predictor bank, streaming trace stats, and — optionally — the
-archived trace itself.  See ``docs/PIPELINE.md``.
+a whole predictor bank and — optionally — the archived trace itself.
+See ``docs/PIPELINE.md``.
 """
 
 from .bus import (
@@ -19,9 +19,7 @@ from .bus import (
 from .consumers import (
     InterleaveConsumer,
     PredictorConsumer,
-    StreamTraceStats,
     TraceBuilder,
-    TraceStatsConsumer,
     replay_bank,
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "InterleaveConsumer",
     "PipelineStats",
     "PredictorConsumer",
-    "StreamTraceStats",
     "TraceBuilder",
-    "TraceStatsConsumer",
     "replay_bank",
 ]

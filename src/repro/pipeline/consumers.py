@@ -6,8 +6,7 @@ Each consumer implements the two-method bus contract
 
 * :class:`InterleaveConsumer` — the paper's time-stamp interleave
   analysis, producing an :class:`~repro.profiling.profile.
-  InterleaveProfile` byte-identical to ``profile_trace`` over the same
-  events;
+  InterleaveProfile` (``profile_trace`` is a replay into one);
 * :class:`PredictorConsumer` — one predictor bank entry, producing
   :class:`~repro.predictors.simulator.PredictionStats` identical to
   ``simulate_predictor`` (including ``warmup`` handling), via the
@@ -15,15 +14,11 @@ Each consumer implements the two-method bus contract
 * :class:`TraceBuilder` — the chunked trace writer: accumulates columnar
   numpy blocks and concatenates them into an immutable
   :class:`~repro.trace.events.BranchTrace` at the end (optional — fused
-  aggregate-only runs simply leave it off the bus);
-* :class:`TraceStatsConsumer` — streaming whole-trace statistics
-  (dynamic/static counts, taken fraction, timestamp span) without
-  materializing anything.
+  aggregate-only runs simply leave it off the bus).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,8 +36,7 @@ _U64 = np.uint64
 class InterleaveConsumer:
     """Streams events into an :class:`InterleaveAnalyzer`.
 
-    ``result`` (after ``finish``) matches ``profile_trace`` over the same
-    event stream exactly: same branch stats, same pair counts, and
+    ``result`` (after ``finish``) is the stream's profile, with
     ``instructions`` set to the last event's time stamp.
     """
 
@@ -54,8 +48,10 @@ class InterleaveConsumer:
 
     def on_chunk(self, chunk: EventChunk) -> None:
         pcs, _, taken, timestamps = chunk.arrays()
-        self._analyzer.observe_chunk(pcs, taken, groups=chunk.pc_groups())
-        self._analyzer._instructions = int(timestamps[-1])
+        self._analyzer.observe_chunk(
+            pcs, taken, groups=chunk.pc_groups(),
+            instructions=int(timestamps[-1]),
+        )
 
     def finish(self) -> InterleaveProfile:
         self.result = self._analyzer.finish()
@@ -255,97 +251,11 @@ class TraceBuilder:
         self.result = None
 
 
-@dataclass(frozen=True)
-class StreamTraceStats:
-    """Whole-trace statistics computed without materializing the trace."""
-
-    name: str
-    events: int
-    taken: int
-    static_branches: int
-    first_timestamp: int
-    last_timestamp: int
-
-    @property
-    def taken_fraction(self) -> float:
-        if self.events == 0:
-            return 0.0
-        return self.taken / self.events
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "events": self.events,
-            "taken": self.taken,
-            "taken_fraction": round(self.taken_fraction, 6),
-            "static_branches": self.static_branches,
-            "first_timestamp": self.first_timestamp,
-            "last_timestamp": self.last_timestamp,
-        }
-
-
-class TraceStatsConsumer:
-    """Streaming Table-1-style counters (no trace materialization)."""
-
-    name = "stats"
-
-    def __init__(self, label: str = "<stream>") -> None:
-        self.label = label
-        self._events = 0
-        self._taken = 0
-        self._statics: set = set()
-        self._first_ts: Optional[int] = None
-        self._last_ts = 0
-        self.result: Optional[StreamTraceStats] = None
-
-    def on_chunk(self, chunk: EventChunk) -> None:
-        pcs, _, taken, timestamps = chunk.arrays()
-        self._events += len(chunk)
-        self._taken += int(np.count_nonzero(taken))
-        self._statics.update(np.unique(pcs).tolist())
-        if self._first_ts is None:
-            self._first_ts = int(timestamps[0])
-        self._last_ts = int(timestamps[-1])
-
-    def finish(self) -> StreamTraceStats:
-        self.result = StreamTraceStats(
-            name=self.label,
-            events=self._events,
-            taken=self._taken,
-            static_branches=len(self._statics),
-            first_timestamp=self._first_ts or 0,
-            last_timestamp=self._last_ts,
-        )
-        return self.result
-
-    # -- checkpoint hooks (see repro.checkpoint.snapshot) --------------------
-
-    def snapshot_state(self) -> object:
-        return {
-            "label": self.label,
-            "events": self._events,
-            "taken": self._taken,
-            "statics": set(self._statics),
-            "first_ts": self._first_ts,
-            "last_ts": self._last_ts,
-        }
-
-    def restore_state(self, state: object) -> None:
-        self.label = state["label"]  # type: ignore[index]
-        self._events = state["events"]  # type: ignore[index]
-        self._taken = state["taken"]  # type: ignore[index]
-        self._statics = set(state["statics"])  # type: ignore[index]
-        self._first_ts = state["first_ts"]  # type: ignore[index]
-        self._last_ts = state["last_ts"]  # type: ignore[index]
-        self.result = None
-
-
 def replay_bank(
     trace: BranchTrace,
     predictors: Sequence[BranchPredictor],
     warmup: int = 0,
     track_per_branch: bool = False,
-    chunk_events: Optional[int] = None,
 ) -> Dict[str, PredictionStats]:
     """Run a predictor bank over a recorded trace in one chunked pass.
 
@@ -356,7 +266,7 @@ def replay_bank(
 
     Raises:
         ValueError: if two predictors share a name (results would
-            collide), mirroring ``compare_predictors``.
+            collide).
     """
     consumers: List[PredictorConsumer] = []
     seen = set()
@@ -374,16 +284,13 @@ def replay_bank(
                 warmup=warmup,
             )
         )
-    kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}
-    BranchEventBus.replay(trace, consumers, **kwargs)
+    BranchEventBus.replay(trace, consumers)
     return {c.predictor.name: c.result for c in consumers}
 
 
 __all__ = [
     "InterleaveConsumer",
     "PredictorConsumer",
-    "StreamTraceStats",
     "TraceBuilder",
-    "TraceStatsConsumer",
     "replay_bank",
 ]

@@ -14,7 +14,7 @@ from .indexing import (
     StaticIndexMap,
     XorFoldIndex,
 )
-from .simulator import PredictionStats, compare_predictors, simulate_predictor
+from .simulator import PredictionStats, simulate_predictor
 from .static_pred import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
@@ -53,6 +53,5 @@ __all__ = [
     "ProfileStaticPredictor",
     "StaticIndexMap",
     "XorFoldIndex",
-    "compare_predictors",
     "simulate_predictor",
 ]

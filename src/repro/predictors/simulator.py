@@ -8,7 +8,7 @@ misprediction statistics — the quantities behind the paper's Figures 3/4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..trace.events import BranchTrace
 from .base import BranchPredictor
@@ -131,22 +131,3 @@ def simulate_predictor(
     stats.branches = branches
     stats.mispredictions = mispredictions
     return stats
-
-
-def compare_predictors(
-    predictors: List[BranchPredictor],
-    trace: BranchTrace,
-    warmup: int = 0,
-) -> Dict[str, PredictionStats]:
-    """Run several predictors over the same trace; keyed by predictor name.
-
-    The whole bank rides one chunked pass over the trace (each chunk is
-    sliced once and fanned out to every predictor) instead of replaying
-    the trace once per predictor.
-
-    Raises:
-        ValueError: if two predictors share a name (results would collide).
-    """
-    from ..pipeline.consumers import replay_bank
-
-    return replay_bank(trace, predictors, warmup=warmup)

@@ -75,9 +75,10 @@ class InterleaveAnalyzer:
     """Streaming interleave analysis over columnar state.
 
     Feed dynamic conditional-branch events in program order via
-    :meth:`observe_chunk` (or :meth:`observe`, :meth:`on_branch`, or use
-    :func:`profile_trace`); read the result with :meth:`finish`.  Pair
-    counts and order do not depend on how the events are chunked.
+    :meth:`observe_chunk` (or :meth:`observe`); read the result with
+    :meth:`finish`.  Pair counts and order do not depend on how the
+    events are chunked; the branch-stats order does (see
+    :meth:`observe_chunk`).
     """
 
     def __init__(self, name: str = "<profile>") -> None:
@@ -104,30 +105,28 @@ class InterleaveAnalyzer:
         """Record one dynamic instance of branch *pc* (in program order)."""
         self.observe_chunk([pc], [taken])
 
-    def on_branch(
-        self, pc: int, target: int, taken: bool, instruction_count: int
-    ) -> None:
-        """Simulator branch-hook adapter."""
-        self._instructions = instruction_count
-        self.observe(pc, taken)
-
     def observe_chunk(
         self,
         pcs: Sequence[int],
         taken: Sequence[bool],
         groups: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        instructions: Optional[int] = None,
     ) -> None:
         """Record a batch of events in program order.
 
         *groups* is the chunk's ``(unique_pcs, inverse)`` grouping
         (``np.unique(pcs, return_inverse=True)``), computed here when not
         given.  Branches first seen in this chunk enter the branch stats
-        sorted by PC.
+        sorted by PC.  *instructions*, when given, is the retired-
+        instruction count at the chunk's last event: the profile's
+        ``instructions``.
         """
         pcs_arr = np.asarray(pcs, dtype=np.uint64)
         n = len(pcs_arr)
         if n == 0:
             return
+        if instructions is not None:
+            self._instructions = instructions
         if groups is None:
             groups = np.unique(pcs_arr, return_inverse=True)
         unique_pcs, inverse = groups
@@ -395,12 +394,19 @@ class _Pass:
 def profile_trace(
     trace: BranchTrace, name: Optional[str] = None
 ) -> InterleaveProfile:
-    """Run the interleave analysis over a recorded trace (chunked path)."""
-    analyzer = InterleaveAnalyzer(name=name or trace.name)
-    analyzer.observe_chunk(trace.pcs, trace.taken)
-    if len(trace):
-        analyzer._instructions = int(trace.timestamps[-1])
-    return analyzer.finish()
+    """Run the interleave analysis over a recorded trace.
+
+    The trace rides a :class:`~repro.pipeline.bus.BranchEventBus` into an
+    :class:`~repro.pipeline.consumers.InterleaveConsumer`: the same
+    chunks, hence the same profile bytes, as a simulation's bus yields.
+    """
+    # late import: the pipeline package sits above the profiler
+    from ..pipeline.bus import BranchEventBus
+    from ..pipeline.consumers import InterleaveConsumer
+
+    consumer = InterleaveConsumer(label=name or trace.name)
+    BranchEventBus.replay(trace, [consumer])
+    return consumer.result
 
 
 def interleave_pairs_bruteforce(

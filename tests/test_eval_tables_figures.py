@@ -8,6 +8,10 @@ ordering invariants) rather than the full-scale paper shapes, which
 import pytest
 
 from conftest import TEST_THRESHOLD
+from repro.allocation.allocator import BranchAllocator
+from repro.analysis.conflict_graph import DEFAULT_THRESHOLD, auto_threshold
+from repro.eval import ablations, figures
+from repro.eval.ablations import run_hash_baseline
 from repro.eval.figures import (
     average_improvement,
     format_figure,
@@ -56,6 +60,47 @@ def test_table2_title_names_the_rows_threshold(engine):
     assert [r.threshold for r in rows] == [TEST_THRESHOLD]
     title = format_table2(rows).splitlines()[0]
     assert title.endswith(f"(threshold={TEST_THRESHOLD})")
+
+
+def test_runners_default_to_the_scale_threshold(engine, monkeypatch):
+    """Without a threshold, a runner takes auto_threshold of its engine's
+    scale: the Table 2 rows and title, and every allocator a figure or
+    an ablation builds."""
+    expected = auto_threshold(engine.scale)
+    rows = run_table2(engine, benchmarks=["plot"])
+    assert [r.threshold for r in rows] == [expected]
+    title = format_table2(rows).splitlines()[0]
+    assert title.endswith(f"(threshold={expected})")
+
+    seen = []
+
+    class Recording(BranchAllocator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.threshold)
+
+    monkeypatch.setattr(figures, "BranchAllocator", Recording)
+    monkeypatch.setattr(ablations, "BranchAllocator", Recording)
+    run_figure3(engine, benchmarks=["plot"], sizes=(16,))
+    run_hash_baseline(engine, ["plot"])
+    assert seen == [expected, expected]
+
+
+class _FullScaleEngine:
+    """What ``run_table2`` reads of an engine, at scale 1.0."""
+
+    scale = 1.0
+
+    def __init__(self, profile):
+        self._profile = profile
+
+    def profile(self, name):
+        return self._profile
+
+
+def test_full_scale_table2_keeps_the_paper_threshold(phased_profile):
+    rows = run_table2(_FullScaleEngine(phased_profile), ["phased"])
+    assert [r.threshold for r in rows] == [DEFAULT_THRESHOLD] == [100]
 
 
 def test_table3_sizes_below_baseline_table(engine):

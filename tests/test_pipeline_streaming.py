@@ -27,7 +27,6 @@ from repro.pipeline.consumers import (
     InterleaveConsumer,
     PredictorConsumer,
     TraceBuilder,
-    TraceStatsConsumer,
     replay_bank,
 )
 from repro.predictors.gshare import GSharePredictor
@@ -102,16 +101,13 @@ def test_fused_one_pass_matches_capture_then_replay(
 @given(events=event_streams, chunk_events=st.integers(1, 64))
 def test_trace_builder_reconstructs_the_event_stream(events, chunk_events):
     builder = TraceBuilder(label="t")
-    stats = TraceStatsConsumer(label="t")
-    bus = BranchEventBus([builder, stats], chunk_events=chunk_events)
+    bus = BranchEventBus([builder], chunk_events=chunk_events)
     _feed(bus, events)
     bus.finish()
     trace = builder.result
     assert trace.pcs.tolist() == [pc for pc, _ in events]
     assert trace.taken.tolist() == [bool(t) for _, t in events]
     assert trace.timestamps.tolist() == list(range(1, len(events) + 1))
-    assert stats.result.events == len(events)
-    assert stats.result.static_branches == len({pc for pc, _ in events})
 
 
 def test_fused_profile_byte_identical_to_replay(engine):

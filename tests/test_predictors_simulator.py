@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.predictors.simulator import (
-    PredictionStats,
-    compare_predictors,
-    simulate_predictor,
-)
+from repro.pipeline.consumers import replay_bank
+from repro.predictors.simulator import PredictionStats, simulate_predictor
 from repro.predictors.static_pred import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
@@ -91,21 +88,19 @@ def test_simulation_is_deterministic():
     assert a.mispredictions == b.mispredictions
 
 
-def test_compare_predictors_keys_by_name():
+def test_replay_bank_keys_by_name():
     trace = _trace([True] * 20)
-    results = compare_predictors(
-        [AlwaysTakenPredictor(), AlwaysNotTakenPredictor()], trace
+    results = replay_bank(
+        trace, [AlwaysTakenPredictor(), AlwaysNotTakenPredictor()]
     )
     assert results["always-taken"].mispredictions == 0
     assert results["always-not-taken"].mispredictions == 20
 
 
-def test_compare_predictors_rejects_duplicate_names():
+def test_replay_bank_rejects_duplicate_names():
     trace = _trace([True])
     with pytest.raises(ValueError):
-        compare_predictors(
-            [AlwaysTakenPredictor(), AlwaysTakenPredictor()], trace
-        )
+        replay_bank(trace, [AlwaysTakenPredictor(), AlwaysTakenPredictor()])
 
 
 def test_stats_dataclass_defaults():

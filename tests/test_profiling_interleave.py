@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pipeline.bus import DEFAULT_CHUNK_EVENTS, BranchEventBus
+from repro.pipeline.consumers import InterleaveConsumer
 from repro.profiling import interleave
 from repro.profiling.interleave import (
     InterleaveAnalyzer,
@@ -20,6 +22,7 @@ from repro.profiling.interleave import (
     profile_trace,
 )
 from repro.trace.events import BranchEvent, BranchTrace
+from repro.trace.synthetic import make_phased_workload
 
 A, B, C = 0x100, 0x200, 0x300
 
@@ -102,10 +105,22 @@ def test_bruteforce_rejects_non_increasing_timestamps():
         interleave_pairs_bruteforce([(A, 5), (B, 5)])
 
 
-def test_simulator_hook_adapter_records_instructions():
-    analyzer = InterleaveAnalyzer()
-    analyzer.on_branch(A, 0, True, 123)
-    assert analyzer.finish().instructions == 123
+def test_profile_trace_is_a_bus_replay_across_chunks():
+    """Branches first seen after the first 65,536-event chunk, at lower
+    PCs than the branches before them, keep the bus's branch order."""
+    workload = make_phased_workload(
+        n_phases=2, branches_per_phase=8, iterations=9000, seed=3,
+        text_span=1 << 16,
+    )
+    workload.schedule = [1, 0]  # the higher-PC phase runs first
+    trace = workload.generate(seed=5)
+    assert len(trace) > DEFAULT_CHUNK_EVENTS
+    early = set(trace.pcs[:DEFAULT_CHUNK_EVENTS].tolist())
+    late = set(trace.pcs[DEFAULT_CHUNK_EVENTS:].tolist()) - early
+    assert late and max(late) < min(early)
+    consumer = InterleaveConsumer(label=trace.name)
+    BranchEventBus.replay(trace, [consumer])
+    assert profile_trace(trace).to_json() == consumer.result.to_json()
 
 
 @settings(max_examples=200, deadline=None)
